@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, eval_cost
+from .kernel import FlopCounter, eval_cost, require_finite
 from .metrics import squared_error
 from .prox_solver import SolveResult, TraceRecord
 
@@ -185,6 +185,8 @@ def adcd_solve(
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
+    require_finite("a", a)
+    require_finite("b", b)
     state = adcd_init(m, n)
     trace: list[TraceRecord] = []
     for _ in range(iterations):

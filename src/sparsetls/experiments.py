@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adcd import adcd_solve
-from .metrics import support_errors
+from .metrics import squared_error, support_errors
 from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance
 from .prox_solver import SolveResult, pg_solve
 from .rng import derive_stream
@@ -161,7 +161,8 @@ def lambda_sweep_rows(cfg: ExperimentConfig) -> list[list]:
     """Converged error and support-miss means per lambda, at the scenario xi.
 
     Instances do not depend on lambda, so the same paired set is reused
-    across the whole grid.
+    across the whole grid.  The solvers record no per-iteration error;
+    the squared error is taken once per solve, from the final iterate.
     """
     instances = [_instance(cfg, t, cfg.scenario.xi) for t in range(cfg.trials)]
     k = cfg.scenario.k
@@ -172,8 +173,8 @@ def lambda_sweep_rows(cfg: ExperimentConfig) -> list[list]:
         for algo in cfg.algos:
             err = fn = fp = 0.0
             for inst in instances:
-                res = solve_instance(algo, inst, lam, iters)
-                err += res.trace[-1].sq_error
+                res = solve_instance(algo, inst, lam, iters, with_truth=False)
+                err += squared_error(res.x, inst.x_true)
                 sup = support_errors(res.x, inst.x_true)
                 fn += sup.false_negatives
                 fp += sup.false_positives
@@ -186,7 +187,10 @@ def lambda_sweep_rows(cfg: ExperimentConfig) -> list[list]:
 
 
 def xi_sweep_rows(cfg: ExperimentConfig, lam: float = 0.02) -> list[list]:
-    """Converged error means per perturbation level, at fixed lambda."""
+    """Converged error means per perturbation level, at fixed lambda.
+
+    As in lambda_sweep_rows, the error is taken from the final iterate.
+    """
     iters = _schedule_for(cfg, lam)
     rows = []
     for xi in cfg.xi_grid:
@@ -194,7 +198,8 @@ def xi_sweep_rows(cfg: ExperimentConfig, lam: float = 0.02) -> list[list]:
         for trial in range(cfg.trials):
             inst = _instance(cfg, trial, xi)
             for algo in cfg.algos:
-                err[algo] += solve_instance(algo, inst, lam, iters).trace[-1].sq_error
+                res = solve_instance(algo, inst, lam, iters, with_truth=False)
+                err[algo] += squared_error(res.x, inst.x_true)
         for algo in cfg.algos:
             rows.append([cfg.kind, algo, xi, err[algo] / cfg.trials])
     return rows

@@ -12,6 +12,7 @@ so the matrix-vector work scales with the support size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -54,6 +55,8 @@ def gradient(
     y: float,
     f: float,
     flops: FlopCounter,
+    support: Optional[np.ndarray] = None,
+    ata_rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gradient of the quotient residual: 2 y (a^T a x - a^T b - f x).
 
@@ -61,17 +64,35 @@ def gradient(
     values of 1/(||x||^2+1) and f(x) at this x.  Columns of ata whose x
     entry is an exact zero are skipped, so the product costs n * nnz(x)
     multiply-adds (n^2 worst case); the remaining terms cost 3 n.
+
+    `support`, when given, must equal x.nonzero()[0] (the solver keeps
+    it as a state invariant); it is computed here when omitted.
+    `ata_rows`, when given, must be a C-contiguous copy of ata.T.  The
+    support columns are gathered as rows of ata.T and transposed
+    back: rows[s].T holds the same values as ata[:, s] in the same
+    column-major layout, so the matvec runs the same BLAS call on the
+    same bytes and the result is bit-identical.  From the contiguous copy
+    each gathered row is one contiguous run, which is cheaper than the
+    strided column gather; without it the plain ata.T view is used.
     """
     n = x.shape[0]
     if ata.shape != (n, n) or atb.shape != (n,):
         raise ValueError(f"dimension mismatch: ata {ata.shape}, atb {atb.shape}, x {x.shape}")
-    support = np.flatnonzero(x)
+    if support is None:
+        support = x.nonzero()[0]
     if support.size:
-        atax = ata[:, support] @ x[support]
+        rows = ata.T if ata_rows is None else ata_rows
+        atax = rows[support].T @ x[support]
     else:
         atax = np.zeros(n)
     flops.add(n * int(support.size) + 3 * n)
     return (2.0 * y) * (atax - atb - f * x)
+
+
+def require_finite(name: str, arr: np.ndarray) -> None:
+    """Raise ValueError naming `name` when arr holds a NaN or an infinity."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
 
 
 def shrink(z: np.ndarray, t: float) -> np.ndarray:

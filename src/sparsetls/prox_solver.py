@@ -17,6 +17,16 @@ step size.  A backtracking line search halves mu_n until
 
 holds, which (with the prox optimality of shrink) forces the composite
 cost to be non-increasing over accepted iterations.
+
+Exact zeros are skipped in both matrix-vector products, a^T a x in the
+gradient and a x in each line-search trial.  The state carries the
+support of its iterate (support = x.nonzero()[0]): the accepted trial
+already computed it, so the next gradient does not recompute it.
+Support columns are gathered as rows of C-contiguous copies of a^T and
+(a^T a)^T made once in pg_init: rows[s].T has the same values as a[:, s]
+in the same column-major layout, so the product is the same BLAS call on
+the same bytes and every iterate is bit-identical to the column gather,
+while each gathered row is one contiguous copy instead of a strided one.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, gradient, shrink
+from .kernel import FlopCounter, gradient, require_finite, shrink
 from .metrics import squared_error
 
 START_STEP = 0.2
@@ -49,7 +59,10 @@ class PgState:
 
     g_prev is the gradient at x_prev; after each step the just-used
     gradient moves there together with the old iterate.  The invariants
-    y = 1/(||x||^2+1) and f = y * ||a x - b||^2 hold for the current x.
+    y = 1/(||x||^2+1), f = y * ||a x - b||^2 and support = x.nonzero()[0]
+    hold for the current x.  ata_rows and a_rows are C-contiguous copies
+    of ata.T and a.T, made once by pg_init, from which support columns
+    are gathered as rows (see the module docstring).
     """
 
     x_prev: np.ndarray
@@ -59,6 +72,9 @@ class PgState:
     y: float
     f: float
     n: int
+    support: np.ndarray
+    ata_rows: np.ndarray
+    a_rows: np.ndarray
     flops: FlopCounter = field(default_factory=FlopCounter)
     backtracks_last: int = 0
 
@@ -88,39 +104,48 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[PgState, np.ndarr
 
     x_1 = shrink(-mu_0 * g_0, mu_0 * lam) with g_0 = -2 a^T b and the
     fixed start step mu_0 = 0.2.  The cached products make every later
-    gradient an O(n * nnz) operation.
+    gradient an O(n * nnz) operation.  A NaN or infinity in a or b raises
+    ValueError here, before any iteration could turn it into a failed
+    line search.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
+    require_finite("a", a)
+    require_finite("b", b)
     m, n = a.shape
     flops = FlopCounter()
     ata = a.T @ a
     atb = a.T @ b
     flops.add(n * n * m + n * m)
+    ata_rows = np.ascontiguousarray(ata.T)
+    a_rows = np.ascontiguousarray(a.T)
 
     x0 = np.zeros(n)
     g0 = -2.0 * atb
     x1 = shrink(x0 - START_STEP * g0, START_STEP * lam)
-    support = np.flatnonzero(x1)
-    ax1 = a[:, support] @ x1[support] if support.size else np.zeros(m)
-    y1 = 1.0 / (float(x1 @ x1) + 1.0)
+    support = x1.nonzero()[0]
+    ax1 = a_rows[support].T @ x1[support] if support.size else np.zeros(m)
+    y1 = 1.0 / (float(x1.dot(x1)) + 1.0)
     resid = ax1 - b
-    f1 = y1 * float(resid @ resid)
+    f1 = y1 * float(resid.dot(resid))
     flops.add(4 * n + m * int(support.size) + 2 * m)
 
-    state = PgState(x_prev=x0, x=x1, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1, flops=flops)
+    state = PgState(
+        x_prev=x0, x=x1, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1,
+        support=support, ata_rows=ata_rows, a_rows=a_rows, flops=flops,
+    )
     return state, ata, atb
 
 
 def adaptive_step(dx: np.ndarray, dg: np.ndarray, mu_prev: float) -> float:
     """Hybrid spectral step size; falls back to mu_prev on degeneracy."""
-    s = float(dx @ dg)
-    gg = float(dg @ dg)
+    s = float(dx.dot(dg))
+    gg = float(dg.dot(dg))
     if s == 0.0 or gg == 0.0:
         return mu_prev
-    mu_sd = float(dx @ dx) / s
+    mu_sd = float(dx.dot(dx)) / s
     mu_mr = s / gg
     if mu_sd == 0.0:
         # |dx|^2 underflowed while dx.dg did not; the ratio is effectively
@@ -137,7 +162,7 @@ def adaptive_step(dx: np.ndarray, dg: np.ndarray, mu_prev: float) -> float:
 
 def line_search_ok(f_next: float, f_cur: float, dx: np.ndarray, g: np.ndarray, mu: float) -> bool:
     """Sufficient-decrease test; the inequality is deliberately strict."""
-    return f_next < f_cur + float(dx @ g) + float(dx @ dx) / (2.0 * mu)
+    return f_next < f_cur + float(dx.dot(g)) + float(dx.dot(dx)) / (2.0 * mu)
 
 
 def pg_step(
@@ -156,24 +181,25 @@ def pg_step(
     the outcome.
     """
     m, n = a.shape
-    g = gradient(ata, atb, state.x, state.y, state.f, state.flops)
+    g = gradient(ata, atb, state.x, state.y, state.f, state.flops, state.support, state.ata_rows)
     dx = state.x - state.x_prev
     dg = g - state.g_prev
     state.flops.add(2 * n)
     mu = adaptive_step(dx, dg, state.mu)
     state.flops.add(3 * n)
 
+    a_rows = state.a_rows
     backtracks = 0
     while True:
         x_next = shrink(state.x - mu * g, mu * lam)
-        support = np.flatnonzero(x_next)
-        ax = a[:, support] @ x_next[support] if support.size else np.zeros(m)
-        y_next = 1.0 / (float(x_next @ x_next) + 1.0)
+        support = x_next.nonzero()[0]
+        ax = a_rows[support].T @ x_next[support] if support.size else np.zeros(m)
+        y_next = 1.0 / (float(x_next.dot(x_next)) + 1.0)
         resid = ax - b
-        f_next = y_next * float(resid @ resid)
+        f_next = y_next * float(resid.dot(resid))
         step = x_next - state.x
         state.flops.add(6 * n + m * int(support.size) + 2 * m)
-        if line_search_ok(f_next, state.f, step, g, mu) or not np.any(step):
+        if line_search_ok(f_next, state.f, step, g, mu) or not step.any():
             break
         mu *= 0.5
         backtracks += 1
@@ -187,6 +213,7 @@ def pg_step(
     state.x_prev = state.x
     state.g_prev = g
     state.x = x_next
+    state.support = support
     state.y = y_next
     state.f = f_next
     state.mu = mu

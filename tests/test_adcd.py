@@ -188,6 +188,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             adcd_solve(s1_instance.a, s1_instance.b, 0.02, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, s1_instance, bad):
+        a, b = s1_instance.a.copy(), s1_instance.b.copy()
+        a[0, 0] = bad
+        with pytest.raises(ValueError, match="^a contains non-finite"):
+            adcd_solve(a, s1_instance.b, 0.02, 5)
+        b[-1] = bad
+        with pytest.raises(ValueError, match="^b contains non-finite"):
+            adcd_solve(s1_instance.a, b, 0.02, 5)
+
     def test_iteration_flops_within_bounds(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
         m, n = a.shape

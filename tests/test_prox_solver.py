@@ -54,6 +54,26 @@ class TestInit:
         with pytest.raises(ValueError):
             pg_init(a, b, lam=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, s1_instance, bad):
+        a, b = s1_instance.a.copy(), s1_instance.b.copy()
+        a[3, 5] = bad
+        with pytest.raises(ValueError, match="^a contains non-finite"):
+            pg_init(a, s1_instance.b, lam=0.02)
+        b[7] = bad
+        with pytest.raises(ValueError, match="^b contains non-finite"):
+            pg_solve(s1_instance.a, b, 0.02, iterations=10)
+
+    def test_support_invariant_and_row_copies(self, s1_instance):
+        a, b = s1_instance.a, s1_instance.b
+        state, ata, atb = pg_init(a, b, lam=0.02)
+        assert state.ata_rows.flags.c_contiguous and state.a_rows.flags.c_contiguous
+        assert np.array_equal(state.ata_rows, ata.T)
+        assert np.array_equal(state.a_rows, a.T)
+        for _ in range(30):
+            assert np.array_equal(state.support, np.flatnonzero(state.x))
+            pg_step(state, ata, atb, a, b, lam=0.02)
+
 
 class TestAdaptiveStep:
     def test_aligned_vectors_use_minimum_residual_value(self):
@@ -185,6 +205,82 @@ class TestStep:
                 rhs = f_prev + float(dx @ state.g_prev) + float(dx @ dx) / (2.0 * state.mu)
                 assert state.f < rhs
             f_prev = state.f
+
+
+def reference_init(a, b, lam):
+    """pg_init written the plain way: column gathers, @ and np.flatnonzero."""
+    m, n = a.shape
+    ata = a.T @ a
+    atb = a.T @ b
+    x0 = np.zeros(n)
+    g0 = -2.0 * atb
+    x1 = shrink(x0 - 0.2 * g0, 0.2 * lam)
+    support = np.flatnonzero(x1)
+    ax1 = a[:, support] @ x1[support] if support.size else np.zeros(m)
+    y1 = 1.0 / (float(x1 @ x1) + 1.0)
+    resid = ax1 - b
+    f1 = y1 * float(resid @ resid)
+    madds = n * n * m + n * m + 4 * n + m * int(support.size) + 2 * m
+    return dict(x_prev=x0, x=x1, g_prev=g0, mu=0.2, y=y1, f=f1, backtracks=0, madds=madds)
+
+
+def reference_step(st, ata, atb, a, b, lam):
+    """One pg_step written the plain way, on a dict state (in place)."""
+    m, n = a.shape
+    x, y, f = st["x"], st["y"], st["f"]
+    support = np.flatnonzero(x)
+    atax = ata[:, support] @ x[support] if support.size else np.zeros(n)
+    g = (2.0 * y) * (atax - atb - f * x)
+    madds = n * int(support.size) + 3 * n + 5 * n
+    dx = x - st["x_prev"]
+    dg = g - st["g_prev"]
+    mu = st["mu"]
+    s, gg = float(dx @ dg), float(dg @ dg)
+    if s != 0.0 and gg != 0.0:
+        mu_sd, mu_mr = float(dx @ dx) / s, s / gg
+        if mu_sd == 0.0 or mu_mr / mu_sd > 0.5:
+            cand = mu_mr
+        else:
+            cand = mu_sd - 0.5 * mu_mr
+        if cand > 0.0 and np.isfinite(cand):
+            mu = cand
+    backtracks = 0
+    while True:
+        x_next = shrink(x - mu * g, mu * lam)
+        support = np.flatnonzero(x_next)
+        ax = a[:, support] @ x_next[support] if support.size else np.zeros(m)
+        y_next = 1.0 / (float(x_next @ x_next) + 1.0)
+        resid = ax - b
+        f_next = y_next * float(resid @ resid)
+        step = x_next - x
+        madds += 6 * n + m * int(support.size) + 2 * m
+        if f_next < f + float(step @ g) + float(step @ step) / (2.0 * mu) or not np.any(step):
+            break
+        mu *= 0.5
+        backtracks += 1
+    st.update(x_prev=x, x=x_next, g_prev=g, mu=mu, y=y_next, f=f_next, backtracks=backtracks)
+    st["madds"] += madds
+
+
+class TestBitParity:
+    """pg_init and pg_step against the plain reference, bit for bit."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.5])
+    def test_lockstep_with_reference(self, make_instance, scenario, lam):
+        inst = make_instance(scenario, seed=11, trial=2)
+        a, b = inst.a, inst.b
+        state, ata, atb = pg_init(a, b, lam)
+        ref = reference_init(a, b, lam)
+        assert np.array_equal(state.x, ref["x"])
+        assert (state.y, state.f, state.flops.madds) == (ref["y"], ref["f"], ref["madds"])
+        for it in range(150):
+            pg_step(state, ata, atb, a, b, lam)
+            reference_step(ref, ata, atb, a, b, lam)
+            assert np.array_equal(state.x, ref["x"]), it
+            assert state.y == ref["y"] and state.f == ref["f"] and state.mu == ref["mu"], it
+            assert state.backtracks_last == ref["backtracks"], it
+            assert state.flops.madds == ref["madds"], it
 
 
 class TestSolve:
