@@ -11,11 +11,17 @@ partial residual is rebuilt from scratch, skipping exact-zero entries of
 x, so a sweep costs on the order of n * m * nnz(x) multiply-adds; e is
 kept as an explicit dense matrix.  Both choices are deliberate: they are
 what the per-iteration cost comparison against the proximal-gradient
-solver is about, and the flop counter charges every rebuild.  The fused
-sweep executes them more cheaply (it recomputes a partial residual only
-when its inputs change) with arithmetic identical to the from-scratch
-rebuild, so the iterates and the counted cost are those of the plain
-algorithm.
+solver is about, and the flop counter charges every rebuild.
+
+adcd_coordinate_update is that from-scratch update, one coordinate per
+call.  The sweep executes the same algorithm more cheaply, on a running
+residual (the "naive update" of coordinate descent; Friedman, Hastie and
+Tibshirani, J. Stat. Softw. 2010): r = b - (a + e) x is built once per
+sweep and updated after every coordinate that changes.  The values
+differ from the per-call update only by rounding, and r is rebuilt at
+the start of every sweep, so that drift never outlives one sweep.  The
+supports and the counted multiply-adds, which still charge every
+from-scratch rebuild, are those of the plain algorithm.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, eval_cost, require_finite
+from .kernel import FlopCounter, eval_cost, require_finite, require_lambda
 from .metrics import squared_error
 from .prox_solver import SolveResult, TraceRecord
 
@@ -64,89 +70,102 @@ def adcd_coordinate_update(
     if others.size:
         cols = a[:, others] + state.e_mat[:, others]
         resid = b - cols @ x[others]
-        state.flops.add(2 * m * int(others.size) + m)
     else:
         resid = b
     col = a[:, i] + state.e_mat[:, i]
-    rho = float(col @ resid)
-    norm2 = float(col @ col)
-    state.flops.add(3 * m)
-    half = 0.5 * lam
-    if norm2 == 0.0:
-        new = 0.0
-    elif rho > half:
-        new = (rho - half) / norm2
-    elif rho < -half:
-        new = (rho + half) / norm2
-    else:
-        new = 0.0
+    state.flops.add(_update_madds(m, int(others.size)))
+    new = _threshold(float(col @ resid), 0.5 * lam, float(col @ col))
     x[i] = new
     return new
 
 
+def _update_madds(m: int, cnt: int) -> int:
+    """Counted cost of one coordinate update whose partial residual runs
+    over cnt other nonzero entries: 2 m cnt + m to rebuild it from
+    scratch (nothing when cnt = 0) and 3 m for the two dots."""
+    return 3 * m + (2 * m * cnt + m if cnt else 0)
+
+
+def _threshold(rho: float, half: float, norm2: float) -> float:
+    """Soft-threshold rho at half, scaled by 1 / norm2; a zero column and
+    the boundary |rho| = half both give 0."""
+    if norm2 == 0.0:
+        return 0.0
+    if rho > half:
+        return (rho - half) / norm2
+    if rho < -half:
+        return (rho + half) / norm2
+    return 0.0
+
+
 def _sweep(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> None:
-    """In-order pass over all coordinates.
+    """In-order pass over all coordinates, on a running residual.
 
-    Arithmetic is identical, bit for bit, to calling adcd_coordinate_update
-    for i = 0..n-1 (a test pins this); only its execution is cheaper:
+    The values are those of calling adcd_coordinate_update for
+    i = 0..n-1, up to floating-point rounding (a test holds the two to a
+    stated tolerance, with exact supports and multiply-adds); only the
+    execution is cheaper.  The columns c = a + e_mat are formed once per
+    sweep, since e_mat is fixed during it, as rows of a contiguous c^T.
+    The full residual r = b - c x is built once, from the support, at the
+    start of the sweep and then kept current:
 
-    - the columns c = a + e_mat are formed once per sweep, since e_mat is
-      fixed during it, with a contiguous transposed copy so that column i
-      is a row view; the support columns are gathered by fancy indexing,
-      which keeps the memory layout (and so the matvec bits) of the
-      per-call gather;
-    - the partial residual is recomputed only when its inputs change.  A
-      zero coordinate's residual runs over the whole support, so
-      consecutive zero coordinates share it while x is unchanged (same
-      inputs, same bits); it is dropped as soon as any coordinate changes
-      value.
+    - a support coordinate gets rho = c_i . r + x_i ||c_i||^2, which is
+      c_i . resid for the partial residual that excludes i; after the
+      update r -= (new - old) c_i;
+    - a zero coordinate's partial residual is r itself, so the rhos of a
+      run of zero coordinates between two support entries come from one
+      product with the contiguous block of their rows.  The first rho
+      outside +-lam / 2 ends the run: that coordinate leaves zero, r
+      changes, and the rest of the run is recomputed from the new r.
 
-    The counted multiply-adds still charge every from-scratch rebuild, as
-    the per-call update does: that is the baseline's algorithmic cost.
+    r is rebuilt from scratch every sweep (e_mat changes between sweeps),
+    so rounding drift from the updates is confined to one sweep.  The
+    counted multiply-adds still charge every from-scratch rebuild of the
+    partial residual and the 3m of both dots, computed from the support
+    size, as the per-call update does: that is the baseline's algorithmic
+    cost.
     """
     m, n = a.shape
     x = state.x
-    c = a + state.e_mat
-    c_rows = np.ascontiguousarray(c.T)
+    c_rows = np.ascontiguousarray((a + state.e_mat).T)
     half = 0.5 * lam
-    madds = 0
     support = x.nonzero()[0]
-    shared = None  # residual over the whole support, valid while x is unchanged
-    for i in range(n):
-        old = float(x[i])
-        if old != 0.0:
-            idx = support[support != i]
-            resid = None
-        else:
-            idx = support
-            resid = shared
-        cnt = idx.size
-        if resid is None:
-            resid = b - c[:, idx] @ x[idx] if cnt else b
-            if old == 0.0:
-                shared = resid
-        if cnt:
-            madds += 2 * m * cnt + m
-        col = c_rows[i]
-        rho = float(col.dot(resid))
-        madds += 3 * m
-        # inside the threshold the result is 0 whatever ||c_i||^2 is (a zero
-        # column has rho = 0), so the norm is only needed outside it
-        if rho > half or rho < -half:
-            norm2 = float(col.dot(col))
-            if norm2 == 0.0:
-                new = 0.0
-            elif rho > half:
-                new = (rho - half) / norm2
-            else:
-                new = (rho + half) / norm2
-        else:
-            new = 0.0
+    r = b - c_rows[support].T @ x[support] if support.size else b.copy()
+    nnz = int(support.size)
+    madds = 0
+    start = 0
+    # the support entries ahead of the sweep position are those it started
+    # with, so they delimit the runs of zero coordinates
+    for s in [*support.tolist(), n]:
+        i = start
+        while i < s:
+            rhos = c_rows[i:s] @ r
+            leave = np.flatnonzero(np.abs(rhos) > half)
+            if not leave.size:
+                madds += (s - i) * _update_madds(m, nnz)
+                break
+            j = i + int(leave[0])
+            madds += (j + 1 - i) * _update_madds(m, nnz)
+            col = c_rows[j]
+            new = _threshold(float(rhos[j - i]), half, float(col.dot(col)))
+            if new != 0.0:
+                x[j] = new
+                r -= new * col
+                nnz += 1
+            i = j + 1
+        if s == n:
+            break
+        col = c_rows[s]
+        old = float(x[s])
+        norm2 = float(col.dot(col))
+        madds += _update_madds(m, nnz - 1)
+        new = _threshold(float(col.dot(r)) + old * norm2, half, norm2)
         if new != old:
-            x[i] = new
-            shared = None
-            if old == 0.0 or new == 0.0:
-                support = x.nonzero()[0]
+            x[s] = new
+            r -= (new - old) * col
+            if new == 0.0:
+                nnz -= 1
+        start = s + 1
     state.flops.add(madds)
 
 
@@ -178,13 +197,16 @@ def adcd_solve(
     """Run `iterations` outer steps from the zero state.
 
     The trace mirrors the proximal-gradient record schema (step size and
-    backtrack fields are zero) so per-iteration outputs line up.
+    backtrack fields are zero) so per-iteration outputs line up.  A lam
+    that is not positive and finite, or a NaN or infinity in a or b,
+    raises ValueError before the first sweep.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
+    require_lambda(lam)
     require_finite("a", a)
     require_finite("b", b)
     state = adcd_init(m, n)

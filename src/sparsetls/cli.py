@@ -26,6 +26,7 @@ from .experiments import (
     run_xi_sweep,
     solve_instance,
 )
+from .kernel import require_lambda
 from .problems import (
     SCENARIO_TAGS,
     Ensemble,
@@ -163,16 +164,28 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return top
 
 
-def _parse_grid(text: str | None) -> list[float] | None:
+def _parse_grid(text: str | None, lambdas: bool = False) -> list[float] | None:
+    """Comma-separated floats; a lambda grid must also pass require_lambda."""
     if text is None:
         return None
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
+        if lambdas:
+            for lam in grid:
+                require_lambda(lam)
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
     if not grid:
         raise UsageError("--grid must list at least one value")
     return grid
+
+
+def _lambda(args) -> float:
+    try:
+        require_lambda(args.lam)
+    except ValueError as exc:
+        raise UsageError(f"bad --lambda value: {exc}") from exc
+    return args.lam
 
 
 def _scenario(args) -> tuple[ScenarioConfig, str]:
@@ -233,38 +246,41 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     if args.lam is None:
         raise UsageError("solve requires --lambda")
+    lam = _lambda(args)
     inst, scen, kind = _single_instance(args)
     iters = args.iters
     if iters is None:
-        iters = iteration_schedule(args.lam, kind if kind in ("s1", "s2") else "s1")
+        iters = iteration_schedule(lam, kind if kind in ("s1", "s2") else "s1")
     for algo in _algos(args):
-        res = solve_instance(algo, inst, args.lam, iters)
+        res = solve_instance(algo, inst, lam, iters)
         last = res.trace[-1]
         print(f"{algo} sq_error={last.sq_error:.17g} cost={last.cost:.17g} iterations={iters}")
     return 0
 
 
 def cmd_trace(args) -> int:
-    cfg = _experiment_config(args, lambda_grid=[args.lam], xi_grid=[args.xi])
-    print(run_trace(cfg, lam=args.lam, xi=args.xi))
+    lam = _lambda(args)
+    cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=[args.xi])
+    print(run_trace(cfg, lam=lam, xi=args.xi))
     return 0
 
 
 def cmd_sweep_lambda(args) -> int:
-    cfg = _experiment_config(args, lambda_grid=_parse_grid(args.grid), xi_grid=[args.xi])
+    cfg = _experiment_config(args, lambda_grid=_parse_grid(args.grid, lambdas=True), xi_grid=[args.xi])
     print(run_lambda_sweep(cfg))
     return 0
 
 
 def cmd_sweep_xi(args) -> int:
-    cfg = _experiment_config(args, lambda_grid=[args.lam], xi_grid=_parse_grid(args.grid))
-    print(run_xi_sweep(cfg, lam=args.lam))
+    lam = _lambda(args)
+    cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=_parse_grid(args.grid))
+    print(run_xi_sweep(cfg, lam=lam))
     return 0
 
 
 def cmd_bench(args) -> int:
     names = ["s1", "s2"] if args.scenario == "both" else [args.scenario]
-    grid = _parse_grid(args.grid) or default_lambda_grid()
+    grid = _parse_grid(args.grid, lambdas=True) or default_lambda_grid()
     rows = []
     for name in names:
         scen = scenario_config(name, xi=args.xi, seed=args.seed)

@@ -11,6 +11,7 @@ so the matrix-vector work scales with the support size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,7 @@ class CostEval:
 
 def eval_cost(a: np.ndarray, b: np.ndarray, x: np.ndarray, lam: float) -> CostEval:
     """Evaluate the composite cost at x."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    require_lambda(lam)
     if a.shape[0] != b.shape[0] or a.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}, x {x.shape}")
     resid = a @ x - b
@@ -93,6 +93,13 @@ def require_finite(name: str, arr: np.ndarray) -> None:
     """Raise ValueError naming `name` when arr holds a NaN or an infinity."""
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
+
+
+def require_lambda(lam: float) -> None:
+    """Raise ValueError unless lam is a finite number above zero (a NaN
+    would pass a plain `lam <= 0` test)."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
 
 def shrink(z: np.ndarray, t: float) -> np.ndarray:

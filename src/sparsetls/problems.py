@@ -194,8 +194,42 @@ def save_instance(inst: ProblemInstance, cfg: ScenarioConfig, path: str | Path) 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_block(
+    lines: list[str], pos: int, label: str, shape: tuple[int, ...], path: str | Path
+) -> tuple[np.ndarray, int]:
+    """Parse the block `label` starting at line index pos into an array of
+    `shape` (one text row per matrix row) and return it with the index of
+    the line after the block; ValueError on any mismatch."""
+    rows, cols = (shape[0], shape[1]) if len(shape) == 2 else (1, shape[0])
+    if pos >= len(lines) or lines[pos] != label:
+        raise ValueError(f"{path}: expected block {label!r} at line {pos + 1}")
+    if pos + rows >= len(lines):
+        raise ValueError(f"{path}: block {label!r} is truncated (needs {rows} rows)")
+    data = np.empty((rows, cols))
+    for r in range(rows):
+        lineno = pos + r + 2
+        try:
+            values = [float(v) for v in lines[pos + 1 + r].split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        if len(values) != cols:
+            raise ValueError(
+                f"{path}: line {lineno}: block {label!r} needs {cols} values per row, got {len(values)}"
+            )
+        data[r] = values
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: block {label!r} contains non-finite values")
+    return data.reshape(shape), pos + 1 + rows
+
+
 def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
-    """Read an instance file written by save_instance."""
+    """Read an instance file written by save_instance.
+
+    Strict: every block must have the shape the header gives (A_o and E_o
+    m x n, x_o n, e_o and b m), every value must be finite, and nothing
+    but blank lines may follow the last block.  Any violation, including
+    a truncated file, raises ValueError.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("PCS1 "):
         raise ValueError(f"{path}: not an instance file (missing PCS1 header)")
@@ -210,18 +244,14 @@ def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
 
     pos = 1
     blocks: dict[str, np.ndarray] = {}
-    for label, rows in (("A_o", m), ("x_o", 1), ("E_o", m), ("e_o", 1), ("b", 1)):
-        if pos >= len(lines) or lines[pos] != label:
-            raise ValueError(f"{path}: expected block {label!r} at line {pos + 1}")
-        pos += 1
-        data = [np.array([float(v) for v in lines[pos + r].split()]) for r in range(rows)]
-        pos += rows
-        blocks[label] = data[0] if rows == 1 else np.vstack(data)
+    for label, shape in (("A_o", (m, n)), ("x_o", (n,)), ("E_o", (m, n)), ("e_o", (m,)), ("b", (m,))):
+        blocks[label], pos = _read_block(lines, pos, label, shape, path)
+    for lineno in range(pos, len(lines)):
+        if lines[lineno].strip():
+            raise ValueError(f"{path}: unexpected data after the last block at line {lineno + 1}")
 
     a_true, x_true = blocks["A_o"], blocks["x_o"]
     a_pert, b_pert, b = blocks["E_o"], blocks["e_o"], blocks["b"]
-    if a_true.shape != (m, n) or x_true.shape != (n,):
-        raise ValueError(f"{path}: block shapes disagree with header")
     inst = ProblemInstance(
         a_true=a_true,
         x_true=x_true,

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, gradient, require_finite, shrink
+from .kernel import FlopCounter, gradient, require_finite, require_lambda, shrink
 from .metrics import squared_error
 
 START_STEP = 0.2
@@ -104,12 +104,11 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[PgState, np.ndarr
 
     x_1 = shrink(-mu_0 * g_0, mu_0 * lam) with g_0 = -2 a^T b and the
     fixed start step mu_0 = 0.2.  The cached products make every later
-    gradient an O(n * nnz) operation.  A NaN or infinity in a or b raises
-    ValueError here, before any iteration could turn it into a failed
-    line search.
+    gradient an O(n * nnz) operation.  A NaN or infinity in a or b, or a
+    lam that is not positive and finite, raises ValueError here, before
+    any iteration could turn it into a failed line search.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    require_lambda(lam)
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
     require_finite("a", a)

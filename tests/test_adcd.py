@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsetls import adcd_coordinate_update, adcd_init, adcd_solve, adcd_step
+from sparsetls import adcd, adcd_coordinate_update, adcd_init, adcd_solve, adcd_step
 from sparsetls.kernel import FlopCounter
 
 
@@ -86,28 +86,90 @@ class TestCoordinateUpdate:
         assert state.x[1] == pytest.approx(expected, abs=1e-15)
 
 
+def reference_step(state, a, b, lam):
+    """One outer iteration through the public per-coordinate update, then
+    the closed-form e update charged as adcd_step documents it."""
+    m, n = a.shape
+    for i in range(n):
+        adcd_coordinate_update(state, a, b, lam, i)
+    sup = np.flatnonzero(state.x)
+    ax = a[:, sup] @ state.x[sup] if sup.size else np.zeros(m)
+    coef = 1.0 / (float(state.x @ state.x) + 1.0)
+    state.e_mat = np.outer(coef * (b - ax), state.x)
+    state.flops.add(m * int(sup.size) + 2 * m + n + m * n)
+
+
+def assert_sweep_parity(fast, ref):
+    """Same support and counted multiply-adds exactly; x and e_mat within
+    1e-12 * max(1, ||x||_inf) (the running residual changes rounding
+    only: full s1 and s2 solves measured within 7e-15 of that scale)."""
+    assert np.array_equal(fast.x != 0.0, ref.x != 0.0)
+    assert fast.flops.madds == ref.flops.madds
+    tol = 1e-12 * max(1.0, float(np.abs(ref.x).max()))
+    assert np.abs(fast.x - ref.x).max() <= tol
+    assert np.abs(fast.e_mat - ref.e_mat).max() <= tol
+
+
+def lockstep(fast, ref, a, b, lam, steps):
+    for _ in range(steps):
+        adcd_step(fast, a, b, lam)
+        reference_step(ref, a, b, lam)
+        assert_sweep_parity(fast, ref)
+
+
 class TestStep:
-    # dense, middle and near-empty supports: the sweep's residual reuse and
-    # its invalidation are exercised in every regime
+    # dense, middle and near-empty supports
     @pytest.mark.parametrize("lam", [5e-4, 0.02, 1.0])
     def test_sweep_matches_public_coordinate_op(self, s1_instance, lam):
-        # the fused sweep must be arithmetic-identical to N public updates,
-        # and must count the same multiply-adds
+        # the running-residual sweep must give the values of n public
+        # updates (to rounding), the same supports and the same counted
+        # multiply-adds after every step
         a, b = s1_instance.a, s1_instance.b
+        fast, ref = adcd_init(*a.shape), adcd_init(*a.shape)
+        lockstep(fast, ref, a, b, lam, 10)
+
+    # n = 200 at a dense and a nearly empty support
+    @pytest.mark.parametrize("lam", [0.02, 0.5])
+    def test_sweep_matches_public_coordinate_op_s2(self, make_instance, lam):
+        inst = make_instance("s2")
+        fast, ref = adcd_init(*inst.a.shape), adcd_init(*inst.a.shape)
+        lockstep(fast, ref, inst.a, inst.b, lam, 10)
+
+    def test_sweep_zero_column(self, s1_instance):
+        # ||c_i||^2 = 0 inside runs of zero coordinates, first and last
+        # column included: those coordinates stay exactly zero
+        a, b = s1_instance.a.copy(), s1_instance.b
+        dead = [0, 17, a.shape[1] - 1]
+        a[:, dead] = 0.0
+        fast, ref = adcd_init(*a.shape), adcd_init(*a.shape)
+        lockstep(fast, ref, a, b, 0.02, 5)
+        assert np.count_nonzero(fast.x) > 3
+        assert not fast.x[dead].any()
+
+    def test_sweep_from_empty_support_with_perturbation(self, s1_instance):
+        # x = 0 with e != 0: the whole sweep starts as one run of zero
+        # coordinates, and the ones that leave zero split it
+        a, b = s1_instance.a, s1_instance.b
+        fast, ref = adcd_init(*a.shape), adcd_init(*a.shape)
+        lockstep(fast, ref, a, b, 0.02, 3)
+        assert fast.e_mat.any()
+        fast.x[:] = 0.0
+        ref.x[:] = 0.0
+        lockstep(fast, ref, a, b, 0.02, 1)
+        assert np.count_nonzero(fast.x) > 1
+
+    def test_sweep_run_ending_at_n_leaves_zero(self, s1_instance):
+        # the last column is the one that explains b and the sweep starts
+        # from the support {2, 9}: the run of zero coordinates after 9
+        # reaches n, and its last coordinate leaves zero
+        a = s1_instance.a
         m, n = a.shape
+        b = 3.0 * a[:, n - 1]
         fast, ref = adcd_init(m, n), adcd_init(m, n)
-        for _ in range(10):
-            adcd_step(fast, a, b, lam)
-            for i in range(n):
-                adcd_coordinate_update(ref, a, b, lam, i)
-            sup = np.flatnonzero(ref.x)
-            ax = a[:, sup] @ ref.x[sup] if sup.size else np.zeros(m)
-            coef = 1.0 / (float(ref.x @ ref.x) + 1.0)
-            ref.e_mat = np.outer(coef * (b - ax), ref.x)
-            ref.flops.add(m * int(sup.size) + 2 * m + n + m * n)
-            assert np.array_equal(fast.x, ref.x)
-            assert np.array_equal(fast.e_mat, ref.e_mat)
-            assert fast.flops.madds == ref.flops.madds
+        for state in (fast, ref):
+            state.x[[2, 9]] = (0.1, -0.1)
+        lockstep(fast, ref, a, b, 0.05, 1)
+        assert fast.x[n - 1] != 0.0
 
     def test_zero_sweep_keeps_zero_perturbation(self):
         # all coordinates thresholded away -> e update from x = 0 is zero
@@ -197,6 +259,17 @@ class TestSolve:
         b[-1] = bad
         with pytest.raises(ValueError, match="^b contains non-finite"):
             adcd_solve(s1_instance.a, b, 0.02, 5)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_lam_before_any_sweep(self, s1_instance, monkeypatch, lam):
+        # NaN passes a plain `lam <= 0` test; every bad lam must be rejected
+        # before the first sweep, not by the first eval_cost after it
+        def no_step(*args):
+            raise AssertionError("adcd_step ran")
+
+        monkeypatch.setattr(adcd, "adcd_step", no_step)
+        with pytest.raises(ValueError, match="^lam must be positive and finite"):
+            adcd_solve(s1_instance.a, s1_instance.b, lam, 5)
 
     def test_iteration_flops_within_bounds(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b

@@ -153,3 +153,26 @@ def test_module_entry_point_runs():
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "trace", "sweep-xi"])
+def test_bad_lambda_is_usage_error(command, value, capsys):
+    rc = cli_main([command, "--algo", "adcd", f"--lambda={value}", "--trials", "1", "--iters", "2"])
+    assert rc == 2
+    assert "--lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0.1,nan", "inf", "0.1,0", "-0.5"])
+@pytest.mark.parametrize("command", ["sweep-lambda", "bench"])
+def test_bad_lambda_grid_is_usage_error(command, grid, tmp_path, capsys):
+    rc = cli_main([command, f"--grid={grid}", "--trials", "1", "--iters", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_lambda_from_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = nan\n")
+    assert cli_main(["solve", "--config", str(cfg), "--iters", "2"]) == 2

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsetls import FlopCounter, eval_cost, gradient, shrink
+from sparsetls.kernel import require_lambda
 from sparsetls.rng import RngStream
 
 
@@ -57,6 +58,15 @@ class TestEvalCost:
         a, b = tiny_system
         with pytest.raises(ValueError):
             eval_cost(a, b, np.zeros(2), lam=0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -1e-300])
+    def test_require_lambda_rejects(self, lam):
+        with pytest.raises(ValueError, match="^lam must be positive and finite"):
+            require_lambda(lam)
+
+    @pytest.mark.parametrize("lam", [5e-324, 0.02, 1e300])
+    def test_require_lambda_accepts(self, lam):
+        require_lambda(lam)
 
     def test_quotient_penalizes_scaling_of_exact_solution(self):
         a = np.eye(2)

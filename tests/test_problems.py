@@ -178,3 +178,74 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not an instance\n")
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+def _saved_lines(tmp_path):
+    cfg = scenario_config("s1", xi=0.01, seed=4)
+    inst = generate_instance(cfg, derive_stream(4, 1, 2))
+    path = tmp_path / "inst.txt"
+    save_instance(inst, cfg, path)
+    return path, path.read_text().splitlines()
+
+
+def _block_row(lines, label, r=0):
+    return lines.index(label) + 1 + r
+
+
+def test_load_rejects_short_rows(tmp_path):
+    # an (m, 1) E_o block would broadcast silently into a wrong a
+    path, lines = _saved_lines(tmp_path)
+    start = _block_row(lines, "E_o")
+    for r in range(20):
+        lines[start + r] = lines[start + r].split()[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="'E_o' needs 40 values per row, got 1"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("label,extra", [("x_o", " 0.5"), ("e_o", " 0.5"), ("b", " 0.5")])
+def test_load_rejects_wrong_vector_length(tmp_path, label, extra):
+    path, lines = _saved_lines(tmp_path)
+    lines[_block_row(lines, label)] += extra
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"block {label!r} needs"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("keep", [1, 5, 23, 44, 46, 48])
+def test_load_rejects_truncated_file(tmp_path, keep):
+    # ValueError, never IndexError, wherever the file ends
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(lines[:keep]) + "\n")
+    with pytest.raises(ValueError):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("label", ["A_o", "b"])
+def test_load_rejects_non_finite_values(tmp_path, label, bad):
+    path, lines = _saved_lines(tmp_path)
+    row = _block_row(lines, label)
+    values = lines[row].split()
+    values[3] = bad
+    lines[row] = " ".join(values)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"block {label!r} contains non-finite"):
+        load_instance(path)
+
+
+def test_load_rejects_trailing_data_but_not_blank_lines(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(lines) + "\n\n   \n")
+    load_instance(path)
+    path.write_text("\n".join(lines) + "\n\ngarbage\n")
+    with pytest.raises(ValueError, match="unexpected data after the last block"):
+        load_instance(path)
+
+
+def test_load_rejects_unparsable_value(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    lines[_block_row(lines, "A_o", 2)] += "x"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 5"):
+        load_instance(path)

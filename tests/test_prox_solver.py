@@ -54,6 +54,13 @@ class TestInit:
         with pytest.raises(ValueError):
             pg_init(a, b, lam=0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_bad_lam_before_any_iteration(self, s1_instance, lam):
+        # NaN passes a plain `lam <= 0` test and would surface only as a
+        # BacktrackingError once the halving cap is exhausted
+        with pytest.raises(ValueError, match="^lam must be positive and finite"):
+            pg_solve(s1_instance.a, s1_instance.b, lam, iterations=10)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, s1_instance, bad):
         a, b = s1_instance.a.copy(), s1_instance.b.copy()
