@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Print the sha256 of three reference outputs, to check byte identity.
+"""Print the sha256 of four reference outputs, to check byte identity.
 
 A change that claims to keep every output bit runs this on the parent
 commit and on the change, on the same host, and compares the lines:
 
     lambda_sweep.csv  from  sweep-lambda --trials 5 --seed 42
     trace.csv         from  trace --trials 3 --seed 5
+    xi_sweep.csv      from  sweep-xi --trials 2 --seed 7 --grid 0.001,0.05
     bench.csv         from  bench --scenario both --trials 2 --grid 0.02,0.5,
                       columns scenario,lambda,algo,mean_iter_flops only
                       (the others are wall-clock timings), one LF-ended
@@ -61,11 +62,14 @@ def digests() -> dict[str, str]:
         out = Path(tmp)
         _run(["sweep-lambda", "--trials", "5", "--seed", "42", "--out", str(out / "sweep")])
         _run(["trace", "--trials", "3", "--seed", "5", "--out", str(out / "trace")])
+        _run(["sweep-xi", "--trials", "2", "--seed", "7", "--grid", "0.001,0.05",
+              "--out", str(out / "xi")])
         _run(["bench", "--scenario", "both", "--trials", "2", "--grid", "0.02,0.5",
               "--out", str(out / "bench")])
         contents = {
             "lambda_sweep.csv": (out / "sweep" / "lambda_sweep.csv").read_bytes(),
             "trace.csv": (out / "trace" / "trace.csv").read_bytes(),
+            "xi_sweep.csv": (out / "xi" / "xi_sweep.csv").read_bytes(),
             "bench.csv[" + ",".join(BENCH_COLUMNS) + "]": _bench_columns(out / "bench" / "bench.csv"),
         }
     return {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()}

@@ -22,6 +22,11 @@ differ from the per-call update only by rounding, and r is rebuilt at
 the start of every sweep, so that drift never outlives one sweep.  The
 supports and the counted multiply-adds, which still charge every
 from-scratch rebuild, are those of the plain algorithm.
+
+adcd_solve returns the same columnar SolveResult as the proximal-gradient
+solver, its columns filled directly by the loop (cost and f from
+eval_cost after every outer iteration); the TraceRecord list is built
+from them only when `trace` is first read.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, eval_cost, require_finite, require_lambda
-from .metrics import squared_error
-from .prox_solver import SolveResult, TraceRecord
+from .kernel import FlopCounter, eval_cost, require_finite, require_lambda, require_truth_shape
+from .prox_solver import SolveResult
 
 
 @dataclass
@@ -196,8 +200,9 @@ def adcd_solve(
 ) -> SolveResult:
     """Run `iterations` outer steps from the zero state.
 
-    The trace mirrors the proximal-gradient record schema (step size and
-    backtrack fields are zero) so per-iteration outputs line up.  A lam
+    The result has the proximal-gradient solver's columns (its mu and
+    backtracks entries are zero) so per-iteration outputs line up; the
+    cost and f entries come from eval_cost at each iterate.  A lam
     that is not positive and finite, or a NaN or infinity in a or b,
     raises ValueError before the first sweep.
     """
@@ -210,20 +215,17 @@ def adcd_solve(
     require_finite("a", a)
     require_finite("b", b)
     state = adcd_init(m, n)
-    trace: list[TraceRecord] = []
+    require_truth_shape(ground_truth, state.x)
+    cost, f, flops = [], [], []
+    sq_error = None if ground_truth is None else []
     for _ in range(iterations):
         adcd_step(state, a, b, lam)
-        cost = eval_cost(a, b, state.x, lam)
-        err = None if ground_truth is None else squared_error(state.x, ground_truth)
-        trace.append(
-            TraceRecord(
-                iteration=state.n,
-                cost=cost.total,
-                f=cost.f,
-                mu=0.0,
-                backtracks=0,
-                flops=state.flops.madds,
-                sq_error=err,
-            )
-        )
-    return SolveResult(x=state.x.copy(), trace=trace)
+        x = state.x
+        c = eval_cost(a, b, x, lam)
+        cost.append(c.total)
+        f.append(c.f)
+        flops.append(state.flops.madds)
+        if sq_error is not None:
+            d = x - ground_truth
+            sq_error.append(float(d.dot(d)))
+    return SolveResult(x.copy(), cost, f, [0.0] * iterations, [0] * iterations, flops, sq_error)

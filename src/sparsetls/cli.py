@@ -32,6 +32,7 @@ from .problems import (
     Ensemble,
     ScenarioConfig,
     generate_instance,
+    require_xi,
     save_instance,
     scenario_config,
 )
@@ -164,40 +165,40 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return top
 
 
-def _parse_grid(text: str | None, lambdas: bool = False) -> list[float] | None:
-    """Comma-separated floats; a lambda grid must also pass require_lambda."""
+def _checked(flag: str, value: float, check) -> float:
+    """value, once `check` (require_lambda or require_xi) accepts it; its
+    ValueError becomes a UsageError naming the flag."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} value: {exc}") from exc
+    return value
+
+
+def _parse_grid(text: str | None, check) -> list[float] | None:
+    """Comma-separated floats, each of which must pass `check`."""
     if text is None:
         return None
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
-        if lambdas:
-            for lam in grid:
-                require_lambda(lam)
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
     if not grid:
         raise UsageError("--grid must list at least one value")
-    return grid
-
-
-def _lambda(args) -> float:
-    try:
-        require_lambda(args.lam)
-    except ValueError as exc:
-        raise UsageError(f"bad --lambda value: {exc}") from exc
-    return args.lam
+    return [_checked("--grid", value, check) for value in grid]
 
 
 def _scenario(args) -> tuple[ScenarioConfig, str]:
+    xi = _checked("--xi", args.xi, require_xi)
     try:
         if args.scenario in ("s1", "s2"):
-            return scenario_config(args.scenario, xi=args.xi, seed=args.seed), args.scenario
+            return scenario_config(args.scenario, xi=xi, seed=args.seed), args.scenario
         if None in (args.n, args.m, args.k) or args.ensemble is None:
             raise UsageError("custom scenario requires --n, --m, --k and --ensemble")
         return (
             ScenarioConfig(
                 n=args.n, m=args.m, k=args.k,
-                ensemble=Ensemble(args.ensemble), xi=args.xi, seed=args.seed,
+                ensemble=Ensemble(args.ensemble), xi=xi, seed=args.seed,
             ),
             "custom",
         )
@@ -246,44 +247,44 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     if args.lam is None:
         raise UsageError("solve requires --lambda")
-    lam = _lambda(args)
+    lam = _checked("--lambda", args.lam, require_lambda)
     inst, scen, kind = _single_instance(args)
     iters = args.iters
     if iters is None:
         iters = iteration_schedule(lam, kind if kind in ("s1", "s2") else "s1")
     for algo in _algos(args):
         res = solve_instance(algo, inst, lam, iters)
-        last = res.trace[-1]
-        print(f"{algo} sq_error={last.sq_error:.17g} cost={last.cost:.17g} iterations={iters}")
+        print(f"{algo} sq_error={res.sq_error[-1]:.17g} cost={res.cost[-1]:.17g} iterations={iters}")
     return 0
 
 
 def cmd_trace(args) -> int:
-    lam = _lambda(args)
+    lam = _checked("--lambda", args.lam, require_lambda)
     cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=[args.xi])
     print(run_trace(cfg, lam=lam, xi=args.xi))
     return 0
 
 
 def cmd_sweep_lambda(args) -> int:
-    cfg = _experiment_config(args, lambda_grid=_parse_grid(args.grid, lambdas=True), xi_grid=[args.xi])
+    cfg = _experiment_config(args, lambda_grid=_parse_grid(args.grid, require_lambda), xi_grid=[args.xi])
     print(run_lambda_sweep(cfg))
     return 0
 
 
 def cmd_sweep_xi(args) -> int:
-    lam = _lambda(args)
-    cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=_parse_grid(args.grid))
+    lam = _checked("--lambda", args.lam, require_lambda)
+    cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=_parse_grid(args.grid, require_xi))
     print(run_xi_sweep(cfg, lam=lam))
     return 0
 
 
 def cmd_bench(args) -> int:
     names = ["s1", "s2"] if args.scenario == "both" else [args.scenario]
-    grid = _parse_grid(args.grid, lambdas=True) or default_lambda_grid()
+    grid = _parse_grid(args.grid, require_lambda) or default_lambda_grid()
+    xi = _checked("--xi", args.xi, require_xi)
     rows = []
     for name in names:
-        scen = scenario_config(name, xi=args.xi, seed=args.seed)
+        scen = scenario_config(name, xi=xi, seed=args.seed)
         try:
             cfg = ExperimentConfig(
                 scenario=scen, kind=name, lambda_grid=sorted(grid), xi_grid=default_xi_grid(),

@@ -144,8 +144,8 @@ def trace_rows(cfg: ExperimentConfig, lam: float, xi: float) -> list[list]:
         inst = _instance(cfg, trial, xi)
         for algo in cfg.algos:
             res = solve_instance(algo, inst, lam, iters)
-            err_sum[algo] += [rec.sq_error for rec in res.trace]
-            cost_sum[algo] += [rec.cost for rec in res.trace]
+            err_sum[algo] += res.sq_error
+            cost_sum[algo] += res.cost
     rows = []
     for algo in cfg.algos:
         for it in range(iters):
@@ -226,7 +226,7 @@ def bench_rows(cfg: ExperimentConfig, lambda_grid: Optional[Sequence[float]] = N
                 res = solve_instance(algo, inst, lam, iters, with_truth=False)
                 t1 = time.perf_counter_ns()
                 ns[algo] += (t1 - t0) / iters
-                fl[algo] += res.trace[-1].flops / iters
+                fl[algo] += res.flops[-1] / iters
         for algo in ALGORITHMS:
             rows.append([
                 cfg.kind, lam, algo,

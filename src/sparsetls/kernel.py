@@ -95,6 +95,13 @@ def require_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
+def require_truth_shape(truth: Optional[np.ndarray], x: np.ndarray) -> None:
+    """Raise ValueError when a ground truth is given with a shape other
+    than the iterate's."""
+    if truth is not None and truth.shape != x.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {truth.shape}")
+
+
 def require_lambda(lam: float) -> None:
     """Raise ValueError unless lam is a finite number above zero (a NaN
     would pass a plain `lam <= 0` test)."""
@@ -108,5 +115,10 @@ def shrink(z: np.ndarray, t: float) -> np.ndarray:
     z_i - t when z_i > t, z_i + t when z_i < -t, exactly 0 when |z_i| <= t
     (the boundary |z_i| = t maps to 0).  This is the proximity operator of
     t * ||.||_1, and the only place iterates acquire exact zeros.
+
+    Computed as z minus z clipped to [-t, t]: outside the interval that is
+    the single rounding of z - t or z + t, the same bits as
+    sign(z) * (|z| - t); inside it is z - z, so every zero comes out as
+    +0.0, never -0.0.
     """
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    return z - np.minimum(np.maximum(z, -t), t)

@@ -46,8 +46,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (0 < self.k < self.m < self.n):
             raise ValueError(f"need 0 < k < m < n, got k={self.k} m={self.m} n={self.n}")
-        if self.xi < 0:
-            raise ValueError("xi must be non-negative")
+        require_xi(self.xi)
+
+
+def require_xi(xi: float) -> None:
+    """Raise ValueError unless xi is a finite number at or above zero (a
+    NaN would pass a plain `xi < 0` test)."""
+    if not (math.isfinite(xi) and xi >= 0):
+        raise ValueError(f"xi must be non-negative and finite, got {xi!r}")
 
 
 # stream-derivation tags; "custom" shares tag 0

@@ -27,18 +27,24 @@ Support columns are gathered as rows of C-contiguous copies of a^T and
 in the same column-major layout, so the product is the same BLAS call on
 the same bytes and every iterate is bit-identical to the column gather,
 while each gathered row is one contiguous copy instead of a strided one.
+
+pg_solve returns a columnar SolveResult: the final iterate plus one list
+entry per accepted iteration for the cost, f, mu, backtracks and
+multiply-adds (and the squared error when the ground truth is given).
+The loop appends to the columns directly; the per-iteration TraceRecord
+list is built from them only when `trace` is first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, gradient, require_finite, require_lambda, shrink
-from .metrics import squared_error
+from .kernel import FlopCounter, gradient, require_finite, require_lambda, require_truth_shape, shrink
 
 START_STEP = 0.2
 MAX_BACKTRACKS = 60
@@ -59,14 +65,17 @@ class PgState:
 
     g_prev is the gradient at x_prev; after each step the just-used
     gradient moves there together with the old iterate.  The invariants
-    y = 1/(||x||^2+1), f = y * ||a x - b||^2 and support = x.nonzero()[0]
-    hold for the current x.  ata_rows and a_rows are C-contiguous copies
-    of ata.T and a.T, made once by pg_init, from which support columns
-    are gathered as rows (see the module docstring).
+    y = 1/(||x||^2+1), f = y * ||a x - b||^2, support = x.nonzero()[0]
+    and dx = x - x_prev hold for the current x; dx is the accepted
+    line-search trial's step, kept so the next step does not recompute
+    it.  ata_rows and a_rows are C-contiguous copies of ata.T and a.T,
+    made once by pg_init, from which support columns are gathered as rows
+    (see the module docstring).
     """
 
     x_prev: np.ndarray
     x: np.ndarray
+    dx: np.ndarray
     g_prev: np.ndarray
     mu: float
     y: float
@@ -95,8 +104,32 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Final iterate plus one entry per iteration in each column.
+
+    Entry i of cost, f, mu, backtracks and flops belongs to iteration
+    i + 1; flops is the running multiply-add total.  sq_error is None
+    when the solve had no ground truth.
+    """
+
     x: np.ndarray
-    trace: list[TraceRecord]
+    cost: list[float]
+    f: list[float]
+    mu: list[float]
+    backtracks: list[int]
+    flops: list[int]
+    sq_error: Optional[list[float]] = None
+
+    @cached_property
+    def trace(self) -> list[TraceRecord]:
+        """The columns as one TraceRecord per iteration, built on first
+        access."""
+        errs = self.sq_error if self.sq_error is not None else [None] * len(self.cost)
+        return [
+            TraceRecord(it, *rec)
+            for it, rec in enumerate(
+                zip(self.cost, self.f, self.mu, self.backtracks, self.flops, errs), 1
+            )
+        ]
 
 
 def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[PgState, np.ndarray, np.ndarray]:
@@ -132,7 +165,7 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[PgState, np.ndarr
     flops.add(4 * n + m * int(support.size) + 2 * m)
 
     state = PgState(
-        x_prev=x0, x=x1, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1,
+        x_prev=x0, x=x1, dx=x1 - x0, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1,
         support=support, ata_rows=ata_rows, a_rows=a_rows, flops=flops,
     )
     return state, ata, atb
@@ -180,24 +213,24 @@ def pg_step(
     the outcome.
     """
     m, n = a.shape
-    g = gradient(ata, atb, state.x, state.y, state.f, state.flops, state.support, state.ata_rows)
-    dx = state.x - state.x_prev
-    dg = g - state.g_prev
-    state.flops.add(2 * n)
-    mu = adaptive_step(dx, dg, state.mu)
-    state.flops.add(3 * n)
+    x = state.x
+    g = gradient(ata, atb, x, state.y, state.f, state.flops, state.support, state.ata_rows)
+    mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
+    # the counted cost of dx and dg (2n) and of the step size (3n), then of
+    # each line-search trial, charged once after the accepted trial
+    madds = 5 * n
 
     a_rows = state.a_rows
     backtracks = 0
     while True:
-        x_next = shrink(state.x - mu * g, mu * lam)
+        x_next = shrink(x - mu * g, mu * lam)
         support = x_next.nonzero()[0]
         ax = a_rows[support].T @ x_next[support] if support.size else np.zeros(m)
         y_next = 1.0 / (float(x_next.dot(x_next)) + 1.0)
         resid = ax - b
         f_next = y_next * float(resid.dot(resid))
-        step = x_next - state.x
-        state.flops.add(6 * n + m * int(support.size) + 2 * m)
+        step = x_next - x
+        madds += 6 * n + m * support.size + 2 * m
         if line_search_ok(f_next, state.f, step, g, mu) or not step.any():
             break
         mu *= 0.5
@@ -209,7 +242,9 @@ def pg_step(
                 "gradient and cost are inconsistent"
             )
 
-    state.x_prev = state.x
+    state.flops.add(madds)
+    state.x_prev = x
+    state.dx = step
     state.g_prev = g
     state.x = x_next
     state.support = support
@@ -219,20 +254,6 @@ def pg_step(
     state.n += 1
     state.backtracks_last = backtracks
     return state
-
-
-def _record(state: PgState, lam: float, ground_truth: Optional[np.ndarray]) -> TraceRecord:
-    cost = state.f + lam * float(np.abs(state.x).sum())
-    err = None if ground_truth is None else squared_error(state.x, ground_truth)
-    return TraceRecord(
-        iteration=state.n,
-        cost=cost,
-        f=state.f,
-        mu=state.mu,
-        backtracks=state.backtracks_last,
-        flops=state.flops.madds,
-        sq_error=err,
-    )
 
 
 def pg_solve(
@@ -245,21 +266,33 @@ def pg_solve(
 ) -> SolveResult:
     """Run the solver for a fixed iteration budget.
 
-    The budget counts the initialization step that produces x_1, so the
-    trace has exactly `iterations` records (fewer only if rel_tol is set
+    The budget counts the initialization step that produces x_1, so each
+    column has exactly `iterations` entries (fewer only if rel_tol is set
     and the relative iterate change drops below it; off by default to keep
     fixed schedules comparable).  Backtracking retries do not consume
-    budget.
+    budget.  Per iteration the cost is f + lam * ||x||_1 and, with a
+    ground truth, the squared error is ||x - ground_truth||^2.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     state, ata, atb = pg_init(a, b, lam)
-    trace = [_record(state, lam, ground_truth)]
-    for _ in range(iterations - 1):
-        pg_step(state, ata, atb, a, b, lam)
-        trace.append(_record(state, lam, ground_truth))
-        if rel_tol is not None:
-            move = state.x - state.x_prev
-            if float(np.sqrt(move @ move)) <= rel_tol * max(1.0, float(np.sqrt(state.x @ state.x))):
+    require_truth_shape(ground_truth, state.x)
+    cost, f, mu, backtracks, flops = [], [], [], [], []
+    sq_error = None if ground_truth is None else []
+    for it in range(iterations):
+        if it:
+            pg_step(state, ata, atb, a, b, lam)
+        x = state.x
+        cost.append(state.f + lam * float(np.abs(x).sum()))
+        f.append(state.f)
+        mu.append(state.mu)
+        backtracks.append(state.backtracks_last)
+        flops.append(state.flops.madds)
+        if sq_error is not None:
+            d = x - ground_truth
+            sq_error.append(float(d.dot(d)))
+        if it and rel_tol is not None:
+            move = state.dx
+            if float(np.sqrt(move @ move)) <= rel_tol * max(1.0, float(np.sqrt(x @ x))):
                 break
-    return SolveResult(x=state.x.copy(), trace=trace)
+    return SolveResult(x.copy(), cost, f, mu, backtracks, flops, sq_error)

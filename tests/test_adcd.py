@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from sparsetls import adcd, adcd_coordinate_update, adcd_init, adcd_solve, adcd_step
+from sparsetls import (
+    TraceRecord,
+    adcd,
+    adcd_coordinate_update,
+    adcd_init,
+    adcd_solve,
+    adcd_step,
+    eval_cost,
+    squared_error,
+)
 from sparsetls.kernel import FlopCounter
 
 
@@ -286,6 +295,61 @@ class TestSolve:
     def test_zeros_are_exact_so_support_is_well_defined(self, s1_instance):
         res = adcd_solve(s1_instance.a, s1_instance.b, 0.05, 100)
         assert np.count_nonzero(res.x) < s1_instance.a.shape[1]
+
+
+class TestCertificate:
+    """The solver's recorded cost against the joint objective it minimizes,
+    computed here from x and e alone."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.5])
+    def test_joint_objective_equals_recorded_cost(self, make_instance, scenario, lam):
+        # the closed-form e update minimizes the joint objective over e, which
+        # reduces it to the quotient cost c(x) that adcd_solve records
+        inst = make_instance(scenario, seed=4, trial=1)
+        a, b = inst.a, inst.b
+        iterations = 40
+        res = adcd_solve(a, b, lam, iterations)
+        state = adcd_init(*a.shape)
+        for it in range(iterations):
+            adcd_step(state, a, b, lam)
+            joint = objective(a, state.e_mat, state.x, b, lam)
+            assert abs(joint - res.cost[it]) <= 1e-12 * abs(res.cost[it]), it
+        assert np.array_equal(state.x, res.x)
+
+
+def reference_records(a, b, lam, iterations, truth):
+    """adcd_solve's per-iteration records the plain way: adcd_step, then
+    eval_cost and squared_error at each iterate."""
+    state = adcd_init(*a.shape)
+    records = []
+    for _ in range(iterations):
+        adcd_step(state, a, b, lam)
+        cost = eval_cost(a, b, state.x, lam)
+        err = None if truth is None else squared_error(state.x, truth)
+        records.append(TraceRecord(state.n, cost.total, cost.f, 0.0, 0, state.flops.madds, err))
+    return state.x, records
+
+
+class TestColumns:
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("scenario,lam", [("s1", 5e-4), ("s1", 0.02), ("s1", 0.5), ("s2", 0.1)])
+    def test_columns_match_reference_records(self, make_instance, scenario, lam, with_truth):
+        inst = make_instance(scenario, seed=6, trial=2)
+        truth = inst.x_true if with_truth else None
+        x, ref = reference_records(inst.a, inst.b, lam, 30, truth)
+        res = adcd_solve(inst.a, inst.b, lam, 30, ground_truth=truth)
+        assert np.array_equal(res.x, x)
+        assert res.cost == [r.cost for r in ref]
+        assert res.f == [r.f for r in ref]
+        assert res.mu == [0.0] * 30 and res.backtracks == [0] * 30
+        assert res.flops == [r.flops for r in ref]
+        assert res.sq_error == ([r.sq_error for r in ref] if with_truth else None)
+        assert res.trace == ref
+
+    def test_rejects_ground_truth_of_wrong_length(self, s1_instance):
+        with pytest.raises(ValueError, match="^length mismatch"):
+            adcd_solve(s1_instance.a, s1_instance.b, 0.02, 5, ground_truth=np.zeros(3))
 
 
 def test_flop_counter_shared_semantics():

@@ -176,3 +176,35 @@ def test_bad_lambda_from_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda = nan\n")
     assert cli_main(["solve", "--config", str(cfg), "--iters", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-lambda", "--xi", "nan", "--grid", "0.5"],
+    ["trace", "--xi", "inf"],
+    ["solve", "--lambda", "0.1", "--xi=-inf"],
+    ["generate", "--xi", "nan"],
+    ["bench", "--scenario", "s1", "--xi", "nan", "--grid", "0.5"],
+    ["sweep-xi", "--grid", "nan"],
+    ["sweep-xi", "--grid", "0.01,inf"],
+    ["sweep-xi", "--grid=-0.01"],
+])
+def test_bad_xi_is_usage_error(argv, tmp_path, capsys):
+    # NaN and infinity pass a plain `xi < 0` test, and a bad grid value is
+    # otherwise met only when its instances are generated, mid-sweep
+    rc = cli_main([*argv, "--trials", "1", "--iters", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    flag = "--grid" if "sweep-xi" in argv else "--xi"
+    assert f"bad {flag} value: xi must be non-negative and finite" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_xi_from_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("xi = nan\n")
+    out = tmp_path / "out"
+    rc = cli_main(["sweep-lambda", "--config", str(cfg), "--grid", "0.5", "--trials", "1",
+                   "--iters", "2", "--out", str(out)])
+    assert rc == 2
+    assert "bad --xi value" in capsys.readouterr().err
+    assert not out.exists()

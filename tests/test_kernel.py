@@ -162,6 +162,14 @@ class TestShrink:
     def test_boundary_maps_to_zero(self):
         assert shrink(np.array([0.25, -0.25]), 0.25).tolist() == [0.0, 0.0]
 
+    def test_zeros_are_positive_zero(self):
+        # |z| <= t gives z - z = +0.0, never -0.0, whatever the sign of z
+        z = np.array([-0.1, 0.1, -0.25, 0.25, -0.0, 0.0, -5e-324, -0.3])
+        out = shrink(z, 0.25)
+        assert out[:-1].tolist() == [0.0] * 7
+        assert not np.signbit(out[:-1]).any()
+        assert out[-1] == -0.3 + 0.25
+
     def test_matches_scalar_three_case_reference(self):
         rng = RngStream(77)
         z = rng.normal_block(500) * 3.0

@@ -29,6 +29,15 @@ def test_scenario_config_validates_dimensions():
         ScenarioConfig(n=10, m=5, k=2, ensemble=Ensemble.GAUSSIAN, xi=-1.0)
 
 
+@pytest.mark.parametrize("xi", [float("nan"), float("inf")])
+def test_scenario_config_rejects_non_finite_xi(xi):
+    # both pass a plain `xi < 0` test
+    with pytest.raises(ValueError, match="^xi must be non-negative and finite"):
+        ScenarioConfig(n=10, m=5, k=2, ensemble=Ensemble.GAUSSIAN, xi=xi)
+    with pytest.raises(ValueError, match="^xi must be non-negative and finite"):
+        scenario_config("s2", xi=xi)
+
+
 def test_named_scenarios():
     s1 = scenario_config("s1")
     assert (s1.n, s1.m, s1.k, s1.ensemble) == (40, 20, 5, Ensemble.GAUSSIAN)

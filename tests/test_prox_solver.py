@@ -6,11 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from sparsetls import (
     BacktrackingError,
+    TraceRecord,
     adaptive_step,
     line_search_ok,
     pg_init,
     pg_solve,
     pg_step,
+    squared_error,
 )
 from sparsetls.kernel import shrink
 
@@ -288,6 +290,56 @@ class TestBitParity:
             assert state.y == ref["y"] and state.f == ref["f"] and state.mu == ref["mu"], it
             assert state.backtracks_last == ref["backtracks"], it
             assert state.flops.madds == ref["madds"], it
+
+
+def reference_records(a, b, lam, iterations, truth):
+    """pg_solve's per-iteration records the plain way: pg_init/pg_step and
+    a TraceRecord after each, cost from np.abs and error from
+    squared_error."""
+    state, ata, atb = pg_init(a, b, lam)
+    records = []
+    for it in range(iterations):
+        if it:
+            pg_step(state, ata, atb, a, b, lam)
+        records.append(TraceRecord(
+            iteration=state.n,
+            cost=state.f + lam * float(np.abs(state.x).sum()),
+            f=state.f,
+            mu=state.mu,
+            backtracks=state.backtracks_last,
+            flops=state.flops.madds,
+            sq_error=None if truth is None else squared_error(state.x, truth),
+        ))
+    return state.x, records
+
+
+class TestColumns:
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.5])
+    def test_columns_match_reference_records(self, make_instance, scenario, lam, with_truth):
+        inst = make_instance(scenario, seed=8, trial=1)
+        truth = inst.x_true if with_truth else None
+        x, ref = reference_records(inst.a, inst.b, lam, 150, truth)
+        res = pg_solve(inst.a, inst.b, lam, 150, ground_truth=truth)
+        assert np.array_equal(res.x, x)
+        assert res.cost == [r.cost for r in ref]
+        assert res.f == [r.f for r in ref]
+        assert res.mu == [r.mu for r in ref]
+        assert res.backtracks == [r.backtracks for r in ref]
+        assert res.flops == [r.flops for r in ref]
+        assert res.sq_error == ([r.sq_error for r in ref] if with_truth else None)
+        assert res.trace == ref
+
+    def test_trace_is_built_once_and_read_only(self, s1_instance):
+        res = pg_solve(s1_instance.a, s1_instance.b, 0.02, 20)
+        assert res.trace is res.trace
+        with pytest.raises(AttributeError):
+            res.trace = []
+
+    def test_rejects_ground_truth_of_wrong_length(self, s1_instance):
+        with pytest.raises(ValueError, match="^length mismatch"):
+            pg_solve(s1_instance.a, s1_instance.b, 0.02, 5, ground_truth=np.zeros(3))
 
 
 class TestSolve:
