@@ -3,32 +3,23 @@
 A proximal-gradient solver for the l1-regularized total-least-squares
 quotient cost, an alternating-direction coordinate-descent baseline, a
 deterministic synthetic-instance generator, and a benchmark experiment
-suite with CSV output.
+suite with CSV output.  Every name stays importable from its submodule;
+the package re-exports the ones its callers use.
 """
 
-from .adcd import AdcdState, adcd_coordinate_update, adcd_init, adcd_solve, adcd_step
+from .adcd import adcd_coordinate_update, adcd_init, adcd_solve, adcd_step
 from .cli import cli_main
 from .experiments import (
     ExperimentConfig,
-    bench_rows,
     default_lambda_grid,
     default_xi_grid,
     iteration_schedule,
-    lambda_sweep_rows,
-    run_bench,
-    run_lambda_sweep,
-    run_trace,
-    run_xi_sweep,
     solve_instance,
-    trace_rows,
-    xi_sweep_rows,
 )
-from .kernel import CostEval, FlopCounter, eval_cost, gradient, shrink
-from .metrics import AggregateRow, SupportErrors, TrialRecord, aggregate, squared_error, support_errors
+from .kernel import FlopCounter, eval_cost, gradient, shrink
+from .metrics import squared_error, support_errors
 from .problems import (
     Ensemble,
-    InstanceHeader,
-    ProblemInstance,
     ScenarioConfig,
     gaussian_matrix,
     generate_instance,
@@ -41,8 +32,6 @@ from .problems import (
 )
 from .prox_solver import (
     BacktrackingError,
-    PgState,
-    SolveResult,
     TraceRecord,
     adaptive_step,
     line_search_ok,
@@ -50,22 +39,18 @@ from .prox_solver import (
     pg_solve,
     pg_step,
 )
-from .rng import RngStream, derive_stream
+from .rng import derive_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdcdState", "AggregateRow", "BacktrackingError", "CostEval", "Ensemble",
-    "ExperimentConfig", "FlopCounter", "InstanceHeader", "PgState",
-    "ProblemInstance", "RngStream", "ScenarioConfig", "SolveResult",
-    "SupportErrors", "TraceRecord", "TrialRecord",
+    "BacktrackingError", "Ensemble", "ExperimentConfig", "FlopCounter",
+    "ScenarioConfig", "TraceRecord",
     "adaptive_step", "adcd_coordinate_update", "adcd_init", "adcd_solve",
-    "adcd_step", "aggregate", "bench_rows", "cli_main", "default_lambda_grid",
-    "default_xi_grid", "derive_stream", "eval_cost", "gaussian_matrix",
-    "generate_instance", "gradient", "instance_digest", "iteration_schedule",
-    "lambda_sweep_rows", "line_search_ok", "load_instance", "pg_init",
-    "pg_solve", "pg_step", "rademacher_matrix", "run_bench",
-    "run_lambda_sweep", "run_trace", "run_xi_sweep", "save_instance",
-    "scenario_config", "shrink", "solve_instance", "sparse_signal", "squared_error",
-    "support_errors", "trace_rows", "xi_sweep_rows",
+    "adcd_step", "cli_main", "default_lambda_grid", "default_xi_grid",
+    "derive_stream", "eval_cost", "gaussian_matrix", "generate_instance",
+    "gradient", "instance_digest", "iteration_schedule", "line_search_ok",
+    "load_instance", "pg_init", "pg_solve", "pg_step", "rademacher_matrix",
+    "save_instance", "scenario_config", "shrink", "solve_instance",
+    "sparse_signal", "squared_error", "support_errors",
 ]

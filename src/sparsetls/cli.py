@@ -14,13 +14,12 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    BENCH_HEADER,
     ExperimentConfig,
-    _write_csv,
-    bench_rows,
     default_lambda_grid,
     default_xi_grid,
-    iteration_schedule,
+    iteration_budget,
+    require_grid,
+    run_bench,
     run_lambda_sweep,
     run_trace,
     run_xi_sweep,
@@ -176,31 +175,28 @@ def _checked(flag: str, value: float, check) -> float:
 
 
 def _parse_grid(text: str | None, check) -> list[float] | None:
-    """Comma-separated floats, each of which must pass `check`."""
+    """Comma-separated floats that pass the config's grid rule: non-empty,
+    strictly ascending, each value passing `check`."""
     if text is None:
         return None
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
+        require_grid("grid", grid, check)
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
-    if not grid:
-        raise UsageError("--grid must list at least one value")
-    return [_checked("--grid", value, check) for value in grid]
+    return grid
 
 
-def _scenario(args) -> tuple[ScenarioConfig, str]:
+def _scenario(args, kind: str) -> ScenarioConfig:
     xi = _checked("--xi", args.xi, require_xi)
     try:
-        if args.scenario in ("s1", "s2"):
-            return scenario_config(args.scenario, xi=xi, seed=args.seed), args.scenario
+        if kind in ("s1", "s2"):
+            return scenario_config(kind, xi=xi, seed=args.seed)
         if None in (args.n, args.m, args.k) or args.ensemble is None:
             raise UsageError("custom scenario requires --n, --m, --k and --ensemble")
-        return (
-            ScenarioConfig(
-                n=args.n, m=args.m, k=args.k,
-                ensemble=Ensemble(args.ensemble), xi=xi, seed=args.seed,
-            ),
-            "custom",
+        return ScenarioConfig(
+            n=args.n, m=args.m, k=args.k,
+            ensemble=Ensemble(args.ensemble), xi=xi, seed=args.seed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -210,11 +206,13 @@ def _algos(args) -> tuple[str, ...]:
     return ("pg", "adcd") if args.algo == "both" else (args.algo,)
 
 
-def _experiment_config(args, lambda_grid=None, xi_grid=None) -> ExperimentConfig:
-    scen, kind = _scenario(args)
+def _experiment_config(args, lambda_grid=None, xi_grid=None, kind=None) -> ExperimentConfig:
+    """The config of one sweep; a grid left at None takes its default, and
+    `kind` (default --scenario) names the scenario."""
+    kind = kind or args.scenario
     try:
         return ExperimentConfig(
-            scenario=scen,
+            scenario=_scenario(args, kind),
             kind=kind,
             lambda_grid=lambda_grid if lambda_grid is not None else default_lambda_grid(),
             xi_grid=xi_grid if xi_grid is not None else default_xi_grid(),
@@ -229,7 +227,8 @@ def _experiment_config(args, lambda_grid=None, xi_grid=None) -> ExperimentConfig
 
 
 def _single_instance(args):
-    scen, kind = _scenario(args)
+    kind = args.scenario
+    scen = _scenario(args, kind)
     rng = derive_stream(args.seed, SCENARIO_TAGS[kind], args.trial)
     return generate_instance(scen, rng), scen, kind
 
@@ -249,9 +248,7 @@ def cmd_solve(args) -> int:
         raise UsageError("solve requires --lambda")
     lam = _checked("--lambda", args.lam, require_lambda)
     inst, scen, kind = _single_instance(args)
-    iters = args.iters
-    if iters is None:
-        iters = iteration_schedule(lam, kind if kind in ("s1", "s2") else "s1")
+    iters = iteration_budget(kind, lam, args.iters)
     for algo in _algos(args):
         res = solve_instance(algo, inst, lam, iters)
         print(f"{algo} sq_error={res.sq_error[-1]:.17g} cost={res.cost[-1]:.17g} iterations={iters}")
@@ -261,7 +258,7 @@ def cmd_solve(args) -> int:
 def cmd_trace(args) -> int:
     lam = _checked("--lambda", args.lam, require_lambda)
     cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=[args.xi])
-    print(run_trace(cfg, lam=lam, xi=args.xi))
+    print(run_trace(cfg))
     return 0
 
 
@@ -274,27 +271,15 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_sweep_xi(args) -> int:
     lam = _checked("--lambda", args.lam, require_lambda)
     cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=_parse_grid(args.grid, require_xi))
-    print(run_xi_sweep(cfg, lam=lam))
+    print(run_xi_sweep(cfg))
     return 0
 
 
 def cmd_bench(args) -> int:
     names = ["s1", "s2"] if args.scenario == "both" else [args.scenario]
-    grid = _parse_grid(args.grid, require_lambda) or default_lambda_grid()
-    xi = _checked("--xi", args.xi, require_xi)
-    rows = []
-    for name in names:
-        scen = scenario_config(name, xi=xi, seed=args.seed)
-        try:
-            cfg = ExperimentConfig(
-                scenario=scen, kind=name, lambda_grid=sorted(grid), xi_grid=default_xi_grid(),
-                trials=args.trials, master_seed=args.seed, out_dir=Path(args.out), iters=args.iters,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        rows.extend(bench_rows(cfg, grid))
-    path = _write_csv(Path(args.out) / "bench.csv", BENCH_HEADER, rows)
-    print(path)
+    grid = _parse_grid(args.grid, require_lambda)
+    cfgs = [_experiment_config(args, lambda_grid=grid, xi_grid=[args.xi], kind=name) for name in names]
+    print(run_bench(*cfgs))
     return 0
 
 

@@ -1,9 +1,23 @@
 """Experiment suite: paired solver runs aggregated into CSV artifacts.
 
-Every experiment draws per-trial instances through derive_stream, runs
-both solvers on the *same* instance (paired design), and averages over
-trials.  All CSV content except wall-clock columns is reproducible byte
-for byte from (config, master seed) on a given platform.
+One cell runner, `cells`, does every solve.  It loops over xi in the
+config's xi_grid, then trial in ascending order, then lambda in its
+lambda_grid, then algorithm.  Each (xi, trial) instance is drawn once,
+from the trial's derive_stream, and shared by every lambda and algorithm
+(the paired design).  Each solve yields one Cell: trial, lambda, xi,
+algorithm, iteration budget, instance, SolveResult and wall ns.
+
+The four CSVs are reductions over the cells, each a mean over trials:
+
+    trace_rows         one lambda, one xi; the sq_error and cost columns
+    lambda_sweep_rows  one xi; squared error and support misses of the
+                       final iterate against the instance's x_true
+    xi_sweep_rows      one lambda; squared error of the final iterate
+    bench_rows         one xi; wall ns and final multiply-adds, both per
+                       iteration, always for both algorithms
+
+All CSV content except wall-clock columns is reproducible byte for byte
+from (config, master seed) on a given platform.
 
 CSV schemas (headers are part of the interface):
 
@@ -22,13 +36,14 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .adcd import adcd_solve
+from .kernel import require_lambda
 from .metrics import squared_error, support_errors
-from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance
+from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance, require_xi
 from .prox_solver import SolveResult, pg_solve
 from .rng import derive_stream
 
@@ -76,9 +91,32 @@ def iteration_schedule(lam: float, scenario: str) -> int:
     return int(round(math.exp(math.log(at_min) + t * (math.log(at_max) - math.log(at_min)))))
 
 
+def iteration_budget(kind: str, lam: float, iters: Optional[int] = None) -> int:
+    """`iters` when set, else the schedule of scenario `kind`; a custom
+    scenario borrows the s1 schedule."""
+    if iters is not None:
+        return iters
+    return iteration_schedule(lam, kind if kind in _SCHEDULE_ENDPOINTS else "s1")
+
+
+def require_grid(name: str, grid: Sequence[float], check: Callable[[float], None]) -> None:
+    """Raise ValueError unless `grid` is non-empty, every value passes
+    `check` (require_lambda or require_xi) and the values strictly ascend."""
+    if not grid:
+        raise ValueError(f"{name} must be non-empty")
+    for value in grid:
+        check(value)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be strictly ascending")
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything a sweep needs: scenario, grids, trial count, seed, output."""
+    """Everything a sweep needs: scenario, grids, trial count, seed, output.
+
+    Instances are drawn at each xi of xi_grid; the scenario's own xi is
+    not read.
+    """
 
     scenario: ScenarioConfig
     kind: str                       # "s1" | "s2" | "custom"
@@ -96,27 +134,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for name, grid in (("lambda_grid", self.lambda_grid), ("xi_grid", self.xi_grid)):
-            if not grid:
-                raise ValueError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{name} must be strictly ascending")
+        require_grid("lambda_grid", self.lambda_grid, require_lambda)
+        require_grid("xi_grid", self.xi_grid, require_xi)
         bad = set(self.algos) - set(ALGORITHMS)
         if bad:
             raise ValueError(f"unknown algorithms {sorted(bad)}")
-
-
-def _schedule_for(cfg: ExperimentConfig, lam: float) -> int:
-    if cfg.iters is not None:
-        return cfg.iters
-    # custom scenarios borrow the s1 schedule
-    return iteration_schedule(lam, cfg.kind if cfg.kind in _SCHEDULE_ENDPOINTS else "s1")
-
-
-def _instance(cfg: ExperimentConfig, trial: int, xi: float) -> ProblemInstance:
-    scen = replace(cfg.scenario, xi=xi)
-    rng = derive_stream(cfg.master_seed, SCENARIO_TAGS[cfg.kind], trial)
-    return generate_instance(scen, rng)
 
 
 def solve_instance(
@@ -135,17 +157,53 @@ def solve_instance(
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def trace_rows(cfg: ExperimentConfig, lam: float, xi: float) -> list[list]:
+class Cell(NamedTuple):
+    """One solve: an algorithm on one trial's instance at one (lambda, xi)."""
+
+    trial: int
+    lam: float
+    xi: float
+    algo: str
+    iters: int
+    inst: ProblemInstance
+    res: SolveResult
+    wall_ns: int
+
+
+def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iterator[Cell]:
+    """Every solve of the config, xi outermost, then trial, lambda and
+    algorithm; the wall time covers the solve alone."""
+    tag = SCENARIO_TAGS[cfg.kind]
+    for xi in cfg.xi_grid:
+        scen = replace(cfg.scenario, xi=xi)
+        for trial in range(cfg.trials):
+            inst = generate_instance(scen, derive_stream(cfg.master_seed, tag, trial))
+            for lam in cfg.lambda_grid:
+                iters = iteration_budget(cfg.kind, lam, cfg.iters)
+                for algo in algos:
+                    t0 = time.perf_counter_ns()
+                    res = solve_instance(algo, inst, lam, iters, with_truth)
+                    wall_ns = time.perf_counter_ns() - t0
+                    yield Cell(trial, lam, xi, algo, iters, inst, res, wall_ns)
+
+
+def _single(cfg: ExperimentConfig, *grids: str) -> None:
+    """Raise ValueError unless each named grid of cfg has exactly one value
+    (a reduction whose rows have no column for it)."""
+    for name in grids:
+        if len(getattr(cfg, name)) != 1:
+            raise ValueError(f"this experiment takes a one-value {name}")
+
+
+def trace_rows(cfg: ExperimentConfig) -> list[list]:
     """Per-iteration squared error and cost, averaged over paired trials."""
-    iters = _schedule_for(cfg, lam)
+    _single(cfg, "lambda_grid", "xi_grid")
+    iters = iteration_budget(cfg.kind, cfg.lambda_grid[0], cfg.iters)
     err_sum = {algo: np.zeros(iters) for algo in cfg.algos}
     cost_sum = {algo: np.zeros(iters) for algo in cfg.algos}
-    for trial in range(cfg.trials):
-        inst = _instance(cfg, trial, xi)
-        for algo in cfg.algos:
-            res = solve_instance(algo, inst, lam, iters)
-            err_sum[algo] += res.sq_error
-            cost_sum[algo] += res.cost
+    for cell in cells(cfg, cfg.algos, with_truth=True):
+        err_sum[cell.algo] += cell.res.sq_error
+        cost_sum[cell.algo] += cell.res.cost
     rows = []
     for algo in cfg.algos:
         for it in range(iters):
@@ -158,54 +216,40 @@ def trace_rows(cfg: ExperimentConfig, lam: float, xi: float) -> list[list]:
 
 
 def lambda_sweep_rows(cfg: ExperimentConfig) -> list[list]:
-    """Converged error and support-miss means per lambda, at the scenario xi.
+    """Converged error and support-miss means per lambda, at the one xi.
 
-    Instances do not depend on lambda, so the same paired set is reused
-    across the whole grid.  The solvers record no per-iteration error;
-    the squared error is taken once per solve, from the final iterate.
+    The solvers record no per-iteration error; the squared error is taken
+    once per solve, from the final iterate.
     """
-    instances = [_instance(cfg, t, cfg.scenario.xi) for t in range(cfg.trials)]
-    k = cfg.scenario.k
-    n = cfg.scenario.n
-    rows = []
-    for lam in cfg.lambda_grid:
-        iters = _schedule_for(cfg, lam)
-        for algo in cfg.algos:
-            err = fn = fp = 0.0
-            for inst in instances:
-                res = solve_instance(algo, inst, lam, iters, with_truth=False)
-                err += squared_error(res.x, inst.x_true)
-                sup = support_errors(res.x, inst.x_true)
-                fn += sup.false_negatives
-                fp += sup.false_positives
-            t = cfg.trials
-            rows.append([
-                cfg.kind, algo, lam, iters,
-                err / t, fn / t, fp / t, fn / t / k, fp / t / (n - k),
-            ])
-    return rows
+    _single(cfg, "xi_grid")
+    sums = {(lam, algo): [0.0, 0.0, 0.0] for lam in cfg.lambda_grid for algo in cfg.algos}
+    for cell in cells(cfg, cfg.algos, with_truth=False):
+        acc = sums[cell.lam, cell.algo]
+        sup = support_errors(cell.res.x, cell.inst.x_true)
+        acc[0] += squared_error(cell.res.x, cell.inst.x_true)
+        acc[1] += sup.false_negatives
+        acc[2] += sup.false_positives
+    t, k, n = cfg.trials, cfg.scenario.k, cfg.scenario.n
+    return [
+        [cfg.kind, algo, lam, iteration_budget(cfg.kind, lam, cfg.iters),
+         err / t, fn / t, fp / t, fn / t / k, fp / t / (n - k)]
+        for (lam, algo), (err, fn, fp) in sums.items()
+    ]
 
 
-def xi_sweep_rows(cfg: ExperimentConfig, lam: float = 0.02) -> list[list]:
-    """Converged error means per perturbation level, at fixed lambda.
+def xi_sweep_rows(cfg: ExperimentConfig) -> list[list]:
+    """Converged error means per perturbation level, at the one lambda.
 
     As in lambda_sweep_rows, the error is taken from the final iterate.
     """
-    iters = _schedule_for(cfg, lam)
-    rows = []
-    for xi in cfg.xi_grid:
-        err = {algo: 0.0 for algo in cfg.algos}
-        for trial in range(cfg.trials):
-            inst = _instance(cfg, trial, xi)
-            for algo in cfg.algos:
-                res = solve_instance(algo, inst, lam, iters, with_truth=False)
-                err[algo] += squared_error(res.x, inst.x_true)
-        for algo in cfg.algos:
-            rows.append([cfg.kind, algo, xi, err[algo] / cfg.trials])
-    return rows
+    _single(cfg, "lambda_grid")
+    err = {(xi, algo): 0.0 for xi in cfg.xi_grid for algo in cfg.algos}
+    for cell in cells(cfg, cfg.algos, with_truth=False):
+        err[cell.xi, cell.algo] += squared_error(cell.res.x, cell.inst.x_true)
+    return [[cfg.kind, algo, xi, e / cfg.trials] for (xi, algo), e in err.items()]
 
 
-def bench_rows(cfg: ExperimentConfig, lambda_grid: Optional[Sequence[float]] = None) -> list[list]:
+def bench_rows(cfg: ExperimentConfig) -> list[list]:
     """Mean per-iteration wall time and multiply-add count per algorithm.
 
     Timing covers whole solves divided by the iteration budget, so each
@@ -213,28 +257,17 @@ def bench_rows(cfg: ExperimentConfig, lambda_grid: Optional[Sequence[float]] = N
     instance generation and CSV output are excluded.  Both algorithms are
     always measured (pg is the ratio denominator).
     """
-    grid = list(lambda_grid) if lambda_grid is not None else cfg.lambda_grid
-    rows = []
-    for lam in grid:
-        iters = _schedule_for(cfg, lam)
-        ns = {algo: 0.0 for algo in ALGORITHMS}
-        fl = {algo: 0.0 for algo in ALGORITHMS}
-        for trial in range(cfg.trials):
-            inst = _instance(cfg, trial, cfg.scenario.xi)
-            for algo in ALGORITHMS:
-                t0 = time.perf_counter_ns()
-                res = solve_instance(algo, inst, lam, iters, with_truth=False)
-                t1 = time.perf_counter_ns()
-                ns[algo] += (t1 - t0) / iters
-                fl[algo] += res.flops[-1] / iters
-        for algo in ALGORITHMS:
-            rows.append([
-                cfg.kind, lam, algo,
-                ns[algo] / cfg.trials,
-                fl[algo] / cfg.trials,
-                ns[algo] / ns["pg"],
-            ])
-    return rows
+    _single(cfg, "xi_grid")
+    ns = {(lam, algo): 0.0 for lam in cfg.lambda_grid for algo in ALGORITHMS}
+    fl = dict(ns)
+    for cell in cells(cfg, ALGORITHMS, with_truth=False):
+        ns[cell.lam, cell.algo] += cell.wall_ns / cell.iters
+        fl[cell.lam, cell.algo] += cell.res.flops[-1] / cell.iters
+    t = cfg.trials
+    return [
+        [cfg.kind, lam, algo, ns[lam, algo] / t, fl[lam, algo] / t, ns[lam, algo] / ns[lam, "pg"]]
+        for lam, algo in ns
+    ]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
@@ -246,17 +279,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-def run_trace(cfg: ExperimentConfig, lam: float = 0.02, xi: float = 0.01) -> Path:
-    return _write_csv(cfg.out_dir / "trace.csv", TRACE_HEADER, trace_rows(cfg, lam, xi))
+def run_trace(cfg: ExperimentConfig) -> Path:
+    return _write_csv(cfg.out_dir / "trace.csv", TRACE_HEADER, trace_rows(cfg))
 
 
 def run_lambda_sweep(cfg: ExperimentConfig) -> Path:
     return _write_csv(cfg.out_dir / "lambda_sweep.csv", LAMBDA_SWEEP_HEADER, lambda_sweep_rows(cfg))
 
 
-def run_xi_sweep(cfg: ExperimentConfig, lam: float = 0.02) -> Path:
-    return _write_csv(cfg.out_dir / "xi_sweep.csv", XI_SWEEP_HEADER, xi_sweep_rows(cfg, lam))
+def run_xi_sweep(cfg: ExperimentConfig) -> Path:
+    return _write_csv(cfg.out_dir / "xi_sweep.csv", XI_SWEEP_HEADER, xi_sweep_rows(cfg))
 
 
-def run_bench(cfg: ExperimentConfig, lambda_grid: Optional[Sequence[float]] = None) -> Path:
-    return _write_csv(cfg.out_dir / "bench.csv", BENCH_HEADER, bench_rows(cfg, lambda_grid))
+def run_bench(cfg: ExperimentConfig, *more: ExperimentConfig) -> Path:
+    """One bench.csv in cfg.out_dir, with the rows of cfg and then of each
+    further config (one per scenario)."""
+    rows = [row for c in (cfg, *more) for row in bench_rows(c)]
+    return _write_csv(cfg.out_dir / "bench.csv", BENCH_HEADER, rows)

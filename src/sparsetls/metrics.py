@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,45 +34,3 @@ def support_errors(x_hat: np.ndarray, x_true: np.ndarray) -> SupportErrors:
     fn = int(np.count_nonzero(~true_zero & hat_zero))
     fp = int(np.count_nonzero(true_zero & ~hat_zero))
     return SupportErrors(false_negatives=fn, false_positives=fp)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Per-trial outcome at one swept parameter value."""
-
-    scenario: str
-    algorithm: str
-    param: float
-    sq_error: float
-    fn: int
-    fp: int
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    scenario: str
-    algorithm: str
-    param: float
-    mean_sq_error: float
-    mean_fn: float
-    mean_fp: float
-    trials: int
-
-
-def aggregate(records: Sequence[TrialRecord]) -> AggregateRow:
-    """Arithmetic means over trials of one (scenario, algorithm, param) cell."""
-    if not records:
-        raise ValueError("cannot aggregate zero records")
-    keys = {(r.scenario, r.algorithm, r.param) for r in records}
-    if len(keys) != 1:
-        raise ValueError(f"records mix cells: {sorted(keys)}")
-    t = len(records)
-    return AggregateRow(
-        scenario=records[0].scenario,
-        algorithm=records[0].algorithm,
-        param=records[0].param,
-        mean_sq_error=sum(r.sq_error for r in records) / t,
-        mean_fn=sum(r.fn for r in records) / t,
-        mean_fp=sum(r.fp for r in records) / t,
-        trials=t,
-    )

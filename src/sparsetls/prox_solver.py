@@ -262,15 +262,12 @@ def pg_solve(
     lam: float,
     iterations: int,
     ground_truth: Optional[np.ndarray] = None,
-    rel_tol: Optional[float] = None,
 ) -> SolveResult:
     """Run the solver for a fixed iteration budget.
 
     The budget counts the initialization step that produces x_1, so each
-    column has exactly `iterations` entries (fewer only if rel_tol is set
-    and the relative iterate change drops below it; off by default to keep
-    fixed schedules comparable).  Backtracking retries do not consume
-    budget.  Per iteration the cost is f + lam * ||x||_1 and, with a
+    column has exactly `iterations` entries.  Backtracking retries do not
+    consume budget.  Per iteration the cost is f + lam * ||x||_1 and, with a
     ground truth, the squared error is ||x - ground_truth||^2.
     """
     if iterations < 1:
@@ -291,8 +288,4 @@ def pg_solve(
         if sq_error is not None:
             d = x - ground_truth
             sq_error.append(float(d.dot(d)))
-        if it and rel_tol is not None:
-            move = state.dx
-            if float(np.sqrt(move @ move)) <= rel_tol * max(1.0, float(np.sqrt(x @ x))):
-                break
     return SolveResult(x.copy(), cost, f, mu, backtracks, flops, sq_error)

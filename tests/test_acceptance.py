@@ -233,7 +233,7 @@ def test_criterion_07_complexity_ordering():
             master_seed=0,
             out_dir="unused",
         )
-        rows = bench_rows(cfg, [lam])
+        rows = bench_rows(cfg)
         by_algo = {r[2]: r for r in rows}
         flop_ratio = by_algo["adcd"][4] / by_algo["pg"][4]
         wall_ratio = by_algo["adcd"][3] / by_algo["pg"][3]

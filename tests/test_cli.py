@@ -53,6 +53,15 @@ def test_custom_scenario_runs(capsys):
     assert rc == 0
 
 
+def test_custom_scenario_borrows_s1_schedule(capsys):
+    rc = cli_main([
+        "solve", "--algo", "pg", "--scenario", "custom", "--n", "30", "--m", "15", "--k", "3",
+        "--ensemble", "gaussian", "--lambda", "1.0",
+    ])
+    assert rc == 0
+    assert "iterations=40" in capsys.readouterr().out  # s1's budget at lambda = 1
+
+
 def test_invalid_custom_dimensions_exit_2(capsys):
     rc = cli_main([
         "solve", "--scenario", "custom", "--n", "10", "--m", "10", "--k", "3",
@@ -163,7 +172,7 @@ def test_bad_lambda_is_usage_error(command, value, capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["0.1,nan", "inf", "0.1,0", "-0.5"])
+@pytest.mark.parametrize("grid", ["0.1,nan", "inf", "0.1,0", "-0.5", "0.5,0.02"])
 @pytest.mark.parametrize("command", ["sweep-lambda", "bench"])
 def test_bad_lambda_grid_is_usage_error(command, grid, tmp_path, capsys):
     rc = cli_main([command, f"--grid={grid}", "--trials", "1", "--iters", "2", "--out", str(tmp_path)])

@@ -1,4 +1,7 @@
+import csv
 import math
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,15 +17,22 @@ from sparsetls import (
     iteration_schedule,
     scenario_config,
 )
+from sparsetls import experiments
 from sparsetls.experiments import (
+    ALGORITHMS,
     bench_rows,
+    cells,
     lambda_sweep_rows,
+    run_bench,
     run_lambda_sweep,
     run_trace,
     run_xi_sweep,
+    solve_instance,
     trace_rows,
     xi_sweep_rows,
 )
+from sparsetls.metrics import squared_error, support_errors
+from sparsetls.problems import SCENARIO_TAGS
 
 
 def make_cfg(tmp_path, **kw):
@@ -83,6 +93,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(tmp_path, algos=("pg", "magic"))
 
+    @pytest.mark.parametrize("grids", [
+        dict(lambda_grid=[0.02, math.nan]),
+        dict(lambda_grid=[math.nan]),
+        dict(lambda_grid=[0.02, math.inf]),
+        dict(lambda_grid=[0.0, 0.02]),
+        dict(xi_grid=[0.01, math.nan]),
+        dict(xi_grid=[-0.01, 0.01]),
+        dict(xi_grid=[0.01, math.inf]),
+    ])
+    def test_rejects_bad_grid_values(self, tmp_path, grids):
+        # a NaN passes the ascending check (b <= a is False for it), so
+        # without the per-value check a sweep would solve every earlier
+        # cell before failing
+        with pytest.raises(ValueError, match="finite"):
+            make_cfg(tmp_path, **grids)
+
+    @pytest.mark.parametrize("reduction,grids", [
+        (trace_rows, dict(lambda_grid=[0.02, 0.1])),
+        (trace_rows, dict(xi_grid=[0.0, 0.01])),
+        (lambda_sweep_rows, dict(xi_grid=[0.0, 0.01])),
+        (xi_sweep_rows, dict(lambda_grid=[0.02, 0.1])),
+        (bench_rows, dict(xi_grid=[0.0, 0.01])),
+    ])
+    def test_reduction_needs_one_value_where_its_rows_have_no_column(
+            self, tmp_path, monkeypatch, reduction, grids):
+        monkeypatch.setattr(experiments, "solve_instance", None)  # nothing may be solved
+        with pytest.raises(ValueError, match="one-value"):
+            reduction(make_cfg(tmp_path, **grids))
+
     def test_default_grids(self):
         lg = default_lambda_grid()
         assert len(lg) == 25
@@ -95,18 +134,43 @@ class TestConfig:
 
 
 class TestPairedDesign:
-    def test_both_algorithms_consume_identical_instances(self):
-        # the pairing guarantee: re-deriving the stream reproduces the instance
-        for trial in (0, 1, 5):
-            one = generate_instance(scenario_config("s1"), derive_stream(42, 1, trial))
-            two = generate_instance(scenario_config("s1"), derive_stream(42, 1, trial))
-            assert instance_digest(one) == instance_digest(two)
+    def test_both_algorithms_consume_identical_instances(self, tmp_path, monkeypatch):
+        # cells() draws each (xi, trial) instance once, from the trial's
+        # stream, and hands that one object to every lambda and algorithm
+        drawn = []
+
+        def counting(scen, rng):
+            inst = generate_instance(scen, rng)
+            drawn.append(inst)
+            return inst
+
+        monkeypatch.setattr(experiments, "generate_instance", counting)
+        cfg = make_cfg(tmp_path, lambda_grid=[0.1, 0.5], xi_grid=[0.0, 0.01], trials=3,
+                       master_seed=42, iters=3)
+        got = list(cells(cfg, ALGORITHMS, with_truth=False))
+        assert len(drawn) == cfg.trials * len(cfg.xi_grid)
+        assert [(c.xi, c.trial, c.lam, c.algo) for c in got] == [
+            (xi, trial, lam, algo)
+            for xi in cfg.xi_grid for trial in range(cfg.trials)
+            for lam in cfg.lambda_grid for algo in ALGORITHMS
+        ]
+        by_key = {}
+        for c in got:
+            by_key.setdefault((c.xi, c.trial), []).append(c.inst)
+        assert len(by_key) == len(drawn)
+        assert all(insts[0] is inst for insts, inst in zip(by_key.values(), drawn))
+        for (xi, trial), insts in by_key.items():
+            assert len(insts) == len(cfg.lambda_grid) * len(ALGORITHMS)
+            assert all(inst is insts[0] for inst in insts)
+            fresh = generate_instance(replace(cfg.scenario, xi=xi),
+                                      derive_stream(42, SCENARIO_TAGS["s1"], trial))
+            assert instance_digest(insts[0]) == instance_digest(fresh)
 
 
 class TestTrace:
     def test_row_count_and_layout(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=1, iters=2)
-        rows = trace_rows(cfg, lam=0.02, xi=0.01)
+        rows = trace_rows(cfg)
         assert len(rows) == 4  # 2 iterations x 2 algorithms
         pg = [r for r in rows if r[1] == "pg"]
         assert [r[2] for r in pg] == [1, 2]
@@ -115,8 +179,8 @@ class TestTrace:
     def test_written_file_and_determinism(self, tmp_path):
         cfg_a = make_cfg(tmp_path / "a", trials=2, iters=10)
         cfg_b = make_cfg(tmp_path / "b", trials=2, iters=10)
-        pa = run_trace(cfg_a, lam=0.02, xi=0.01)
-        pb = run_trace(cfg_b, lam=0.02, xi=0.01)
+        pa = run_trace(cfg_a)
+        pb = run_trace(cfg_b)
         assert pa.name == "trace.csv"
         assert pa.read_bytes() == pb.read_bytes()
         header = pa.read_text().splitlines()[0]
@@ -124,7 +188,7 @@ class TestTrace:
 
     def test_error_decreases_from_start(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=3, iters=120)
-        rows = trace_rows(cfg, lam=0.02, xi=0.01)
+        rows = trace_rows(cfg)
         pg = [r for r in rows if r[1] == "pg"]
         assert pg[-1][3] < pg[0][3]
 
@@ -166,7 +230,7 @@ class TestLambdaSweep:
 class TestXiSweep:
     def test_zero_perturbation_is_easiest(self, tmp_path):
         cfg = make_cfg(tmp_path, xi_grid=[0.0, 0.01], trials=15, iters=150)
-        rows = xi_sweep_rows(cfg, lam=0.02)
+        rows = xi_sweep_rows(cfg)
         err = {(r[1], r[2]): r[3] for r in rows}
         assert err[("pg", 0.0)] <= err[("pg", 0.01)]
         assert err[("adcd", 0.0)] <= err[("adcd", 0.01)]
@@ -182,7 +246,7 @@ class TestXiSweep:
 class TestBench:
     def test_row_layout_single_lambda(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=1, iters=25)
-        rows = bench_rows(cfg, [0.02])
+        rows = bench_rows(cfg)
         assert len(rows) == 2
         pg_row = next(r for r in rows if r[2] == "pg")
         ad_row = next(r for r in rows if r[2] == "adcd")
@@ -191,7 +255,7 @@ class TestBench:
 
     def test_flop_ratio_favors_prox_gradient(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=2, iters=None)
-        rows = bench_rows(cfg, [0.02])
+        rows = bench_rows(cfg)
         fl = {r[2]: r[4] for r in rows}
         assert fl["adcd"] / fl["pg"] > 1.0
 
@@ -202,8 +266,141 @@ class TestBench:
         grid = [0.005, 0.1, 1.0]
         for kind in ("s1", "s2"):
             cfg = make_cfg(tmp_path, scenario=scenario_config(kind), kind=kind,
-                           trials=1, iters=None)
+                           lambda_grid=grid, trials=1, iters=None)
+            rows = bench_rows(cfg)
+            assert [r[1] for r in rows] == [lam for lam in grid for _ in ALGORITHMS]
             for lam in grid:
-                rows = bench_rows(cfg, [lam])
-                fl = {r[2]: r[4] for r in rows}
+                fl = {r[2]: r[4] for r in rows if r[1] == lam}
                 assert fl["adcd"] / fl["pg"] >= 1.0, (kind, lam)
+
+    def test_run_bench_writes_one_file_for_several_configs(self, tmp_path):
+        s1 = make_cfg(tmp_path, trials=1, iters=3)
+        s2 = make_cfg(tmp_path, scenario=scenario_config("s2"), kind="s2", trials=1, iters=3)
+        path = run_bench(s1, s2)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert path == tmp_path / "bench.csv"
+        assert [(r[0], r[2]) for r in rows[1:]] == [("s1", "pg"), ("s1", "adcd"),
+                                                    ("s2", "pg"), ("s2", "adcd")]
+
+
+# The four drivers as each ran its own trials x algorithms loop before the
+# cell runner, kept verbatim (with their two helpers) as the reference the
+# reductions over cells() must reproduce.
+
+def _schedule_for(cfg, lam):
+    if cfg.iters is not None:
+        return cfg.iters
+    # custom scenarios borrow the s1 schedule
+    return iteration_schedule(lam, cfg.kind if cfg.kind in ("s1", "s2") else "s1")
+
+
+def _instance(cfg, trial, xi):
+    scen = replace(cfg.scenario, xi=xi)
+    rng = derive_stream(cfg.master_seed, SCENARIO_TAGS[cfg.kind], trial)
+    return generate_instance(scen, rng)
+
+
+def reference_trace_rows(cfg, lam, xi):
+    iters = _schedule_for(cfg, lam)
+    err_sum = {algo: np.zeros(iters) for algo in cfg.algos}
+    cost_sum = {algo: np.zeros(iters) for algo in cfg.algos}
+    for trial in range(cfg.trials):
+        inst = _instance(cfg, trial, xi)
+        for algo in cfg.algos:
+            res = solve_instance(algo, inst, lam, iters)
+            err_sum[algo] += res.sq_error
+            cost_sum[algo] += res.cost
+    rows = []
+    for algo in cfg.algos:
+        for it in range(iters):
+            rows.append([
+                cfg.kind, algo, it + 1,
+                err_sum[algo][it] / cfg.trials,
+                cost_sum[algo][it] / cfg.trials,
+            ])
+    return rows
+
+
+def reference_lambda_sweep_rows(cfg):
+    instances = [_instance(cfg, t, cfg.scenario.xi) for t in range(cfg.trials)]
+    k = cfg.scenario.k
+    n = cfg.scenario.n
+    rows = []
+    for lam in cfg.lambda_grid:
+        iters = _schedule_for(cfg, lam)
+        for algo in cfg.algos:
+            err = fn = fp = 0.0
+            for inst in instances:
+                res = solve_instance(algo, inst, lam, iters, with_truth=False)
+                err += squared_error(res.x, inst.x_true)
+                sup = support_errors(res.x, inst.x_true)
+                fn += sup.false_negatives
+                fp += sup.false_positives
+            t = cfg.trials
+            rows.append([
+                cfg.kind, algo, lam, iters,
+                err / t, fn / t, fp / t, fn / t / k, fp / t / (n - k),
+            ])
+    return rows
+
+
+def reference_xi_sweep_rows(cfg, lam=0.02):
+    iters = _schedule_for(cfg, lam)
+    rows = []
+    for xi in cfg.xi_grid:
+        err = {algo: 0.0 for algo in cfg.algos}
+        for trial in range(cfg.trials):
+            inst = _instance(cfg, trial, xi)
+            for algo in cfg.algos:
+                res = solve_instance(algo, inst, lam, iters, with_truth=False)
+                err[algo] += squared_error(res.x, inst.x_true)
+        for algo in cfg.algos:
+            rows.append([cfg.kind, algo, xi, err[algo] / cfg.trials])
+    return rows
+
+
+def reference_bench_rows(cfg, lambda_grid=None):
+    grid = list(lambda_grid) if lambda_grid is not None else cfg.lambda_grid
+    rows = []
+    for lam in grid:
+        iters = _schedule_for(cfg, lam)
+        ns = {algo: 0.0 for algo in ALGORITHMS}
+        fl = {algo: 0.0 for algo in ALGORITHMS}
+        for trial in range(cfg.trials):
+            inst = _instance(cfg, trial, cfg.scenario.xi)
+            for algo in ALGORITHMS:
+                t0 = time.perf_counter_ns()
+                res = solve_instance(algo, inst, lam, iters, with_truth=False)
+                t1 = time.perf_counter_ns()
+                ns[algo] += (t1 - t0) / iters
+                fl[algo] += res.flops[-1] / iters
+        for algo in ALGORITHMS:
+            rows.append([
+                cfg.kind, lam, algo,
+                ns[algo] / cfg.trials,
+                fl[algo] / cfg.trials,
+                ns[algo] / ns["pg"],
+            ])
+    return rows
+
+
+class TestParityWithPerDriverLoops:
+    @pytest.mark.parametrize("kind,iters,lambdas", [
+        ("s1", None, [0.1, 0.5]),   # the schedule's budgets
+        ("s2", 12, [0.02, 0.5]),
+    ])
+    def test_every_non_timing_column_is_unchanged(self, tmp_path, kind, iters, lambdas):
+        base = make_cfg(tmp_path, scenario=scenario_config(kind), kind=kind, iters=iters,
+                        lambda_grid=lambdas, master_seed=3)
+        xis = [0.0, base.scenario.xi]
+        assert trace_rows(replace(base, lambda_grid=lambdas[:1])) == \
+            reference_trace_rows(base, lambdas[0], base.scenario.xi)
+        assert lambda_sweep_rows(base) == reference_lambda_sweep_rows(base)
+        xi_cfg = replace(base, lambda_grid=lambdas[:1], xi_grid=xis)
+        assert xi_sweep_rows(xi_cfg) == reference_xi_sweep_rows(xi_cfg, lambdas[0])
+
+        def untimed(rows):  # scenario, lambda, algo, mean_iter_flops
+            return [[r[0], r[1], r[2], r[4]] for r in rows]
+
+        assert untimed(bench_rows(base)) == untimed(reference_bench_rows(base))

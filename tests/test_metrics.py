@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsetls import TrialRecord, aggregate, squared_error, support_errors
+from sparsetls import squared_error, support_errors
 
 
 class TestSquaredError:
@@ -67,45 +67,3 @@ class TestSupportErrors:
         se = support_errors(x, t)
         assert 0 <= se.false_negatives <= k
         assert 0 <= se.false_positives <= t.size - k
-
-
-class TestAggregate:
-    def test_single_record_is_identity(self):
-        rec = TrialRecord("s1", "pg", 0.02, sq_error=0.5, fn=1, fp=2)
-        row = aggregate([rec])
-        assert row.mean_sq_error == 0.5
-        assert row.mean_fn == 1.0
-        assert row.mean_fp == 2.0
-        assert row.trials == 1
-
-    def test_two_values_mean(self):
-        recs = [
-            TrialRecord("s1", "pg", 0.02, sq_error=1.0, fn=0, fp=0),
-            TrialRecord("s1", "pg", 0.02, sq_error=3.0, fn=2, fp=4),
-        ]
-        row = aggregate(recs)
-        assert row.mean_sq_error == 2.0
-        assert row.mean_fn == 1.0
-        assert row.mean_fp == 2.0
-
-    def test_mean_matches_independent_summation(self):
-        rng = np.random.default_rng(0)
-        vals = rng.uniform(size=100)
-        recs = [TrialRecord("s1", "adcd", 0.1, sq_error=float(v), fn=0, fp=0) for v in vals]
-        row = aggregate(recs)
-        total = 0.0
-        for v in vals:
-            total += float(v)
-        assert abs(row.mean_sq_error - total / 100) < 1e-12
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
-
-    def test_mixed_cells_rejected(self):
-        recs = [
-            TrialRecord("s1", "pg", 0.02, sq_error=1.0, fn=0, fp=0),
-            TrialRecord("s1", "adcd", 0.02, sq_error=1.0, fn=0, fp=0),
-        ]
-        with pytest.raises(ValueError):
-            aggregate(recs)

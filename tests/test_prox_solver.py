@@ -384,7 +384,3 @@ class TestSolve:
             assert spent >= n * nnz
             retries = 1 + state.backtracks_last
             assert spent <= (2 * n * n + 16 * n + 4 * m) * retries
-
-    def test_early_stop_tolerance(self, s1_instance):
-        res = pg_solve(s1_instance.a, s1_instance.b, 0.02, 5000, rel_tol=1e-12)
-        assert len(res.trace) < 5000
