@@ -24,19 +24,21 @@ supports and the counted multiply-adds, which still charge every
 from-scratch rebuild, are those of the plain algorithm.
 
 adcd_solve returns the same columnar SolveResult as the proximal-gradient
-solver, its columns filled directly by the loop (cost and f from
-eval_cost after every outer iteration); the TraceRecord list is built
-from them only when `trace` is first read.
+solver, filled by the same loop.  Its cost c(x) = f + lam * ||x||_1 (the
+joint objective once e is at its minimizer) reads f from the state: the
+e update's residual, through kernel.quotient, gives it with no second
+pass over a.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, eval_cost, require_finite, require_lambda, require_truth_shape
+from .kernel import FlopCounter, quotient, require_budget, require_system, support_matvec
 from .prox_solver import SolveResult
 
 
@@ -45,7 +47,11 @@ class AdcdState:
     x: np.ndarray       # current iterate, length n
     e_mat: np.ndarray   # current perturbation estimate, m x n
     n: int              # completed outer iterations
+    f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
+    # no step size, no line search: the mu and backtracks columns read 0
+    mu: ClassVar[float] = 0.0
+    backtracks_last: ClassVar[int] = 0
 
 
 def adcd_init(m: int, n: int) -> AdcdState:
@@ -71,11 +77,7 @@ def adcd_coordinate_update(
     x = state.x
     others = np.flatnonzero(x)
     others = others[others != i]
-    if others.size:
-        cols = a[:, others] + state.e_mat[:, others]
-        resid = b - cols @ x[others]
-    else:
-        resid = b
+    resid = b - support_matvec((a + state.e_mat).T, x, others)
     col = a[:, i] + state.e_mat[:, i]
     state.flops.add(_update_madds(m, int(others.size)))
     new = _threshold(float(col @ resid), 0.5 * lam, float(col @ col))
@@ -134,7 +136,7 @@ def _sweep(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> None:
     c_rows = np.ascontiguousarray((a + state.e_mat).T)
     half = 0.5 * lam
     support = x.nonzero()[0]
-    r = b - c_rows[support].T @ x[support] if support.size else b.copy()
+    r = b - support_matvec(c_rows, x, support)
     nnz = int(support.size)
     madds = 0
     start = 0
@@ -176,16 +178,15 @@ def _sweep(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> None:
 def adcd_step(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
     """One outer iteration: full in-order sweep, then the e update.
 
-    The e update is charged m * nnz(x) + 2m + n + m * n multiply-adds.
+    The e update, whose residual also gives state.f, is charged
+    m * nnz(x) + 2m + n + m * n multiply-adds.
     """
     m, n = a.shape
     _sweep(state, a, b, lam)
     x = state.x
-    support = np.flatnonzero(x)
-    ax = a[:, support] @ x[support] if support.size else np.zeros(m)
-    resid = b - ax
-    coef = 1.0 / (float(x @ x) + 1.0)
-    state.e_mat = np.outer(coef * resid, x)
+    support = x.nonzero()[0]
+    resid, y, state.f = quotient(a.T, b, x, support)
+    state.e_mat = np.outer(-y * resid, x)
     state.flops.add(m * int(support.size) + 2 * m + n + m * n)
     state.n += 1
     return state
@@ -202,30 +203,12 @@ def adcd_solve(
 
     The result has the proximal-gradient solver's columns (its mu and
     backtracks entries are zero) so per-iteration outputs line up; the
-    cost and f entries come from eval_cost at each iterate.  A lam
-    that is not positive and finite, or a NaN or infinity in a or b,
-    raises ValueError before the first sweep.
+    f entries are those of the e updates.  A lam that is not positive and
+    finite, or a NaN or infinity in a or b, raises ValueError before the
+    first sweep.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
-    require_lambda(lam)
-    require_finite("a", a)
-    require_finite("b", b)
-    state = adcd_init(m, n)
-    require_truth_shape(ground_truth, state.x)
-    cost, f, flops = [], [], []
-    sq_error = None if ground_truth is None else []
-    for _ in range(iterations):
-        adcd_step(state, a, b, lam)
-        x = state.x
-        c = eval_cost(a, b, x, lam)
-        cost.append(c.total)
-        f.append(c.f)
-        flops.append(state.flops.madds)
-        if sq_error is not None:
-            d = x - ground_truth
-            sq_error.append(float(d.dot(d)))
-    return SolveResult(x.copy(), cost, f, [0.0] * iterations, [0] * iterations, flops, sq_error)
+    require_system(a, b, lam)
+    require_budget(iterations, ground_truth, a.shape[1])
+    state = adcd_init(*a.shape)
+    steps = (adcd_step(state, a, b, lam) for _ in range(iterations))
+    return SolveResult.from_states(steps, lam, ground_truth)

@@ -115,7 +115,6 @@ def _add_common(p: argparse.ArgumentParser, scenario_choices: tuple, scenario_de
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--trial", type=int, default=0, help="trial index for single-instance commands")
     p.add_argument("--iters", type=int, help="override the iteration schedule")
-    p.add_argument("--algo", choices=["pg", "adcd", "both"], default="both")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--config", help="config file with 'key = value' flag defaults")
 
@@ -156,7 +155,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="per-iteration time and flop comparison -> bench.csv")
     _add_common(p, ("s1", "s2", "both"), "both")
     p.add_argument("--grid", help="comma-separated lambda values (default: 25 log-spaced on [5e-4, 1])")
-    p.set_defaults(func=cmd_bench)
+    # bench always measures both algorithms (pg is the ratio denominator)
+    p.set_defaults(func=cmd_bench, algo="both")
+
+    for name in ("solve", "trace", "sweep-lambda", "sweep-xi"):
+        sub.choices[name].add_argument("--algo", choices=["pg", "adcd", "both"], default="both")
 
     if defaults:
         for action in sub.choices.values():

@@ -6,7 +6,7 @@ Cost model: c(x) = f(x) + lam * ||x||_1 with the quotient residual
 
 the total-least-squares residual expressed through x alone.  The gradient
 uses the cached products a^T a and a^T b, and exact zeros in x are skipped
-so the matrix-vector work scales with the support size.
+(support_matvec) so the matrix-vector work scales with the support size.
 """
 
 from __future__ import annotations
@@ -37,15 +37,35 @@ class CostEval:
 
 
 def eval_cost(a: np.ndarray, b: np.ndarray, x: np.ndarray, lam: float) -> CostEval:
-    """Evaluate the composite cost at x."""
+    """Evaluate the composite cost at x over every column of a (an oracle)."""
     require_lambda(lam)
     if a.shape[0] != b.shape[0] or a.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}, x {x.shape}")
-    resid = a @ x - b
-    y = 1.0 / (float(x @ x) + 1.0)
-    f = y * float(resid @ resid)
+    _, y, f = quotient(a.T, b, x, np.arange(x.shape[0]))
     penalty = lam * float(np.abs(x).sum())
     return CostEval(f=f, y=y, penalty=penalty, total=f + penalty)
+
+
+def support_matvec(rows: np.ndarray, x: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """a[:, s] @ x[s] with rows = a.T (or a C-contiguous copy), s = support.
+
+    rows[s].T holds the values of a[:, s] in the same column-major layout,
+    so it is the same BLAS call on the same bytes; from a contiguous copy
+    each gathered row is one contiguous run.
+    """
+    if support.size:
+        return rows[support].T @ x[support]
+    return np.zeros(rows.shape[1])
+
+
+def quotient(
+    rows: np.ndarray, b: np.ndarray, x: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """(a x - b, y, f) with y = 1/(||x||^2+1) and f = y ||a x - b||^2;
+    rows as in support_matvec, and support must hold every nonzero of x."""
+    resid = support_matvec(rows, x, support) - b
+    y = 1.0 / (float(x.dot(x)) + 1.0)
+    return resid, y, y * float(resid.dot(resid))
 
 
 def gradient(
@@ -56,7 +76,6 @@ def gradient(
     f: float,
     flops: FlopCounter,
     support: Optional[np.ndarray] = None,
-    ata_rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gradient of the quotient residual: 2 y (a^T a x - a^T b - f x).
 
@@ -66,40 +85,38 @@ def gradient(
     multiply-adds (n^2 worst case); the remaining terms cost 3 n.
 
     `support`, when given, must equal x.nonzero()[0] (the solver keeps
-    it as a state invariant); it is computed here when omitted.
-    `ata_rows`, when given, must be a C-contiguous copy of ata.T.  The
-    support columns are gathered as rows of ata.T and transposed
-    back: rows[s].T holds the same values as ata[:, s] in the same
-    column-major layout, so the matvec runs the same BLAS call on the
-    same bytes and the result is bit-identical.  From the contiguous copy
-    each gathered row is one contiguous run, which is cheaper than the
-    strided column gather; without it the plain ata.T view is used.
+    it as a state invariant); it is computed here when omitted.  ata must
+    be symmetric bit for bit, as a.T @ a comes out of BLAS, so its rows
+    are its columns and support_matvec gathers them directly.
     """
     n = x.shape[0]
     if ata.shape != (n, n) or atb.shape != (n,):
         raise ValueError(f"dimension mismatch: ata {ata.shape}, atb {atb.shape}, x {x.shape}")
     if support is None:
         support = x.nonzero()[0]
-    if support.size:
-        rows = ata.T if ata_rows is None else ata_rows
-        atax = rows[support].T @ x[support]
-    else:
-        atax = np.zeros(n)
+    atax = support_matvec(ata, x, support)
     flops.add(n * int(support.size) + 3 * n)
     return (2.0 * y) * (atax - atb - f * x)
 
 
-def require_finite(name: str, arr: np.ndarray) -> None:
-    """Raise ValueError naming `name` when arr holds a NaN or an infinity."""
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+def require_system(a: np.ndarray, b: np.ndarray, lam: float) -> None:
+    """Raise ValueError unless lam is positive and finite, b has one entry
+    per row of the matrix a, and neither holds a NaN or an infinity."""
+    require_lambda(lam)
+    if a.ndim != 2 or b.shape != (a.shape[0],):
+        raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
+    for name, arr in (("a", a), ("b", b)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite values")
 
 
-def require_truth_shape(truth: Optional[np.ndarray], x: np.ndarray) -> None:
-    """Raise ValueError when a ground truth is given with a shape other
-    than the iterate's."""
-    if truth is not None and truth.shape != x.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {truth.shape}")
+def require_budget(iterations: int, ground_truth: Optional[np.ndarray], n: int) -> None:
+    """Raise ValueError unless iterations >= 1 and a ground truth, when
+    given, has the iterate's length n (it would otherwise broadcast)."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if ground_truth is not None and ground_truth.shape != (n,):
+        raise ValueError(f"length mismatch: ({n},) vs {ground_truth.shape}")
 
 
 def require_lambda(lam: float) -> None:

@@ -22,17 +22,16 @@ Exact zeros are skipped in both matrix-vector products, a^T a x in the
 gradient and a x in each line-search trial.  The state carries the
 support of its iterate (support = x.nonzero()[0]): the accepted trial
 already computed it, so the next gradient does not recompute it.
-Support columns are gathered as rows of C-contiguous copies of a^T and
-(a^T a)^T made once in pg_init: rows[s].T has the same values as a[:, s]
-in the same column-major layout, so the product is the same BLAS call on
-the same bytes and every iterate is bit-identical to the column gather,
-while each gathered row is one contiguous copy instead of a strided one.
+Support columns are gathered as rows (kernel.support_matvec) of a^T a,
+which is symmetric bit for bit, and of a C-contiguous copy of a^T made
+once in pg_init, with the same bits as the column gather.
 
 pg_solve returns a columnar SolveResult: the final iterate plus one list
 entry per accepted iteration for the cost, f, mu, backtracks and
 multiply-adds (and the squared error when the ground truth is given).
-The loop appends to the columns directly; the per-iteration TraceRecord
-list is built from them only when `trace` is first read.
+SolveResult.from_states fills the columns, for AD-CD too; the
+per-iteration TraceRecord list is built from them only when `trace` is
+first read.
 """
 
 from __future__ import annotations
@@ -40,11 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, gradient, require_finite, require_lambda, require_truth_shape, shrink
+from .kernel import FlopCounter, gradient, quotient, require_budget, require_system, shrink
 
 START_STEP = 0.2
 MAX_BACKTRACKS = 60
@@ -68,9 +68,8 @@ class PgState:
     y = 1/(||x||^2+1), f = y * ||a x - b||^2, support = x.nonzero()[0]
     and dx = x - x_prev hold for the current x; dx is the accepted
     line-search trial's step, kept so the next step does not recompute
-    it.  ata_rows and a_rows are C-contiguous copies of ata.T and a.T,
-    made once by pg_init, from which support columns are gathered as rows
-    (see the module docstring).
+    it.  a_rows is a C-contiguous copy of a.T, made once by pg_init (see
+    the module docstring).
     """
 
     x_prev: np.ndarray
@@ -82,7 +81,6 @@ class PgState:
     f: float
     n: int
     support: np.ndarray
-    ata_rows: np.ndarray
     a_rows: np.ndarray
     flops: FlopCounter = field(default_factory=FlopCounter)
     backtracks_last: int = 0
@@ -119,6 +117,25 @@ class SolveResult:
     flops: list[int]
     sq_error: Optional[list[float]] = None
 
+    @classmethod
+    def from_states(cls, states: Iterable, lam: float, ground_truth: Optional[np.ndarray]):
+        """One entry per PgState or AdcdState yielded, read before the next
+        step (which may update x in place): cost = f + lam * ||x||_1 and,
+        with a ground truth, sq_error = ||x - ground_truth||^2."""
+        cost, f, mu, backtracks, flops = [], [], [], [], []
+        sq_error = None if ground_truth is None else []
+        for state in states:
+            x = state.x
+            cost.append(state.f + lam * float(np.abs(x).sum()))
+            f.append(state.f)
+            mu.append(state.mu)
+            backtracks.append(state.backtracks_last)
+            flops.append(state.flops.madds)
+            if sq_error is not None:
+                d = x - ground_truth
+                sq_error.append(float(d.dot(d)))
+        return cls(x.copy(), cost, f, mu, backtracks, flops, sq_error)
+
     @cached_property
     def trace(self) -> list[TraceRecord]:
         """The columns as one TraceRecord per iteration, built on first
@@ -141,32 +158,24 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[PgState, np.ndarr
     lam that is not positive and finite, raises ValueError here, before
     any iteration could turn it into a failed line search.
     """
-    require_lambda(lam)
-    if a.ndim != 2 or b.shape != (a.shape[0],):
-        raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
-    require_finite("a", a)
-    require_finite("b", b)
+    require_system(a, b, lam)
     m, n = a.shape
     flops = FlopCounter()
     ata = a.T @ a
     atb = a.T @ b
     flops.add(n * n * m + n * m)
-    ata_rows = np.ascontiguousarray(ata.T)
     a_rows = np.ascontiguousarray(a.T)
 
     x0 = np.zeros(n)
     g0 = -2.0 * atb
     x1 = shrink(x0 - START_STEP * g0, START_STEP * lam)
     support = x1.nonzero()[0]
-    ax1 = a_rows[support].T @ x1[support] if support.size else np.zeros(m)
-    y1 = 1.0 / (float(x1.dot(x1)) + 1.0)
-    resid = ax1 - b
-    f1 = y1 * float(resid.dot(resid))
+    _, y1, f1 = quotient(a_rows, b, x1, support)
     flops.add(4 * n + m * int(support.size) + 2 * m)
 
     state = PgState(
         x_prev=x0, x=x1, dx=x1 - x0, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1,
-        support=support, ata_rows=ata_rows, a_rows=a_rows, flops=flops,
+        support=support, a_rows=a_rows, flops=flops,
     )
     return state, ata, atb
 
@@ -214,7 +223,7 @@ def pg_step(
     """
     m, n = a.shape
     x = state.x
-    g = gradient(ata, atb, x, state.y, state.f, state.flops, state.support, state.ata_rows)
+    g = gradient(ata, atb, x, state.y, state.f, state.flops, state.support)
     mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
     # the counted cost of dx and dg (2n) and of the step size (3n), then of
     # each line-search trial, charged once after the accepted trial
@@ -225,10 +234,7 @@ def pg_step(
     while True:
         x_next = shrink(x - mu * g, mu * lam)
         support = x_next.nonzero()[0]
-        ax = a_rows[support].T @ x_next[support] if support.size else np.zeros(m)
-        y_next = 1.0 / (float(x_next.dot(x_next)) + 1.0)
-        resid = ax - b
-        f_next = y_next * float(resid.dot(resid))
+        _, y_next, f_next = quotient(a_rows, b, x_next, support)
         step = x_next - x
         madds += 6 * n + m * support.size + 2 * m
         if line_search_ok(f_next, state.f, step, g, mu) or not step.any():
@@ -267,25 +273,9 @@ def pg_solve(
 
     The budget counts the initialization step that produces x_1, so each
     column has exactly `iterations` entries.  Backtracking retries do not
-    consume budget.  Per iteration the cost is f + lam * ||x||_1 and, with a
-    ground truth, the squared error is ||x - ground_truth||^2.
+    consume budget.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     state, ata, atb = pg_init(a, b, lam)
-    require_truth_shape(ground_truth, state.x)
-    cost, f, mu, backtracks, flops = [], [], [], [], []
-    sq_error = None if ground_truth is None else []
-    for it in range(iterations):
-        if it:
-            pg_step(state, ata, atb, a, b, lam)
-        x = state.x
-        cost.append(state.f + lam * float(np.abs(x).sum()))
-        f.append(state.f)
-        mu.append(state.mu)
-        backtracks.append(state.backtracks_last)
-        flops.append(state.flops.madds)
-        if sq_error is not None:
-            d = x - ground_truth
-            sq_error.append(float(d.dot(d)))
-    return SolveResult(x.copy(), cost, f, mu, backtracks, flops, sq_error)
+    require_budget(iterations, ground_truth, state.x.shape[0])
+    steps = (pg_step(state, ata, atb, a, b, lam) for _ in range(iterations - 1))
+    return SolveResult.from_states(chain([state], steps), lam, ground_truth)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -340,12 +342,14 @@ class TestColumns:
         x, ref = reference_records(inst.a, inst.b, lam, 30, truth)
         res = adcd_solve(inst.a, inst.b, lam, 30, ground_truth=truth)
         assert np.array_equal(res.x, x)
-        assert res.cost == [r.cost for r in ref]
-        assert res.f == [r.f for r in ref]
+        # cost and f come from the e update's residual over the support,
+        # eval_cost's from a dense product: equal up to rounding
+        for got, want in ((res.cost, [r.cost for r in ref]), (res.f, [r.f for r in ref])):
+            assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
         assert res.mu == [0.0] * 30 and res.backtracks == [0] * 30
         assert res.flops == [r.flops for r in ref]
         assert res.sq_error == ([r.sq_error for r in ref] if with_truth else None)
-        assert res.trace == ref
+        assert res.trace == [replace(r, cost=c, f=f) for r, c, f in zip(ref, res.cost, res.f)]
 
     def test_rejects_ground_truth_of_wrong_length(self, s1_instance):
         with pytest.raises(ValueError, match="^length mismatch"):

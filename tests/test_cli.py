@@ -217,3 +217,25 @@ def test_bad_xi_from_config_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert "bad --xi value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "generate"])
+def test_algo_flag_is_usage_error_where_no_algorithm_is_chosen(command, tmp_path, capsys):
+    # bench always measures both algorithms and generate solves nothing, so
+    # neither takes --algo (it used to be accepted and ignored)
+    rc = cli_main([command, "--scenario", "s1", "--algo", "pg", "--trials", "1", "--iters", "3",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--algo" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bench_config_may_set_algo(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algo = pg\n")
+    out = tmp_path / "out"
+    rc = cli_main(["bench", "--config", str(cfg), "--scenario", "s1", "--trials", "1",
+                   "--grid", "0.5", "--iters", "3", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "bench.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["pg", "adcd"]

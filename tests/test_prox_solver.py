@@ -76,8 +76,9 @@ class TestInit:
     def test_support_invariant_and_row_copies(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
         state, ata, atb = pg_init(a, b, lam=0.02)
-        assert state.ata_rows.flags.c_contiguous and state.a_rows.flags.c_contiguous
-        assert np.array_equal(state.ata_rows, ata.T)
+        # the gradient gathers rows of ata as its columns
+        assert np.array_equal(ata, ata.T)
+        assert state.a_rows.flags.c_contiguous
         assert np.array_equal(state.a_rows, a.T)
         for _ in range(30):
             assert np.array_equal(state.support, np.flatnonzero(state.x))
