@@ -6,22 +6,34 @@ perturbation estimate e fixed) and the closed-form rank-one update
 
     e <- (b - a x) x^T / (||x||^2 + 1)
 
-which is the exact minimizer over e for fixed x.  Per coordinate the
-partial residual is rebuilt from scratch, skipping exact-zero entries of
-x, so a sweep costs on the order of n * m * nnz(x) multiply-adds; e is
-kept as an explicit dense matrix.  Both choices are deliberate: they are
-what the per-iteration cost comparison against the proximal-gradient
-solver is about, and the flop counter charges every rebuild.
+which is the exact minimizer over e for fixed x.  As counted, per
+coordinate the partial residual is rebuilt from scratch, skipping
+exact-zero entries of x, so a sweep costs on the order of n * m * nnz(x)
+multiply-adds, and e is formed as an explicit dense matrix.  Both choices
+are deliberate: they are what the per-iteration cost comparison against
+the proximal-gradient solver is about, and the flop counter charges every
+rebuild and the m * n of forming e.
 
 adcd_coordinate_update is that from-scratch update, one coordinate per
-call.  The sweep executes the same algorithm more cheaply, on a running
-residual (the "naive update" of coordinate descent; Friedman, Hastie and
-Tibshirani, J. Stat. Softw. 2010): r = b - (a + e) x is built once per
-sweep and updated after every coordinate that changes.  The values
-differ from the per-call update only by rounding, and r is rebuilt at
-the start of every sweep, so that drift never outlives one sweep.  The
-supports and the counted multiply-adds, which still charge every
-from-scratch rebuild, are those of the plain algorithm.
+call.  The sweep executes the same algorithm more cheaply:
+
+- on a running residual (the "naive update" of coordinate descent;
+  Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010): r = b - (a + e) x
+  is built once per sweep and updated after every coordinate that
+  changes.  The values differ from the per-call update only by rounding,
+  and r is rebuilt at the start of every sweep, so that drift never
+  outlives one sweep;
+- with e kept as its rank-one factors, e = u v^T, where v is the iterate
+  at the last e update.  The column c_i = a_i + v_i u is a_i itself where
+  v_i = 0, so the sweep reads a's own columns there and adds v_i u only on
+  P = supp(x) + supp(v), which in a solve is the support;
+- checking a run of zero coordinates exactly only where a bound cannot
+  prove that none of them leaves zero (a screen in the manner of the
+  strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
+  is lost; see _sweep).
+
+Neither the factors nor the screen changes a bit: x, e, f and the counted
+multiply-adds are those of the running-residual sweep on a dense e.
 
 adcd_solve returns the same columnar SolveResult as the proximal-gradient
 solver, filled by the same loop.  Its cost c(x) = f + lam * ||x||_1 (the
@@ -44,8 +56,17 @@ from .prox_solver import SolveResult
 
 @dataclass
 class AdcdState:
+    """Iterate and perturbation estimate, e kept as its rank-one factors.
+
+    e = u v^T: each e update sets u = (b - a x) / (||x||^2 + 1) and v = x,
+    so v is the iterate at the last e update (both are zero before the
+    first).  e_mat builds the dense m x n matrix on demand, with the bits
+    of the np.outer(u, v) a dense e update would have stored.
+    """
+
     x: np.ndarray       # current iterate, length n
-    e_mat: np.ndarray   # current perturbation estimate, m x n
+    u: np.ndarray       # left factor of e, length m
+    v: np.ndarray       # right factor of e, length n
     n: int              # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
@@ -53,10 +74,15 @@ class AdcdState:
     mu: ClassVar[float] = 0.0
     backtracks_last: ClassVar[int] = 0
 
+    @property
+    def e_mat(self) -> np.ndarray:
+        """The perturbation estimate u v^T, m x n."""
+        return np.outer(self.u, self.v)
+
 
 def adcd_init(m: int, n: int) -> AdcdState:
     """All-zero starting state."""
-    return AdcdState(x=np.zeros(n), e_mat=np.zeros((m, n)), n=0)
+    return AdcdState(x=np.zeros(n), u=np.zeros(m), v=np.zeros(n), n=0)
 
 
 def adcd_coordinate_update(
@@ -77,8 +103,9 @@ def adcd_coordinate_update(
     x = state.x
     others = np.flatnonzero(x)
     others = others[others != i]
-    resid = b - support_matvec((a + state.e_mat).T, x, others)
-    col = a[:, i] + state.e_mat[:, i]
+    c = a + state.e_mat
+    resid = b - support_matvec(c.T, x, others)
+    col = c[:, i]
     state.flops.add(_update_madds(m, int(others.size)))
     new = _threshold(float(col @ resid), 0.5 * lam, float(col @ col))
     x[i] = new
@@ -110,10 +137,12 @@ def _sweep(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> None:
     The values are those of calling adcd_coordinate_update for
     i = 0..n-1, up to floating-point rounding (a test holds the two to a
     stated tolerance, with exact supports and multiply-adds); only the
-    execution is cheaper.  The columns c = a + e_mat are formed once per
-    sweep, since e_mat is fixed during it, as rows of a contiguous c^T.
-    The full residual r = b - c x is built once, from the support, at the
-    start of the sweep and then kept current:
+    execution is cheaper.  e = u v^T is fixed during the sweep, so the
+    columns c_i = a_i + v_i u are formed once, as the rows of a contiguous
+    copy of a^T.  Outside P = supp(x) + supp(v) that sum is a_i itself
+    (a_ij + 0.0 = a_ij), so only P's rows get v_i u added, from one
+    |P| x m outer product.  The full residual r = b - c x is built once,
+    from the support, at the start of the sweep and then kept current:
 
     - a support coordinate gets rho = c_i . r + x_i ||c_i||^2, which is
       c_i . resid for the partial residual that excludes i; after the
@@ -124,69 +153,116 @@ def _sweep(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> None:
       outside +-lam / 2 ends the run: that coordinate leaves zero, r
       changes, and the rest of the run is recomputed from the new r.
 
-    r is rebuilt from scratch every sweep (e_mat changes between sweeps),
-    so rounding drift from the updates is confined to one sweep.  The
+    That product is skipped while a bound proves that no rho of the run
+    can leave [-lam / 2, lam / 2].  With r0 the residual at the start of
+    the sweep, rho0_i = |c_i . r0| (one product with all rows per sweep)
+    and drift = sum |d_t| ||c_t|| over the updates r -= d_t c_t made so
+    far, the run is quiet when
+
+        max_run rho0 + max_run ||c_i|| * (drift + tol (drift + ||r0||))
+
+    is below lam / 2, the two maxima per run coming from np.maximum.reduceat.
+    The margin covers every rounding, with u = 2^-53 and, to first order,
+    gamma_k = k u, the bound of a computed length-k dot product
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1):
+
+    - the run's product: |fl(c_i . r)| <= |c_i . r| + gamma_m ||c_i|| ||r||;
+    - rho0's: |c_i . r0| <= rho0_i + gamma_m ||c_i|| ||r0||;
+    - the updates: each moves r by -d_t c_t plus at most u ||r|| +
+      2u |d_t| ||c_t||, so after at most n of them ||r - r0|| <=
+      (1 + (n + 2) u) D + n u ||r0||, with D the exact drift;
+    - the computed norms, ||r0|| and drift: each within (m + n + 3) u of
+      the exact value, relatively.
+
+    Summed, with N_i the computed ||c_i||, |fl(c_i . r)| <= rho0_i +
+    N_i ((1 + (3m + 3n + 8) u) drift + (2m + n) u ||r0||), and
+    tol = 8 (m + n + 4) u is more than twice both coefficients, which
+    leaves room for the second-order terms and the four roundings of the
+    screen's product term.  A computed sum below lam / 2 is at most
+    lam / 2 (1 - u), which absorbs the rounding of its last addition.
+    (Underflow, which needs entries below about 1e-154, is not covered; a
+    NaN never passes the screen.)  So a skipped run is one the exact check
+    would pass: the supports, the values and the counted multiply-adds are
+    those of checking every run.
+
+    r is rebuilt from scratch every sweep (e changes between sweeps), so
+    rounding drift from the updates is confined to one sweep.  The
     counted multiply-adds still charge every from-scratch rebuild of the
     partial residual and the 3m of both dots, computed from the support
     size, as the per-call update does: that is the baseline's algorithmic
     cost.
     """
     m, n = a.shape
-    x = state.x
-    c_rows = np.ascontiguousarray((a + state.e_mat).T)
+    x, v = state.x, state.v
     half = 0.5 * lam
-    support = x.nonzero()[0]
-    r = b - support_matvec(c_rows, x, support)
+    nonzero = x != 0.0
+    support = nonzero.nonzero()[0]
+    perturbed = (nonzero | (v != 0.0)).nonzero()[0]
+    rows = np.ascontiguousarray(a.T)
+    rows[perturbed] += np.outer(v[perturbed], state.u)
+    r = b - support_matvec(rows, x, support)
+    # segments, from the support the sweep starts with (the entries ahead
+    # of the sweep position have not changed): each support coordinate
+    # alone, and each run of zero coordinates between two of them
+    cuts = (nonzero | np.concatenate(([True], nonzero[:-1]))).nonzero()[0]
+    rho0_max = np.maximum.reduceat(np.abs(rows @ r), cuts).tolist()
+    norm_max = np.maximum.reduceat(np.sqrt(np.einsum("ij,ij->i", rows, rows)), cuts).tolist()
+    r0_norm = math.sqrt(float(r.dot(r)))
+    tol = (m + n + 4) * 2.0**-50
+    drift = 0.0
     nnz = int(support.size)
     madds = 0
-    start = 0
-    # the support entries ahead of the sweep position are those it started
-    # with, so they delimit the runs of zero coordinates
-    for s in [*support.tolist(), n]:
-        i = start
-        while i < s:
-            rhos = c_rows[i:s] @ r
+    segments = zip(cuts.tolist(), [*cuts[1:].tolist(), n], nonzero[cuts].tolist(), rho0_max, norm_max)
+    for lo, hi, in_support, rho0_hi, norm_hi in segments:
+        if in_support:
+            col = rows[lo]
+            old = float(x[lo])
+            norm2 = float(col.dot(col))
+            madds += _update_madds(m, nnz - 1)
+            new = _threshold(float(col.dot(r)) + old * norm2, half, norm2)
+            if new != old:
+                x[lo] = new
+                step = new - old
+                r -= step * col
+                drift += abs(step) * math.sqrt(norm2)
+                if new == 0.0:
+                    nnz -= 1
+            continue
+        i = lo
+        while i < hi and not rho0_hi + norm_hi * (drift + tol * (drift + r0_norm)) < half:
+            rhos = rows[i:hi] @ r
             leave = np.flatnonzero(np.abs(rhos) > half)
             if not leave.size:
-                madds += (s - i) * _update_madds(m, nnz)
                 break
             j = i + int(leave[0])
             madds += (j + 1 - i) * _update_madds(m, nnz)
-            col = c_rows[j]
-            new = _threshold(float(rhos[j - i]), half, float(col.dot(col)))
+            col = rows[j]
+            norm2 = float(col.dot(col))
+            new = _threshold(float(rhos[j - i]), half, norm2)
             if new != 0.0:
                 x[j] = new
                 r -= new * col
+                drift += abs(new) * math.sqrt(norm2)
                 nnz += 1
             i = j + 1
-        if s == n:
-            break
-        col = c_rows[s]
-        old = float(x[s])
-        norm2 = float(col.dot(col))
-        madds += _update_madds(m, nnz - 1)
-        new = _threshold(float(col.dot(r)) + old * norm2, half, norm2)
-        if new != old:
-            x[s] = new
-            r -= (new - old) * col
-            if new == 0.0:
-                nnz -= 1
-        start = s + 1
+        madds += (hi - i) * _update_madds(m, nnz)
     state.flops.add(madds)
 
 
 def adcd_step(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
     """One outer iteration: full in-order sweep, then the e update.
 
-    The e update, whose residual also gives state.f, is charged
-    m * nnz(x) + 2m + n + m * n multiply-adds.
+    The e update keeps e's factors, u = -y (a x - b) and v = x; its
+    residual also gives state.f.  It is charged m * nnz(x) + 2m + n + m * n
+    multiply-adds, the m * n for forming e as the algorithm does.
     """
     m, n = a.shape
     _sweep(state, a, b, lam)
     x = state.x
     support = x.nonzero()[0]
     resid, y, state.f = quotient(a.T, b, x, support)
-    state.e_mat = np.outer(-y * resid, x)
+    state.u = -y * resid
+    state.v = x.copy()
     state.flops.add(m * int(support.size) + 2 * m + n + m * n)
     state.n += 1
     return state

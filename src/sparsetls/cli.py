@@ -104,19 +104,37 @@ def _config_defaults(argv: list[str]) -> dict:
     return _read_config(path) if path is not None else {}
 
 
-def _add_common(p: argparse.ArgumentParser, scenario_choices: tuple, scenario_default: str) -> None:
-    p.add_argument("--scenario", choices=scenario_choices, default=scenario_default)
-    p.add_argument("--n", type=int, help="columns (custom scenario)")
-    p.add_argument("--m", type=int, help="rows (custom scenario)")
-    p.add_argument("--k", type=int, help="sparsity (custom scenario)")
-    p.add_argument("--ensemble", choices=["gaussian", "rademacher"], help="matrix ensemble (custom scenario)")
-    p.add_argument("--xi", type=float, default=0.01, help="perturbation-variance parameter")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--trial", type=int, default=0, help="trial index for single-instance commands")
-    p.add_argument("--iters", type=int, help="override the iteration schedule")
-    p.add_argument("--out", default="results", help="output directory")
+# the flags more than one subcommand reads; each subcommand takes only
+# those it reads, so argparse rejects the others (a config file may still
+# set any key: a default for a flag a subcommand lacks is never read)
+_FLAGS = {
+    "--n": dict(type=int, help="columns (custom scenario)"),
+    "--m": dict(type=int, help="rows (custom scenario)"),
+    "--k": dict(type=int, help="sparsity (custom scenario)"),
+    "--ensemble": dict(choices=["gaussian", "rademacher"], help="matrix ensemble (custom scenario)"),
+    "--xi": dict(type=float, default=0.01, help="perturbation-variance parameter"),
+    "--trials": dict(type=int, default=100),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--trial": dict(type=int, default=0, help="trial index of the instance"),
+    "--iters": dict(type=int, help="override the iteration schedule"),
+    "--out": dict(default="results", help="output directory"),
+    "--algo": dict(choices=["pg", "adcd", "both"], default="both"),
+}
+_CUSTOM = ("--n", "--m", "--k", "--ensemble")
+_LAMBDA_GRID_HELP = "comma-separated lambda values (default: 25 log-spaced on [5e-4, 1])"
+
+
+def _add_subcommand(sub, name: str, help: str, func, scenarios: tuple, flags: tuple):
+    """A subparser with --scenario (default scenarios[0]), --config and
+    the shared `flags`.  Flags are never abbreviated: `trace --trial 1`
+    is an error, not `--trials 1`."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.add_argument("--scenario", choices=scenarios, default=scenarios[0])
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--config", help="config file with 'key = value' flag defaults")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -126,40 +144,35 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
     custom = ("s1", "s2", "custom")
+    sweep = (*_CUSTOM, "--trials", "--seed", "--iters", "--out", "--algo")
 
-    p = sub.add_parser("generate", help="write one instance file")
-    _add_common(p, custom, "s1")
-    p.set_defaults(func=cmd_generate)
+    _add_subcommand(sub, "generate", "write one instance file", cmd_generate, custom,
+                    (*_CUSTOM, "--xi", "--seed", "--trial", "--out"))
 
-    p = sub.add_parser("solve", help="solve one instance, print final error and cost")
-    _add_common(p, custom, "s1")
+    p = _add_subcommand(sub, "solve", "solve one instance, print final error and cost", cmd_solve,
+                        custom, (*_CUSTOM, "--xi", "--seed", "--trial", "--iters", "--algo"))
     p.add_argument("--lambda", dest="lam", type=float, help="regularization weight (required)")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("trace", help="per-iteration error/cost averages -> trace.csv")
-    _add_common(p, custom, "s1")
+    p = _add_subcommand(sub, "trace", "per-iteration error/cost averages -> trace.csv", cmd_trace,
+                        custom, (*sweep, "--xi"))
     p.add_argument("--lambda", dest="lam", type=float, default=0.02)
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("sweep-lambda", help="converged error and support misses per lambda -> lambda_sweep.csv")
-    _add_common(p, custom, "s1")
-    p.add_argument("--grid", help="comma-separated lambda values (default: 25 log-spaced on [5e-4, 1])")
-    p.set_defaults(func=cmd_sweep_lambda)
+    p = _add_subcommand(sub, "sweep-lambda", "converged error and support misses per lambda -> lambda_sweep.csv",
+                        cmd_sweep_lambda, custom, (*sweep, "--xi"))
+    p.add_argument("--grid", help=_LAMBDA_GRID_HELP)
 
-    p = sub.add_parser("sweep-xi", help="converged error per perturbation level -> xi_sweep.csv")
-    _add_common(p, custom, "s1")
+    # instances are drawn at each xi of the grid, so there is no --xi
+    p = _add_subcommand(sub, "sweep-xi", "converged error per perturbation level -> xi_sweep.csv",
+                        cmd_sweep_xi, custom, sweep)
     p.add_argument("--lambda", dest="lam", type=float, default=0.02)
     p.add_argument("--grid", help="comma-separated xi values (default: 13 log-spaced on [1e-4, 1e-1])")
-    p.set_defaults(func=cmd_sweep_xi)
 
-    p = sub.add_parser("bench", help="per-iteration time and flop comparison -> bench.csv")
-    _add_common(p, ("s1", "s2", "both"), "both")
-    p.add_argument("--grid", help="comma-separated lambda values (default: 25 log-spaced on [5e-4, 1])")
     # bench always measures both algorithms (pg is the ratio denominator)
-    p.set_defaults(func=cmd_bench, algo="both")
-
-    for name in ("solve", "trace", "sweep-lambda", "sweep-xi"):
-        sub.choices[name].add_argument("--algo", choices=["pg", "adcd", "both"], default="both")
+    # on the named scenarios, so there is no --algo and no custom scenario
+    p = _add_subcommand(sub, "bench", "per-iteration time and flop comparison -> bench.csv", cmd_bench,
+                        ("both", "s1", "s2"), ("--xi", "--trials", "--seed", "--iters", "--out"))
+    p.add_argument("--grid", help=_LAMBDA_GRID_HELP)
+    p.set_defaults(algo="both")
 
     if defaults:
         for action in sub.choices.values():
@@ -190,8 +203,11 @@ def _parse_grid(text: str | None, check) -> list[float] | None:
     return grid
 
 
-def _scenario(args, kind: str) -> ScenarioConfig:
-    xi = _checked("--xi", args.xi, require_xi)
+def _xi(args) -> float:
+    return _checked("--xi", args.xi, require_xi)
+
+
+def _scenario(args, kind: str, xi: float) -> ScenarioConfig:
     try:
         if kind in ("s1", "s2"):
             return scenario_config(kind, xi=xi, seed=args.seed)
@@ -211,14 +227,17 @@ def _algos(args) -> tuple[str, ...]:
 
 def _experiment_config(args, lambda_grid=None, xi_grid=None, kind=None) -> ExperimentConfig:
     """The config of one sweep; a grid left at None takes its default, and
-    `kind` (default --scenario) names the scenario."""
+    `kind` (default --scenario) names the scenario.  The config draws its
+    instances at each xi of xi_grid; the scenario's own xi is not read."""
     kind = kind or args.scenario
+    lambda_grid = lambda_grid if lambda_grid is not None else default_lambda_grid()
+    xi_grid = xi_grid if xi_grid is not None else default_xi_grid()
     try:
         return ExperimentConfig(
-            scenario=_scenario(args, kind),
+            scenario=_scenario(args, kind, xi_grid[0]),
             kind=kind,
-            lambda_grid=lambda_grid if lambda_grid is not None else default_lambda_grid(),
-            xi_grid=xi_grid if xi_grid is not None else default_xi_grid(),
+            lambda_grid=lambda_grid,
+            xi_grid=xi_grid,
             trials=args.trials,
             master_seed=args.seed,
             out_dir=Path(args.out),
@@ -231,7 +250,7 @@ def _experiment_config(args, lambda_grid=None, xi_grid=None, kind=None) -> Exper
 
 def _single_instance(args):
     kind = args.scenario
-    scen = _scenario(args, kind)
+    scen = _scenario(args, kind, _xi(args))
     rng = derive_stream(args.seed, SCENARIO_TAGS[kind], args.trial)
     return generate_instance(scen, rng), scen, kind
 
@@ -260,13 +279,13 @@ def cmd_solve(args) -> int:
 
 def cmd_trace(args) -> int:
     lam = _checked("--lambda", args.lam, require_lambda)
-    cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=[args.xi])
+    cfg = _experiment_config(args, lambda_grid=[lam], xi_grid=[_xi(args)])
     print(run_trace(cfg))
     return 0
 
 
 def cmd_sweep_lambda(args) -> int:
-    cfg = _experiment_config(args, lambda_grid=_parse_grid(args.grid, require_lambda), xi_grid=[args.xi])
+    cfg = _experiment_config(args, lambda_grid=_parse_grid(args.grid, require_lambda), xi_grid=[_xi(args)])
     print(run_lambda_sweep(cfg))
     return 0
 
@@ -281,7 +300,8 @@ def cmd_sweep_xi(args) -> int:
 def cmd_bench(args) -> int:
     names = ["s1", "s2"] if args.scenario == "both" else [args.scenario]
     grid = _parse_grid(args.grid, require_lambda)
-    cfgs = [_experiment_config(args, lambda_grid=grid, xi_grid=[args.xi], kind=name) for name in names]
+    xi = _xi(args)
+    cfgs = [_experiment_config(args, lambda_grid=grid, xi_grid=[xi], kind=name) for name in names]
     print(run_bench(*cfgs))
     return 0
 

@@ -150,14 +150,16 @@ def test_criterion_04_adcd_coordinate_and_perturbation_oracles():
         a = rng.normal_block(m * n).reshape(m, n) / math.sqrt(m)
         b = rng.normal_block(m) * 0.5
         i = int(rng.below(n))
-        state = AdcdState(x=x.copy(), e_mat=e_mat, n=0)
+        # e reaches the update through the matrix, with zero factors:
+        # (a + e_mat) + 0.0 has the column bits of a + e_mat
+        state = AdcdState(x=x.copy(), u=np.zeros(m), v=np.zeros(n), n=0)
 
         others = np.flatnonzero(x)
         others = others[others != i]
         cols = a[:, others] + e_mat[:, others]
         resid = b - cols @ x[others]
         col = a[:, i] + e_mat[:, i]
-        new = adcd_coordinate_update(state, a, b, lam, i)
+        new = adcd_coordinate_update(state, a + e_mat, b, lam, i)
 
         phi = (
             float(resid @ resid)

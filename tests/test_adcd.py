@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from sparsetls import (
     eval_cost,
     squared_error,
 )
-from sparsetls.kernel import FlopCounter
+from sparsetls.adcd import AdcdState
+from sparsetls.kernel import FlopCounter, quotient, support_matvec
 
 
 def objective(a, e, x, b, lam):
@@ -106,7 +108,8 @@ def reference_step(state, a, b, lam):
     sup = np.flatnonzero(state.x)
     ax = a[:, sup] @ state.x[sup] if sup.size else np.zeros(m)
     coef = 1.0 / (float(state.x @ state.x) + 1.0)
-    state.e_mat = np.outer(coef * (b - ax), state.x)
+    state.u = coef * (b - ax)
+    state.v = state.x.copy()
     state.flops.add(m * int(sup.size) + 2 * m + n + m * n)
 
 
@@ -236,7 +239,8 @@ class TestStep:
                 val = nxt
             sup = np.flatnonzero(state.x)
             ax = a[:, sup] @ state.x[sup] if sup.size else np.zeros(m)
-            state.e_mat = np.outer((b - ax) / (float(state.x @ state.x) + 1.0), state.x)
+            state.u = (b - ax) / (float(state.x @ state.x) + 1.0)
+            state.v = state.x.copy()
             after = objective(a, state.e_mat, state.x, b, lam)
             assert after <= val + 1e-10 * max(1.0, val)
 
@@ -297,6 +301,187 @@ class TestSolve:
     def test_zeros_are_exact_so_support_is_well_defined(self, s1_instance):
         res = adcd_solve(s1_instance.a, s1_instance.b, 0.05, 100)
         assert np.count_nonzero(res.x) < s1_instance.a.shape[1]
+
+
+# The dense-e sweep and step that the factored, screened sweep replaced,
+# copied verbatim with the two helpers they call (renamed only), as the
+# bit-for-bit reference: the factors and the screen change execution only.
+
+
+@dataclass
+class DenseState:
+    x: np.ndarray
+    e_mat: np.ndarray
+    n: int = 0
+    f: float = math.nan
+    flops: FlopCounter = field(default_factory=FlopCounter)
+
+
+def dense_update_madds(m: int, cnt: int) -> int:
+    return 3 * m + (2 * m * cnt + m if cnt else 0)
+
+
+def dense_threshold(rho: float, half: float, norm2: float) -> float:
+    if norm2 == 0.0:
+        return 0.0
+    if rho > half:
+        return (rho - half) / norm2
+    if rho < -half:
+        return (rho + half) / norm2
+    return 0.0
+
+
+def dense_sweep(state, a: np.ndarray, b: np.ndarray, lam: float) -> None:
+    m, n = a.shape
+    x = state.x
+    c_rows = np.ascontiguousarray((a + state.e_mat).T)
+    half = 0.5 * lam
+    support = x.nonzero()[0]
+    r = b - support_matvec(c_rows, x, support)
+    nnz = int(support.size)
+    madds = 0
+    start = 0
+    # the support entries ahead of the sweep position are those it started
+    # with, so they delimit the runs of zero coordinates
+    for s in [*support.tolist(), n]:
+        i = start
+        while i < s:
+            rhos = c_rows[i:s] @ r
+            leave = np.flatnonzero(np.abs(rhos) > half)
+            if not leave.size:
+                madds += (s - i) * dense_update_madds(m, nnz)
+                break
+            j = i + int(leave[0])
+            madds += (j + 1 - i) * dense_update_madds(m, nnz)
+            col = c_rows[j]
+            new = dense_threshold(float(rhos[j - i]), half, float(col.dot(col)))
+            if new != 0.0:
+                x[j] = new
+                r -= new * col
+                nnz += 1
+            i = j + 1
+        if s == n:
+            break
+        col = c_rows[s]
+        old = float(x[s])
+        norm2 = float(col.dot(col))
+        madds += dense_update_madds(m, nnz - 1)
+        new = dense_threshold(float(col.dot(r)) + old * norm2, half, norm2)
+        if new != old:
+            x[s] = new
+            r -= (new - old) * col
+            if new == 0.0:
+                nnz -= 1
+        start = s + 1
+    state.flops.add(madds)
+
+
+def dense_step(state, a: np.ndarray, b: np.ndarray, lam: float):
+    m, n = a.shape
+    dense_sweep(state, a, b, lam)
+    x = state.x
+    support = x.nonzero()[0]
+    resid, y, state.f = quotient(a.T, b, x, support)
+    state.e_mat = np.outer(-y * resid, x)
+    state.flops.add(m * int(support.size) + 2 * m + n + m * n)
+    state.n += 1
+    return state
+
+
+def zero_point(m, n):
+    """x, u and v of the all-zero state."""
+    return np.zeros(n), np.zeros(m), np.zeros(n)
+
+
+def state_pair(x, u, v):
+    """The same starting point for adcd_step and dense_step."""
+    return (AdcdState(x=x.copy(), u=u.copy(), v=v.copy(), n=0),
+            DenseState(x=x.copy(), e_mat=np.outer(u, v)))
+
+
+def bit_lockstep(fast, ref, a, b, lam, steps):
+    """Step both; x, e, f and the multiply-adds must agree bit for bit."""
+    for _ in range(steps):
+        adcd_step(fast, a, b, lam)
+        dense_step(ref, a, b, lam)
+        assert fast.x.tobytes() == ref.x.tobytes()
+        assert fast.e_mat.tobytes() == ref.e_mat.tobytes()
+        assert (fast.f, fast.flops.madds, fast.n) == (ref.f, ref.flops.madds, ref.n)
+
+
+class TestBitParityWithDenseSweep:
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.1, 0.5, 1.0])
+    def test_solves_match_bit_for_bit(self, make_instance, scenario, lam):
+        # 120 steps: past the iterations where coordinates still leave zero
+        for trial in (0, 1):
+            inst = make_instance(scenario, seed=8, trial=trial)
+            fast, ref = state_pair(*zero_point(*inst.a.shape))
+            bit_lockstep(fast, ref, inst.a, inst.b, lam, 120)
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_zero_coordinate_at_the_threshold(self, s1_instance, ulps):
+        # x_0 = 0 with v_0 != 0 opens the first run, so its rho is the first
+        # row of the run's product from r0; lam / 2 is placed a few ulps
+        # either side of |rho|, where the screen's margin must leave the
+        # decision to the exact check
+        a, b = s1_instance.a.copy(), s1_instance.b
+        a[:, 0] *= 3.0  # the largest rho of its run, so the run's screen reads it
+        m, n = a.shape
+        x, u, v = zero_point(m, n)
+        x[[20, 31]] = (0.3, -0.2)
+        v[[0, 20, 25]] = (0.1, 0.25, -0.4)
+        u[:] = 0.05 * b
+        c_rows = np.ascontiguousarray((a + np.outer(u, v)).T)
+        r0 = b - support_matvec(c_rows, x, np.array([20, 31]))
+        rhos = np.abs(c_rows[0:20] @ r0)
+        assert rhos.argmax() == 0
+        rho = float(rhos[0])
+        half = rho
+        for _ in range(abs(ulps)):
+            half = np.nextafter(half, np.inf if ulps > 0 else 0.0)
+        fast, ref = state_pair(x, u, v)
+        bit_lockstep(fast, ref, a, b, 2.0 * float(half), 1)
+        assert (fast.x[0] != 0.0) == (ulps < 0)
+        bit_lockstep(fast, ref, a, b, 2.0 * float(half), 4)
+
+    def test_late_leaver_after_large_drift(self, s1_instance):
+        # b is 3 times the last column and the sweep starts far from it, at
+        # x_2 = 4, x_9 = -4: both updates move r a long way, and then the
+        # last coordinate leaves zero at the end of the sweep
+        a = s1_instance.a
+        m, n = a.shape
+        b = 3.0 * a[:, n - 1]
+        x, u, v = zero_point(m, n)
+        x[[2, 9]] = (4.0, -4.0)
+        fast, ref = state_pair(x, u, v)
+        bit_lockstep(fast, ref, a, b, 0.05, 1)
+        assert fast.x[n - 1] != 0.0
+        bit_lockstep(fast, ref, a, b, 0.05, 5)
+
+    @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.5])
+    def test_duplicated_and_zero_columns(self, s1_instance, lam):
+        a, b = s1_instance.a.copy(), s1_instance.b
+        n = a.shape[1]
+        a[:, [7, 30]] = a[:, [3, 3]]
+        a[:, [0, 17, n - 1]] = 0.0
+        fast, ref = state_pair(*zero_point(*a.shape))
+        bit_lockstep(fast, ref, a, b, lam, 40)
+        assert not fast.x[[0, 17, n - 1]].any()
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_zeroed_iterate_perturbed_set_from_v_alone(self, make_instance, scenario):
+        # x = 0 after a few steps, e != 0: P = supp(v), and those rows sit
+        # inside the zero runs the screen reads
+        inst = make_instance(scenario, seed=8, trial=2)
+        a, b = inst.a, inst.b
+        fast, ref = state_pair(*zero_point(*a.shape))
+        bit_lockstep(fast, ref, a, b, 0.02, 3)
+        assert fast.v.any()
+        fast.x[:] = 0.0
+        ref.x[:] = 0.0
+        bit_lockstep(fast, ref, a, b, 0.02, 3)
+        assert np.count_nonzero(fast.x) > 1
 
 
 class TestCertificate:

@@ -6,6 +6,14 @@ import pytest
 from sparsetls import cli_main, load_instance
 
 
+def small(command, tmp_path):
+    """The flags that keep a run of `command` short, as far as it takes them."""
+    return {
+        "generate": ["--out", str(tmp_path)],
+        "solve": ["--iters", "2"],
+    }.get(command, ["--trials", "1", "--iters", "2", "--out", str(tmp_path)])
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli_main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -166,8 +174,8 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
 @pytest.mark.parametrize("command", ["solve", "trace", "sweep-xi"])
-def test_bad_lambda_is_usage_error(command, value, capsys):
-    rc = cli_main([command, "--algo", "adcd", f"--lambda={value}", "--trials", "1", "--iters", "2"])
+def test_bad_lambda_is_usage_error(command, value, tmp_path, capsys):
+    rc = cli_main([command, "--algo", "adcd", f"--lambda={value}", *small(command, tmp_path)])
     assert rc == 2
     assert "--lambda" in capsys.readouterr().err
 
@@ -200,7 +208,7 @@ def test_bad_lambda_from_config_is_usage_error(tmp_path, capsys):
 def test_bad_xi_is_usage_error(argv, tmp_path, capsys):
     # NaN and infinity pass a plain `xi < 0` test, and a bad grid value is
     # otherwise met only when its instances are generated, mid-sweep
-    rc = cli_main([*argv, "--trials", "1", "--iters", "2", "--out", str(tmp_path)])
+    rc = cli_main([*argv, *small(argv[0], tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     flag = "--grid" if "sweep-xi" in argv else "--xi"
@@ -223,8 +231,7 @@ def test_bad_xi_from_config_is_usage_error(tmp_path, capsys):
 def test_algo_flag_is_usage_error_where_no_algorithm_is_chosen(command, tmp_path, capsys):
     # bench always measures both algorithms and generate solves nothing, so
     # neither takes --algo (it used to be accepted and ignored)
-    rc = cli_main([command, "--scenario", "s1", "--algo", "pg", "--trials", "1", "--iters", "3",
-                   "--out", str(tmp_path)])
+    rc = cli_main([command, "--scenario", "s1", "--algo", "pg", *small(command, tmp_path)])
     assert rc == 2
     assert "--algo" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -239,3 +246,37 @@ def test_bench_config_may_set_algo(tmp_path):
     assert rc == 0
     rows = (out / "bench.csv").read_text().splitlines()[1:]
     assert [row.split(",")[2] for row in rows] == ["pg", "adcd"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("generate", ["--trials", "7"]),
+    ("generate", ["--iters", "5"]),
+    ("solve", ["--trials", "7"]),
+    ("solve", ["--out", "elsewhere"]),
+    ("trace", ["--trial", "1"]),
+    ("sweep-lambda", ["--trial", "1"]),
+    ("sweep-xi", ["--trial", "1"]),
+    ("sweep-xi", ["--xi", "0.05"]),
+    ("bench", ["--trial", "1"]),
+    ("bench", ["--n", "30"]),
+    ("bench", ["--ensemble", "gaussian"]),
+])
+def test_flag_a_command_never_reads_is_usage_error(command, flag, tmp_path, capsys):
+    # each of these used to be accepted and ignored
+    short = {"sweep-lambda": ["--grid", "0.5"], "sweep-xi": ["--grid", "0.01"],
+             "bench": ["--scenario", "s1", "--grid", "0.5"], "solve": ["--lambda", "0.5"]}
+    rc = cli_main([command, *short.get(command, []), *flag, *small(command, tmp_path)])
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_may_set_a_key_the_command_never_reads(tmp_path, capsys):
+    # a shared config file keeps working for every command, although
+    # generate rejects the same keys as flags
+    assert cli_main(["generate", "--trials", "7", "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 7\niters = 5\nlambda = 0.5\nalgo = pg\n")
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 1
