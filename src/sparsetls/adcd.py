@@ -27,13 +27,19 @@ call.  The sweep executes the same algorithm more cheaply:
   at the last e update.  The column c_i = a_i + v_i u is a_i itself where
   v_i = 0, so the sweep reads a's own columns there and adds v_i u only on
   P = supp(x) + supp(v), which in a solve is the support;
+- with what depends on a alone made once a solve (Columns): a C-contiguous
+  copy of a^T, held as a kernel.SupportRows, and its row norms.  Each
+  sweep copies the one and recomputes the other on P's rows only; the e
+  update's block a^T[s] is gathered again only when the support changes,
+  and the next sweep forms P's rows from it;
 - checking a run of zero coordinates exactly only where a bound cannot
   prove that none of them leaves zero (a screen in the manner of the
   strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
   is lost; see _sweep).
 
-Neither the factors nor the screen changes a bit: x, e, f and the counted
-multiply-adds are those of the running-residual sweep on a dense e.
+None of these changes a bit: x, e, f and the counted multiply-adds are
+those of the running-residual sweep on a dense e (a is never written
+during a solve, so what is kept has the bytes of computing it again).
 
 adcd_solve returns the same columnar SolveResult as the proximal-gradient
 solver, filled by the same loop.  Its cost c(x) = f + lam * ||x||_1 (the
@@ -50,8 +56,24 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .kernel import FlopCounter, quotient, require_budget, require_system, support_matvec
+from .kernel import (FlopCounter, SupportRows, quotient, require_budget, require_system,
+                     support_block, support_matvec)
 from .prox_solver import SolveResult
+
+
+class Columns:
+    """What the sweep and the e update read of a alone: a C-contiguous
+    copy of a^T, with its last support block, and its row norms.
+    adcd_step makes them again only when given another a, so a must not
+    be written while a state holds them."""
+
+    __slots__ = ("a", "rows", "norms")
+
+    def __init__(self, a: np.ndarray) -> None:
+        rows = np.ascontiguousarray(a.T)
+        self.a = a
+        self.rows = SupportRows(rows)
+        self.norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 @dataclass
@@ -70,6 +92,7 @@ class AdcdState:
     n: int              # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
+    columns: Optional[Columns] = None  # of the a last stepped with
     # no step size, no line search: the mu and backtracks columns read 0
     mu: ClassVar[float] = 0.0
     backtracks_last: ClassVar[int] = 0
@@ -131,18 +154,21 @@ def _threshold(rho: float, half: float, norm2: float) -> float:
     return 0.0
 
 
-def _sweep(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> None:
+def _sweep(state: AdcdState, columns: Columns, b: np.ndarray, lam: float) -> None:
     """In-order pass over all coordinates, on a running residual.
 
     The values are those of calling adcd_coordinate_update for
     i = 0..n-1, up to floating-point rounding (a test holds the two to a
     stated tolerance, with exact supports and multiply-adds); only the
     execution is cheaper.  e = u v^T is fixed during the sweep, so the
-    columns c_i = a_i + v_i u are formed once, as the rows of a contiguous
-    copy of a^T.  Outside P = supp(x) + supp(v) that sum is a_i itself
-    (a_ij + 0.0 = a_ij), so only P's rows get v_i u added, from one
-    |P| x m outer product.  The full residual r = b - c x is built once,
-    from the support, at the start of the sweep and then kept current:
+    columns c_i = a_i + v_i u are formed once, as the rows of a copy of
+    the solve's contiguous a^T.  Outside P = supp(x) + supp(v) that sum is
+    a_i itself (a_ij + 0.0 = a_ij), so only P's rows get v_i u added, to
+    the block a^T[P] (the e update's kept block when P is its support),
+    from one |P| x m outer product; the row norms outside P are the
+    solve's, and P's come from that block.  The full residual r = b - c x
+    is built once, from the support, at the start of the sweep and then
+    kept current:
 
     - a support coordinate gets rho = c_i . r + x_i ||c_i||^2, which is
       c_i . resid for the partial residual that excludes i; after the
@@ -192,21 +218,27 @@ def _sweep(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> None:
     size, as the per-call update does: that is the baseline's algorithmic
     cost.
     """
-    m, n = a.shape
+    n, m = columns.rows.shape
     x, v = state.x, state.v
     half = 0.5 * lam
     nonzero = x != 0.0
     support = nonzero.nonzero()[0]
     perturbed = (nonzero | (v != 0.0)).nonzero()[0]
-    rows = np.ascontiguousarray(a.T)
-    rows[perturbed] += np.outer(v[perturbed], state.u)
-    r = b - support_matvec(rows, x, support)
+    rows = columns.rows.rows.copy()
+    norms = columns.norms.copy()
+    block = support_block(columns.rows, perturbed) + np.outer(v[perturbed], state.u)
+    rows[perturbed] = block
+    norms[perturbed] = np.sqrt(np.einsum("ij,ij->i", block, block))
+    # P is the support in a solve, so the residual reads P's block as is
+    held = SupportRows(rows)
+    held.key, held.block = perturbed.tobytes(), block
+    r = b - support_matvec(held, x, support)
     # segments, from the support the sweep starts with (the entries ahead
     # of the sweep position have not changed): each support coordinate
     # alone, and each run of zero coordinates between two of them
     cuts = (nonzero | np.concatenate(([True], nonzero[:-1]))).nonzero()[0]
     rho0_max = np.maximum.reduceat(np.abs(rows @ r), cuts).tolist()
-    norm_max = np.maximum.reduceat(np.sqrt(np.einsum("ij,ij->i", rows, rows)), cuts).tolist()
+    norm_max = np.maximum.reduceat(norms, cuts).tolist()
     r0_norm = math.sqrt(float(r.dot(r)))
     tol = (m + n + 4) * 2.0**-50
     drift = 0.0
@@ -254,13 +286,18 @@ def adcd_step(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> Adc
 
     The e update keeps e's factors, u = -y (a x - b) and v = x; its
     residual also gives state.f.  It is charged m * nnz(x) + 2m + n + m * n
-    multiply-adds, the m * n for forming e as the algorithm does.
+    multiply-adds, the m * n for forming e as the algorithm does.  The
+    first step with a given a makes state.columns from it (see Columns);
+    a state from adcd_init has none yet.
     """
     m, n = a.shape
-    _sweep(state, a, b, lam)
+    columns = state.columns
+    if columns is None or columns.a is not a:
+        columns = state.columns = Columns(a)
+    _sweep(state, columns, b, lam)
     x = state.x
     support = x.nonzero()[0]
-    resid, y, state.f = quotient(a.T, b, x, support)
+    resid, y, state.f = quotient(columns.rows, b, x, support)
     state.u = -y * resid
     state.v = x.copy()
     state.flops.add(m * int(support.size) + 2 * m + n + m * n)

@@ -7,6 +7,14 @@ Cost model: c(x) = f(x) + lam * ||x||_1 with the quotient residual
 the total-least-squares residual expressed through x alone.  The gradient
 uses the cached products a^T a and a^T b, and exact zeros in x are skipped
 (support_matvec) so the matrix-vector work scales with the support size.
+
+support_block is the one support gather in the package, rows[s].  A
+SupportRows holds a matrix with the last block gathered from it, keyed by
+the bytes of s, which compare its length and every index for far less
+than a gather costs, and gathers again only when s changes.  A hit runs
+the same BLAS call on the same bytes, so every bit is that of a fresh
+gather, as long as nothing writes the matrix: the solvers hold one per
+matrix of a solve, in its state, and never write them.
 """
 
 from __future__ import annotations
@@ -46,20 +54,52 @@ def eval_cost(a: np.ndarray, b: np.ndarray, x: np.ndarray, lam: float) -> CostEv
     return CostEval(f=f, y=y, penalty=penalty, total=f + penalty)
 
 
-def support_matvec(rows: np.ndarray, x: np.ndarray, support: np.ndarray) -> np.ndarray:
+class SupportRows:
+    """rows (a.T, a C-contiguous copy of it, or the symmetric a^T a) and
+    block = rows[s] for the support s whose bytes are key (both None
+    before the first gather).  rows must not be written while held."""
+
+    __slots__ = ("rows", "key", "block")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.key: Optional[bytes] = None
+        self.block: Optional[np.ndarray] = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.rows.shape
+
+
+def support_block(rows: np.ndarray | SupportRows, support: np.ndarray) -> np.ndarray:
+    """rows[support], kept in rows for the next call with the same
+    support when rows is a SupportRows; support is an index array from
+    nonzero(), so equal supports have equal bytes.  Callers must not
+    write the block."""
+    held = rows if type(rows) is SupportRows else SupportRows(rows)
+    key = support.tobytes()
+    if key != held.key:
+        held.block = held.rows[support]
+        held.key = key
+    return held.block
+
+
+def support_matvec(
+    rows: np.ndarray | SupportRows, x: np.ndarray, support: np.ndarray
+) -> np.ndarray:
     """a[:, s] @ x[s] with rows = a.T (or a C-contiguous copy), s = support.
 
     rows[s].T holds the values of a[:, s] in the same column-major layout,
     so it is the same BLAS call on the same bytes; from a contiguous copy
-    each gathered row is one contiguous run.
+    each gathered row is one contiguous run.  rows may be a SupportRows.
     """
     if support.size:
-        return rows[support].T @ x[support]
+        return support_block(rows, support).T @ x[support]
     return np.zeros(rows.shape[1])
 
 
 def quotient(
-    rows: np.ndarray, b: np.ndarray, x: np.ndarray, support: np.ndarray
+    rows: np.ndarray | SupportRows, b: np.ndarray, x: np.ndarray, support: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
     """(a x - b, y, f) with y = 1/(||x||^2+1) and f = y ||a x - b||^2;
     rows as in support_matvec, and support must hold every nonzero of x."""
@@ -69,7 +109,7 @@ def quotient(
 
 
 def gradient(
-    ata: np.ndarray,
+    ata: np.ndarray | SupportRows,
     atb: np.ndarray,
     x: np.ndarray,
     y: float,
@@ -87,7 +127,8 @@ def gradient(
     `support`, when given, must equal x.nonzero()[0] (the solver keeps
     it as a state invariant); it is computed here when omitted.  ata must
     be symmetric bit for bit, as a.T @ a comes out of BLAS, so its rows
-    are its columns and support_matvec gathers them directly.
+    are its columns and support_matvec gathers them directly.  ata may be
+    a SupportRows over it, which keeps its block between calls.
     """
     n = x.shape[0]
     if ata.shape != (n, n) or atb.shape != (n,):

@@ -81,7 +81,7 @@ def test_criterion_01_prox_oracle():
             violations += 1
             continue
         # nonzero outputs must equal the one-sided shift exactly
-        reference = np.array([zi - t if zi > t else (zi + t if zi < -t else 0.0) for zi in z])
+        reference = np.where(z > t, z - t, np.where(z < -t, z + t, 0.0))
         if not np.array_equal(out, reference):
             violations += 1
             continue

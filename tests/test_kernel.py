@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsetls import FlopCounter, eval_cost, gradient, shrink
-from sparsetls.kernel import require_lambda
+from sparsetls.kernel import SupportRows, require_lambda, support_block, support_matvec
 from sparsetls.rng import RngStream
 
 
@@ -147,6 +147,78 @@ class TestGradient:
                 g = gradient(ata, atb, x, 0.3, 0.7, flops, **kwargs)
                 assert np.array_equal(g, expected), kwargs
                 assert flops.madds == n * nnz + 3 * n
+
+
+class TestSupportGather:
+    """support_matvec through a SupportRows against a fresh rows[s].T @ x[s],
+    byte for byte, wherever the kept block could be stale."""
+
+    @staticmethod
+    def rows_and_x(n=30, m=12):
+        rng = RngStream(91)
+        a = rng.normal_block(m * n).reshape(m, n)
+        return np.ascontiguousarray(a.T), rng.normal_block(n)
+
+    @staticmethod
+    def check(held, x, s):
+        expected = held.rows[s].T @ x[s]
+        assert support_matvec(held, x, s).tobytes() == expected.tobytes()
+        assert support_block(held, s).tobytes() == held.rows[s].tobytes()
+
+    def test_support_sequence_a_b_a(self):
+        rows, x = self.rows_and_x()
+        held = SupportRows(rows)
+        first, other = np.array([0, 3, 9, 20]), np.array([2, 3, 29])
+        for s in (first, other, first):
+            self.check(held, x, s)
+        assert held.key == first.tobytes()
+
+    def test_same_size_supports_differing_in_one_index(self):
+        rows, x = self.rows_and_x()
+        held = SupportRows(rows)
+        for s in (np.array([1, 4, 7]), np.array([1, 4, 8]), np.array([1, 5, 8])):
+            self.check(held, x, s)
+
+    def test_empty_support(self):
+        rows, x = self.rows_and_x()
+        held = SupportRows(rows)
+        empty = np.zeros(rows.shape[0]).nonzero()[0]
+        for s in (empty, np.array([6, 11]), empty):
+            self.check(held, x, s)
+        assert support_matvec(held, x, empty).tobytes() == np.zeros(rows.shape[1]).tobytes()
+
+    def test_changed_x_on_unchanged_support(self):
+        rows, x = self.rows_and_x()
+        held = SupportRows(rows)
+        s = np.array([0, 5, 17, 29])
+        self.check(held, x, s)
+        block = held.block
+        for scale in (-2.0, 0.5, 1e-300):
+            self.check(held, scale * x, s)
+        assert held.block is block  # the same support gathers nothing
+
+    def test_plain_array_and_held_rows_agree(self):
+        rows, x = self.rows_and_x()
+        held = SupportRows(rows)
+        for s in (np.array([3]), np.array([3, 4]), np.array([3])):
+            assert support_matvec(rows, x, s).tobytes() == support_matvec(held, x, s).tobytes()
+
+    def test_gradient_through_held_ata_is_bit_identical(self):
+        rng = RngStream(78)
+        n = 25
+        mat = rng.normal_block(n * n).reshape(n, n)
+        ata = mat.T @ mat
+        atb = rng.normal_block(n)
+        held = SupportRows(ata)
+        x = rng.normal_block(n)
+        for cut in (0.5, 1.5, 0.5, 3.0, 3.0):
+            z = np.where(np.abs(x) > cut, x, 0.0)
+            s = z.nonzero()[0]
+            plain, kept = FlopCounter(), FlopCounter()
+            g_plain = gradient(ata, atb, z, 0.3, 0.7, plain, s)
+            g_kept = gradient(held, atb, z, 0.3, 0.7, kept, s)
+            assert g_plain.tobytes() == g_kept.tobytes()
+            assert plain.madds == kept.madds
 
 
 class TestShrink:

@@ -1,3 +1,6 @@
+from dataclasses import dataclass, field
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +17,8 @@ from sparsetls import (
     pg_step,
     squared_error,
 )
-from sparsetls.kernel import shrink
+from sparsetls.kernel import FlopCounter, shrink
+from sparsetls.prox_solver import MAX_BACKTRACKS
 
 
 class TestInit:
@@ -78,11 +82,16 @@ class TestInit:
         state, ata, atb = pg_init(a, b, lam=0.02)
         # the gradient gathers rows of ata as its columns
         assert np.array_equal(ata, ata.T)
-        assert state.a_rows.flags.c_contiguous
-        assert np.array_equal(state.a_rows, a.T)
+        assert state.ata_rows.rows is ata
+        assert state.a_rows.rows.flags.c_contiguous
+        assert np.array_equal(state.a_rows.rows, a.T)
         for _ in range(30):
             assert np.array_equal(state.support, np.flatnonzero(state.x))
             pg_step(state, ata, atb, a, b, lam=0.02)
+            # each kept block is its matrix's rows at the support of its key
+            for held in (state.ata_rows, state.a_rows):
+                support = np.frombuffer(held.key, dtype=np.intp)
+                assert held.block.tobytes() == held.rows[support].tobytes()
 
 
 class TestAdaptiveStep:
@@ -291,6 +300,138 @@ class TestBitParity:
             assert state.y == ref["y"] and state.f == ref["f"] and state.mu == ref["mu"], it
             assert state.backtracks_last == ref["backtracks"], it
             assert state.flops.madds == ref["madds"], it
+
+
+# pg_step with the gradient and quotient it called before the support
+# blocks were kept, copied verbatim with the gather they call (renamed
+# only), as the bit-for-bit reference: keeping a block changes execution
+# only.  The state is pg_init's, with a_rows the plain contiguous copy.
+
+
+@dataclass
+class GatherState:
+    x_prev: np.ndarray
+    x: np.ndarray
+    dx: np.ndarray
+    g_prev: np.ndarray
+    mu: float
+    y: float
+    f: float
+    n: int
+    support: np.ndarray
+    a_rows: np.ndarray
+    flops: FlopCounter = field(default_factory=FlopCounter)
+    backtracks_last: int = 0
+
+
+def gather_support_matvec(rows: np.ndarray, x: np.ndarray, support: np.ndarray) -> np.ndarray:
+    if support.size:
+        return rows[support].T @ x[support]
+    return np.zeros(rows.shape[1])
+
+
+def gather_quotient(
+    rows: np.ndarray, b: np.ndarray, x: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    resid = gather_support_matvec(rows, x, support) - b
+    y = 1.0 / (float(x.dot(x)) + 1.0)
+    return resid, y, y * float(resid.dot(resid))
+
+
+def gather_gradient(
+    ata: np.ndarray,
+    atb: np.ndarray,
+    x: np.ndarray,
+    y: float,
+    f: float,
+    flops: FlopCounter,
+    support: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    n = x.shape[0]
+    if ata.shape != (n, n) or atb.shape != (n,):
+        raise ValueError(f"dimension mismatch: ata {ata.shape}, atb {atb.shape}, x {x.shape}")
+    if support is None:
+        support = x.nonzero()[0]
+    atax = gather_support_matvec(ata, x, support)
+    flops.add(n * int(support.size) + 3 * n)
+    return (2.0 * y) * (atax - atb - f * x)
+
+
+def gather_pg_step(
+    state: GatherState,
+    ata: np.ndarray,
+    atb: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    lam: float,
+) -> GatherState:
+    m, n = a.shape
+    x = state.x
+    g = gather_gradient(ata, atb, x, state.y, state.f, state.flops, state.support)
+    mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
+    # the counted cost of dx and dg (2n) and of the step size (3n), then of
+    # each line-search trial, charged once after the accepted trial
+    madds = 5 * n
+
+    a_rows = state.a_rows
+    backtracks = 0
+    while True:
+        x_next = shrink(x - mu * g, mu * lam)
+        support = x_next.nonzero()[0]
+        _, y_next, f_next = gather_quotient(a_rows, b, x_next, support)
+        step = x_next - x
+        madds += 6 * n + m * support.size + 2 * m
+        if line_search_ok(f_next, state.f, step, g, mu) or not step.any():
+            break
+        mu *= 0.5
+        backtracks += 1
+        if backtracks > MAX_BACKTRACKS:
+            raise BacktrackingError(
+                f"line search failed {backtracks} halvings at iteration {state.n} "
+                f"(mu={mu:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
+                "gradient and cost are inconsistent"
+            )
+
+    state.flops.add(madds)
+    state.x_prev = x
+    state.dx = step
+    state.g_prev = g
+    state.x = x_next
+    state.support = support
+    state.y = y_next
+    state.f = f_next
+    state.mu = mu
+    state.n += 1
+    state.backtracks_last = backtracks
+    return state
+
+
+class TestBitParityWithGatherEveryCall:
+    """pg_step, which keeps its support blocks, against the copy above,
+    which gathers on every call."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.1, 0.5, 1.0])
+    def test_lockstep(self, make_instance, scenario, lam):
+        for trial in (0, 1):
+            inst = make_instance(scenario, seed=9, trial=trial)
+            a, b = inst.a, inst.b
+            state, ata, atb = pg_init(a, b, lam)
+            ref = GatherState(
+                x_prev=state.x_prev.copy(), x=state.x.copy(), dx=state.dx.copy(),
+                g_prev=state.g_prev.copy(), mu=state.mu, y=state.y, f=state.f, n=state.n,
+                support=state.support.copy(), a_rows=state.a_rows.rows.copy(),
+                flops=FlopCounter(state.flops.madds),
+            )
+            for it in range(300):
+                pg_step(state, ata, atb, a, b, lam)
+                gather_pg_step(ref, ata, atb, a, b, lam)
+                assert state.x.tobytes() == ref.x.tobytes(), it
+                cost = state.f + lam * float(np.abs(state.x).sum())
+                ref_cost = ref.f + lam * float(np.abs(ref.x).sum())
+                assert (cost, state.f, state.mu) == (ref_cost, ref.f, ref.mu), it
+                assert state.backtracks_last == ref.backtracks_last, it
+                assert state.flops.madds == ref.flops.madds, it
 
 
 def reference_records(a, b, lam, iterations, truth):
