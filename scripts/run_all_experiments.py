@@ -17,7 +17,9 @@ import sys
 import time
 from pathlib import Path
 
-from sparsetls import cli_main
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sparsetls import cli_main  # noqa: E402
 
 
 def main() -> int:

@@ -14,8 +14,11 @@ are deliberate: they are what the per-iteration cost comparison against
 the proximal-gradient solver is about, and the flop counter charges every
 rebuild and the m * n of forming e.
 
-adcd_coordinate_update is that from-scratch update, one coordinate per
-call.  The sweep executes the same algorithm more cheaply:
+adcd_init(a, b, lam) binds the system to the state it returns, and
+adcd_step(state) reads everything from the state.  adcd_coordinate_update
+is the from-scratch update, one coordinate per call, kept as the
+reference the sweep is tested against.  The sweep executes the same
+algorithm more cheaply:
 
 - on a running residual (the "naive update" of coordinate descent;
   Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010): r = b - (a + e) x
@@ -27,11 +30,11 @@ call.  The sweep executes the same algorithm more cheaply:
   at the last e update.  The column c_i = a_i + v_i u is a_i itself where
   v_i = 0, so the sweep reads a's own columns there and adds v_i u only on
   P = supp(x) + supp(v), which in a solve is the support;
-- with what depends on a alone made once a solve (Columns): a C-contiguous
-  copy of a^T, held as a kernel.SupportRows, and its row norms.  Each
-  sweep copies the one and recomputes the other on P's rows only; the e
-  update's block a^T[s] is gathered again only when the support changes,
-  and the next sweep forms P's rows from it;
+- with what depends on a alone made once a solve, by adcd_init: a
+  C-contiguous copy of a^T, held as a kernel.SupportRows, and its row
+  norms.  Each sweep copies the one and recomputes the other on P's rows
+  only; the e update's block a^T[s] is gathered again only when the
+  support changes, and the next sweep forms P's rows from it;
 - checking a run of zero coordinates exactly only where a bound cannot
   prove that none of them leaves zero (a screen in the manner of the
   strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
@@ -61,38 +64,29 @@ from .kernel import (FlopCounter, SupportRows, quotient, require_budget, require
 from .prox_solver import SolveResult
 
 
-class Columns:
-    """What the sweep and the e update read of a alone: a C-contiguous
-    copy of a^T, with its last support block, and its row norms.
-    adcd_step makes them again only when given another a, so a must not
-    be written while a state holds them."""
-
-    __slots__ = ("a", "rows", "norms")
-
-    def __init__(self, a: np.ndarray) -> None:
-        rows = np.ascontiguousarray(a.T)
-        self.a = a
-        self.rows = SupportRows(rows)
-        self.norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-
 @dataclass
 class AdcdState:
-    """Iterate and perturbation estimate, e kept as its rank-one factors.
+    """Iterate and perturbation estimate of one system (a, b, lam), e kept
+    as its rank-one factors.
 
     e = u v^T: each e update sets u = (b - a x) / (||x||^2 + 1) and v = x,
     so v is the iterate at the last e update (both are zero before the
     first).  e_mat builds the dense m x n matrix on demand, with the bits
-    of the np.outer(u, v) a dense e update would have stored.
+    of the np.outer(u, v) a dense e update would have stored.  What the
+    sweep and the e update read of a alone, rows and norms, is made once
+    by adcd_init; a must not be written while a state holds them.
     """
 
     x: np.ndarray       # current iterate, length n
     u: np.ndarray       # left factor of e, length m
     v: np.ndarray       # right factor of e, length n
-    n: int              # completed outer iterations
+    b: np.ndarray
+    lam: float
+    rows: SupportRows   # a C-contiguous copy of a^T, with its last support block
+    norms: np.ndarray   # the row norms of rows, ||a_i||
+    n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
-    columns: Optional[Columns] = None  # of the a last stepped with
     # no step size, no line search: the mu and backtracks columns read 0
     mu: ClassVar[float] = 0.0
     backtracks_last: ClassVar[int] = 0
@@ -103,9 +97,17 @@ class AdcdState:
         return np.outer(self.u, self.v)
 
 
-def adcd_init(m: int, n: int) -> AdcdState:
-    """All-zero starting state."""
-    return AdcdState(x=np.zeros(n), u=np.zeros(m), v=np.zeros(n), n=0)
+def adcd_init(a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
+    """All-zero starting state of the system (a, b, lam).  A NaN or
+    infinity in a or b, or a lam that is not positive and finite, raises
+    ValueError here, before the first sweep."""
+    require_system(a, b, lam)
+    m, n = a.shape
+    rows = np.ascontiguousarray(a.T)
+    return AdcdState(
+        x=np.zeros(n), u=np.zeros(m), v=np.zeros(n), b=b, lam=lam,
+        rows=SupportRows(rows), norms=np.sqrt(np.einsum("ij,ij->i", rows, rows)),
+    )
 
 
 def adcd_coordinate_update(
@@ -154,7 +156,7 @@ def _threshold(rho: float, half: float, norm2: float) -> float:
     return 0.0
 
 
-def _sweep(state: AdcdState, columns: Columns, b: np.ndarray, lam: float) -> None:
+def _sweep(state: AdcdState) -> None:
     """In-order pass over all coordinates, on a running residual.
 
     The values are those of calling adcd_coordinate_update for
@@ -218,21 +220,19 @@ def _sweep(state: AdcdState, columns: Columns, b: np.ndarray, lam: float) -> Non
     size, as the per-call update does: that is the baseline's algorithmic
     cost.
     """
-    n, m = columns.rows.shape
+    n, m = state.rows.shape
     x, v = state.x, state.v
-    half = 0.5 * lam
+    half = 0.5 * state.lam
     nonzero = x != 0.0
     support = nonzero.nonzero()[0]
     perturbed = (nonzero | (v != 0.0)).nonzero()[0]
-    rows = columns.rows.rows.copy()
-    norms = columns.norms.copy()
-    block = support_block(columns.rows, perturbed) + np.outer(v[perturbed], state.u)
-    rows[perturbed] = block
-    norms[perturbed] = np.sqrt(np.einsum("ij,ij->i", block, block))
+    block = support_block(state.rows, perturbed) + np.outer(v[perturbed], state.u)
     # P is the support in a solve, so the residual reads P's block as is
-    held = SupportRows(rows)
-    held.key, held.block = perturbed.tobytes(), block
-    r = b - support_matvec(held, x, support)
+    held = state.rows.replaced(perturbed, block)
+    rows = held.rows
+    norms = state.norms.copy()
+    norms[perturbed] = np.sqrt(np.einsum("ij,ij->i", block, block))
+    r = state.b - support_matvec(held, x, support)
     # segments, from the support the sweep starts with (the entries ahead
     # of the sweep position have not changed): each support coordinate
     # alone, and each run of zero coordinates between two of them
@@ -281,23 +281,18 @@ def _sweep(state: AdcdState, columns: Columns, b: np.ndarray, lam: float) -> Non
     state.flops.add(madds)
 
 
-def adcd_step(state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
+def adcd_step(state: AdcdState) -> AdcdState:
     """One outer iteration: full in-order sweep, then the e update.
 
     The e update keeps e's factors, u = -y (a x - b) and v = x; its
     residual also gives state.f.  It is charged m * nnz(x) + 2m + n + m * n
-    multiply-adds, the m * n for forming e as the algorithm does.  The
-    first step with a given a makes state.columns from it (see Columns);
-    a state from adcd_init has none yet.
+    multiply-adds, the m * n for forming e as the algorithm does.
     """
-    m, n = a.shape
-    columns = state.columns
-    if columns is None or columns.a is not a:
-        columns = state.columns = Columns(a)
-    _sweep(state, columns, b, lam)
+    _sweep(state)
     x = state.x
+    n, m = state.rows.shape
     support = x.nonzero()[0]
-    resid, y, state.f = quotient(columns.rows, b, x, support)
+    resid, y, state.f = quotient(state.rows, state.b, x, support)
     state.u = -y * resid
     state.v = x.copy()
     state.flops.add(m * int(support.size) + 2 * m + n + m * n)
@@ -320,8 +315,7 @@ def adcd_solve(
     finite, or a NaN or infinity in a or b, raises ValueError before the
     first sweep.
     """
-    require_system(a, b, lam)
+    state = adcd_init(a, b, lam)
     require_budget(iterations, ground_truth, a.shape[1])
-    state = adcd_init(*a.shape)
-    steps = (adcd_step(state, a, b, lam) for _ in range(iterations))
-    return SolveResult.from_states(steps, lam, ground_truth)
+    steps = (adcd_step(state) for _ in range(iterations))
+    return SolveResult.from_states(steps, ground_truth)

@@ -4,7 +4,9 @@ Subcommands: generate, solve, trace, sweep-lambda, sweep-xi, bench.
 Exit codes: 0 success, 2 invalid arguments, 1 runtime failure.
 
 A plain-text config file (`key = value` lines, # comments) can supply any
-flag default via --config; explicit command-line flags win.
+flag default via --config; explicit command-line flags win.  The running
+subcommand checks a config value as it would the flag's: its type, and
+its choices (_check_choices).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .experiments import (
     run_xi_sweep,
     solve_instance,
 )
-from .kernel import require_lambda
+from .kernel import require_iterations, require_lambda
 from .problems import (
     SCENARIO_TAGS,
     Ensemble,
@@ -42,27 +44,10 @@ class UsageError(Exception):
     """Bad arguments or config; maps to exit code 2."""
 
 
-_CONFIG_KEYS = {
-    "scenario": ("scenario", str),
-    "lambda": ("lam", float),
-    "xi": ("xi", float),
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "trial": ("trial", int),
-    "iters": ("iters", int),
-    "algo": ("algo", str),
-    "out": ("out", str),
-    "grid": ("grid", str),
-    "n": ("n", int),
-    "m": ("m", int),
-    "k": ("k", int),
-    "ensemble": ("ensemble", str),
-}
-_CONFIG_CHOICES = {
-    "scenario": {"s1", "s2", "custom", "both"},
-    "algo": {"pg", "adcd", "both"},
-    "ensemble": {"gaussian", "rademacher"},
-}
+# the flags without their dashes; each value is kept as a string, which
+# argparse converts with the flag's type when the default is read
+_CONFIG_KEYS = {"scenario", "lambda", "xi", "trials", "seed", "trial", "iters", "algo", "out",
+                "grid", "n", "m", "k", "ensemble"}
 
 
 def _read_config(path: str) -> dict:
@@ -81,14 +66,7 @@ def _read_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        dest, conv = _CONFIG_KEYS[key]
-        try:
-            parsed = conv(value)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        if key in _CONFIG_CHOICES and parsed not in _CONFIG_CHOICES[key]:
-            raise UsageError(f"{path}:{lineno}: {key!r} must be one of {sorted(_CONFIG_CHOICES[key])}")
-        defaults[dest] = parsed
+        defaults["lam" if key == "lambda" else key] = value
     return defaults
 
 
@@ -127,13 +105,13 @@ _LAMBDA_GRID_HELP = "comma-separated lambda values (default: 25 log-spaced on [5
 def _add_subcommand(sub, name: str, help: str, func, scenarios: tuple, flags: tuple):
     """A subparser with --scenario (default scenarios[0]), --config and
     the shared `flags`.  Flags are never abbreviated: `trace --trial 1`
-    is an error, not `--trials 1`."""
+    is an error, not `--trials 1`.  The choices are kept for
+    _check_choices."""
     p = sub.add_parser(name, help=help, allow_abbrev=False)
-    p.add_argument("--scenario", choices=scenarios, default=scenarios[0])
-    for flag in flags:
-        p.add_argument(flag, **_FLAGS[flag])
+    actions = [p.add_argument("--scenario", choices=scenarios, default=scenarios[0])]
+    actions += [p.add_argument(flag, **_FLAGS[flag]) for flag in flags]
     p.add_argument("--config", help="config file with 'key = value' flag defaults")
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, choices={a.dest: a.choices for a in actions if a.choices})
     return p
 
 
@@ -178,6 +156,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         for action in sub.choices.values():
             action.set_defaults(**defaults)
     return top
+
+
+def _check_choices(args) -> None:
+    """Raise UsageError unless each flag with choices has one of them:
+    argparse does not check a default, such as a config file's value."""
+    for dest, choices in args.choices.items():
+        value = getattr(args, dest)
+        if value is not None and value not in choices:
+            raise UsageError(f"config value {value!r} for {dest!r} must be one of {list(choices)}")
 
 
 def _checked(flag: str, value: float, check) -> float:
@@ -269,6 +256,8 @@ def cmd_solve(args) -> int:
     if args.lam is None:
         raise UsageError("solve requires --lambda")
     lam = _checked("--lambda", args.lam, require_lambda)
+    if args.iters is not None:
+        _checked("--iters", args.iters, require_iterations)
     inst, scen, kind = _single_instance(args)
     iters = iteration_budget(kind, lam, args.iters)
     for algo in _algos(args):
@@ -318,6 +307,7 @@ def cli_main(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_choices(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

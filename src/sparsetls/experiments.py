@@ -41,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .adcd import adcd_solve
-from .kernel import require_lambda
+from .kernel import require_iterations, require_lambda
 from .metrics import squared_error, support_errors
 from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance, require_xi
 from .prox_solver import SolveResult, pg_solve
@@ -134,6 +134,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.iters is not None:
+            require_iterations(self.iters)
         require_grid("lambda_grid", self.lambda_grid, require_lambda)
         require_grid("xi_grid", self.xi_grid, require_xi)
         bad = set(self.algos) - set(ALGORITHMS)

@@ -13,8 +13,8 @@ SupportRows holds a matrix with the last block gathered from it, keyed by
 the bytes of s, which compare its length and every index for far less
 than a gather costs, and gathers again only when s changes.  A hit runs
 the same BLAS call on the same bytes, so every bit is that of a fresh
-gather, as long as nothing writes the matrix: the solvers hold one per
-matrix of a solve, in its state, and never write them.
+gather, as long as nothing writes the matrix: each solver's init binds
+one per matrix of its system into the state, and nothing writes them.
 """
 
 from __future__ import annotations
@@ -70,6 +70,16 @@ class SupportRows:
     def shape(self) -> tuple[int, ...]:
         return self.rows.shape
 
+    def replaced(self, support: np.ndarray, block: np.ndarray) -> SupportRows:
+        """A SupportRows over a copy of rows with rows[support] = block,
+        holding block as the block of support: the bytes a gather of those
+        rows would give."""
+        rows = self.rows.copy()
+        rows[support] = block
+        held = SupportRows(rows)
+        held.key, held.block = support.tobytes(), block
+        return held
+
 
 def support_block(rows: np.ndarray | SupportRows, support: np.ndarray) -> np.ndarray:
     """rows[support], kept in rows for the next call with the same
@@ -120,8 +130,8 @@ def gradient(
     """Gradient of the quotient residual: 2 y (a^T a x - a^T b - f x).
 
     ata and atb must be the cached a^T a and a^T b; y and f must be the
-    values of 1/(||x||^2+1) and f(x) at this x.  Columns of ata whose x
-    entry is an exact zero are skipped, so the product costs n * nnz(x)
+    values of 1/(||x||^2+1) and f(x) at this x.  The columns of ata whose
+    x entry is an exact zero are skipped, so the product costs n * nnz(x)
     multiply-adds (n^2 worst case); the remaining terms cost 3 n.
 
     `support`, when given, must equal x.nonzero()[0] (the solver keeps
@@ -154,10 +164,15 @@ def require_system(a: np.ndarray, b: np.ndarray, lam: float) -> None:
 def require_budget(iterations: int, ground_truth: Optional[np.ndarray], n: int) -> None:
     """Raise ValueError unless iterations >= 1 and a ground truth, when
     given, has the iterate's length n (it would otherwise broadcast)."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    require_iterations(iterations)
     if ground_truth is not None and ground_truth.shape != (n,):
         raise ValueError(f"length mismatch: ({n},) vs {ground_truth.shape}")
+
+
+def require_iterations(iterations: int) -> None:
+    """Raise ValueError unless iterations >= 1."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
 
 
 def require_lambda(lam: float) -> None:

@@ -18,18 +18,22 @@ step size.  A backtracking line search halves mu_n until
 holds, which (with the prox optimality of shrink) forces the composite
 cost to be non-increasing over accepted iterations.
 
+pg_init(a, b, lam) binds the system to the state it returns, and
+pg_step(state) reads everything from the state: b, lam, a^T b and the
+two matrices below, all made once per solve.
+
 Exact zeros are skipped in both matrix-vector products, a^T a x in the
 gradient and a x in each line-search trial.  The state carries the
 support of its iterate (support = x.nonzero()[0]): the accepted trial
 already computed it, so the next gradient does not recompute it.
 Support columns are gathered as rows (kernel.support_matvec) of a^T a,
-which is symmetric bit for bit, and of a C-contiguous copy of a^T made
-once in pg_init, with the same bits as the column gather.  The state
-holds both matrices as kernel.SupportRows, so the gradient's block
-ata[s] and the line search's a^T[s] are gathered again only when the
-support changes (about one call in ten on the benchmark's instances).
-Neither matrix is written during a solve, so a kept block has the bytes
-of a new gather, and no output bit changes.
+which is symmetric bit for bit, and of a C-contiguous copy of a^T, with
+the same bits as the column gather.  The state holds both matrices as
+kernel.SupportRows, so the gradient's block ata[s] and the line search's
+a^T[s] are gathered again only when the support changes (about one call
+in ten on the benchmark's instances).  Neither matrix is written during
+a solve, so a kept block has the bytes of a new gather, and no output
+bit changes.
 
 pg_solve returns a columnar SolveResult: the final iterate plus one list
 entry per accepted iteration for the cost, f, mu, backtracks and
@@ -67,19 +71,18 @@ class BacktrackingError(RuntimeError):
 
 @dataclass
 class PgState:
-    """Solver state between iterations.
+    """Solver state between iterations, bound to one system (a, b, lam).
 
-    g_prev is the gradient at x_prev; after each step the just-used
-    gradient moves there together with the old iterate.  The invariants
-    y = 1/(||x||^2+1), f = y * ||a x - b||^2, support = x.nonzero()[0]
-    and dx = x - x_prev hold for the current x; dx is the accepted
-    line-search trial's step, kept so the next step does not recompute
-    it.  ata_rows holds a^T a and a_rows a C-contiguous copy of a.T, made
-    once by pg_init, each with its last support block (see the module
-    docstring).
+    g_prev is the gradient at the previous iterate; after each step the
+    just-used gradient moves there.  The invariants y = 1/(||x||^2+1),
+    f = y * ||a x - b||^2 and support = x.nonzero()[0] hold for the
+    current x, and dx is the step from the previous iterate (the
+    accepted line-search trial's, kept so the next step does not
+    recompute it).  b, lam and atb = a^T b are the system's; ata_rows
+    holds a^T a and a_rows a C-contiguous copy of a.T, made once by
+    pg_init, each with its last support block (see the module docstring).
     """
 
-    x_prev: np.ndarray
     x: np.ndarray
     dx: np.ndarray
     g_prev: np.ndarray
@@ -88,6 +91,9 @@ class PgState:
     f: float
     n: int
     support: np.ndarray
+    b: np.ndarray
+    lam: float
+    atb: np.ndarray
     ata_rows: SupportRows
     a_rows: SupportRows
     flops: FlopCounter = field(default_factory=FlopCounter)
@@ -126,15 +132,16 @@ class SolveResult:
     sq_error: Optional[list[float]] = None
 
     @classmethod
-    def from_states(cls, states: Iterable, lam: float, ground_truth: Optional[np.ndarray]):
+    def from_states(cls, states: Iterable, ground_truth: Optional[np.ndarray]):
         """One entry per PgState or AdcdState yielded, read before the next
-        step (which may update x in place): cost = f + lam * ||x||_1 and,
-        with a ground truth, sq_error = ||x - ground_truth||^2."""
+        step (which may update x in place): cost = f + lam * ||x||_1, with
+        the state's lam, and, with a ground truth,
+        sq_error = ||x - ground_truth||^2."""
         cost, f, mu, backtracks, flops = [], [], [], [], []
         sq_error = None if ground_truth is None else []
         for state in states:
             x = state.x
-            cost.append(state.f + lam * float(np.abs(x).sum()))
+            cost.append(state.f + state.lam * float(np.abs(x).sum()))
             f.append(state.f)
             mu.append(state.mu)
             backtracks.append(state.backtracks_last)
@@ -157,8 +164,9 @@ class SolveResult:
         ]
 
 
-def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[PgState, np.ndarray, np.ndarray]:
-    """First iterate from x_0 = 0 plus the cached products a^T a, a^T b.
+def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> PgState:
+    """First iterate from x_0 = 0, with the system and the cached products
+    a^T a, a^T b bound to the state.
 
     x_1 = shrink(-mu_0 * g_0, mu_0 * lam) with g_0 = -2 a^T b and the
     fixed start step mu_0 = 0.2.  The cached products make every later
@@ -181,11 +189,10 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> tuple[PgState, np.ndarr
     _, y1, f1 = quotient(a_rows, b, x1, support)
     flops.add(4 * n + m * int(support.size) + 2 * m)
 
-    state = PgState(
-        x_prev=x0, x=x1, dx=x1 - x0, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1,
-        support=support, ata_rows=SupportRows(ata), a_rows=a_rows, flops=flops,
+    return PgState(
+        x=x1, dx=x1 - x0, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1, support=support,
+        b=b, lam=lam, atb=atb, ata_rows=SupportRows(ata), a_rows=a_rows, flops=flops,
     )
-    return state, ata, atb
 
 
 def adaptive_step(dx: np.ndarray, dg: np.ndarray, mu_prev: float) -> float:
@@ -214,25 +221,17 @@ def line_search_ok(f_next: float, f_cur: float, dx: np.ndarray, g: np.ndarray, m
     return f_next < f_cur + float(dx.dot(g)) + float(dx.dot(dx)) / (2.0 * mu)
 
 
-def pg_step(
-    state: PgState,
-    ata: np.ndarray,
-    atb: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-) -> PgState:
+def pg_step(state: PgState) -> PgState:
     """Advance the state by one accepted iteration (in place).
 
     The prox output is also accepted when it equals the current iterate
     exactly: threshold fixed points are step-size independent, so the
     strict decrease test can never pass there and halving cannot change
-    the outcome.  ata and a must be those of pg_init: the products read
-    them through state.ata_rows and state.a_rows.
+    the outcome.
     """
-    m, n = a.shape
-    x = state.x
-    g = gradient(state.ata_rows, atb, x, state.y, state.f, state.flops, state.support)
+    x, b, lam = state.x, state.b, state.lam
+    m, n = b.shape[0], x.shape[0]
+    g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.flops, state.support)
     mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
     # the counted cost of dx and dg (2n) and of the step size (3n), then of
     # each line-search trial, charged once after the accepted trial
@@ -258,7 +257,6 @@ def pg_step(
             )
 
     state.flops.add(madds)
-    state.x_prev = x
     state.dx = step
     state.g_prev = g
     state.x = x_next
@@ -284,7 +282,7 @@ def pg_solve(
     column has exactly `iterations` entries.  Backtracking retries do not
     consume budget.
     """
-    state, ata, atb = pg_init(a, b, lam)
+    state = pg_init(a, b, lam)
     require_budget(iterations, ground_truth, state.x.shape[0])
-    steps = (pg_step(state, ata, atb, a, b, lam) for _ in range(iterations - 1))
-    return SolveResult.from_states(chain([state], steps), lam, ground_truth)
+    steps = (pg_step(state) for _ in range(iterations - 1))
+    return SolveResult.from_states(chain([state], steps), ground_truth)

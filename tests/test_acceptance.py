@@ -25,7 +25,7 @@ from sparsetls import (
     shrink,
     support_errors,
 )
-from sparsetls.adcd import AdcdState, adcd_init, adcd_step
+from sparsetls.adcd import adcd_init, adcd_step
 from sparsetls.experiments import ExperimentConfig, bench_rows
 from sparsetls.kernel import FlopCounter, eval_cost, gradient
 from sparsetls.rng import RngStream
@@ -152,7 +152,8 @@ def test_criterion_04_adcd_coordinate_and_perturbation_oracles():
         i = int(rng.below(n))
         # e reaches the update through the matrix, with zero factors:
         # (a + e_mat) + 0.0 has the column bits of a + e_mat
-        state = AdcdState(x=x.copy(), u=np.zeros(m), v=np.zeros(n), n=0)
+        state = adcd_init(a + e_mat, b, lam)
+        state.x = x.copy()
 
         others = np.flatnonzero(x)
         others = others[others != i]
@@ -173,10 +174,10 @@ def test_criterion_04_adcd_coordinate_and_perturbation_oracles():
 
     # rank-one perturbation update beats random perturbations
     inst = _s1_instance(0)
-    state = adcd_init(20, 40)
+    state = adcd_init(inst.a, inst.b, lam)
     nprng = np.random.default_rng(4040)
     for _ in range(20):
-        adcd_step(state, inst.a, inst.b, lam)
+        adcd_step(state)
         e = state.e_mat
         x = state.x
         r = (inst.a + e) @ x - inst.b

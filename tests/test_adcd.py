@@ -14,7 +14,6 @@ from sparsetls import (
     eval_cost,
     squared_error,
 )
-from sparsetls.adcd import AdcdState
 from sparsetls.kernel import FlopCounter, quotient, support_matvec
 
 
@@ -25,24 +24,60 @@ def objective(a, e, x, b, lam):
 
 
 class TestInit:
-    def test_all_zero_state(self):
-        state = adcd_init(20, 40)
+    def test_all_zero_state(self, s1_instance):
+        a, b = s1_instance.a, s1_instance.b
+        state = adcd_init(a, b, 0.02)
         assert not state.x.any()
         assert not state.e_mat.any()
         assert state.n == 0
         assert state.e_mat.shape == (20, 40)
 
-    def test_two_inits_identical(self):
-        s1, s2 = adcd_init(5, 9), adcd_init(5, 9)
+    def test_binds_the_system(self, s1_instance):
+        a, b = s1_instance.a, s1_instance.b
+        state = adcd_init(a, b, 0.02)
+        assert state.b is b and state.lam == 0.02
+        assert state.rows.rows.flags.c_contiguous
+        assert np.array_equal(state.rows.rows, a.T)
+        assert np.allclose(state.norms, np.linalg.norm(a, axis=0), rtol=1e-14, atol=0.0)
+
+    def test_two_inits_identical(self, s1_instance):
+        a, b = s1_instance.a, s1_instance.b
+        s1, s2 = adcd_init(a, b, 0.02), adcd_init(a, b, 0.02)
         assert np.array_equal(s1.x, s2.x)
         assert np.array_equal(s1.e_mat, s2.e_mat)
+
+
+class TestBoundSystem:
+    """adcd_init binds (a, b, lam) to the state, and adcd_step reads
+    nothing else."""
+
+    def test_init_rejects_bad_system(self, bad_system):
+        with pytest.raises(ValueError):
+            adcd_init(*bad_system)
+
+    def test_alternating_states_match_each_stepped_alone(self, make_instance):
+        # two systems of one shape, so a step that read the other state's
+        # system would run and give other bytes
+        systems = [(make_instance("s1", trial=0), 0.02), (make_instance("s1", trial=3), 0.1)]
+
+        def record(state):
+            cost = state.f + state.lam * float(np.abs(state.x).sum())
+            return state.x.tobytes(), cost, state.flops.madds
+
+        alone = []
+        for inst, lam in systems:
+            state = adcd_init(inst.a, inst.b, lam)
+            alone.append([record(adcd_step(state)) for _ in range(40)])
+        states = [adcd_init(inst.a, inst.b, lam) for inst, lam in systems]
+        turns = [[record(adcd_step(state)) for state in states] for _ in range(40)]
+        assert [list(run) for run in zip(*turns)] == alone
 
 
 class TestCoordinateUpdate:
     def test_hand_evaluated_single_column(self):
         a = np.array([[1.0], [0.0]])
         b = np.array([1.0, 0.0])
-        state = adcd_init(2, 1)
+        state = adcd_init(a, b, 0.5)
         new = adcd_coordinate_update(state, a, b, lam=0.5, i=0)
         # resid = b, resid . col = 1 > 0.25 -> (1 - 0.25) / 1
         assert new == 0.75
@@ -51,21 +86,21 @@ class TestCoordinateUpdate:
     def test_threshold_boundary_maps_to_zero(self):
         a = np.array([[1.0], [0.0]])
         b = np.array([0.25, 0.0])
-        state = adcd_init(2, 1)
+        state = adcd_init(a, b, 0.5)
         assert adcd_coordinate_update(state, a, b, lam=0.5, i=0) == 0.0
 
     def test_degenerate_column_gets_zero(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([1.0, 0.0])
-        state = adcd_init(2, 2)
+        state = adcd_init(a, b, 0.1)
         assert adcd_coordinate_update(state, a, b, lam=0.1, i=0) == 0.0
 
     def test_update_minimizes_one_dimensional_objective(self, s1_instance):
         # grid-search oracle over phi(t) = ||resid - col t||^2 + lam |t|
         a, b = s1_instance.a, s1_instance.b
         lam = 0.05
-        state = adcd_init(*a.shape)
-        adcd_step(state, a, b, lam)  # leave the zero state first
+        state = adcd_init(a, b, lam)
+        adcd_step(state)  # leave the zero state first
         grid = np.arange(-2.0, 2.0 + 1e-5, 1e-5)
         for i in (0, 7, 23):
             x_backup = state.x.copy()
@@ -90,7 +125,7 @@ class TestCoordinateUpdate:
         # second coordinate must see the first one's update
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([2.0, 1.0])
-        state = adcd_init(2, 2)
+        state = adcd_init(a, b, 0.01)
         adcd_coordinate_update(state, a, b, lam=0.01, i=0)
         x0_after_first = state.x[0]
         adcd_coordinate_update(state, a, b, lam=0.01, i=1)
@@ -126,7 +161,7 @@ def assert_sweep_parity(fast, ref):
 
 def lockstep(fast, ref, a, b, lam, steps):
     for _ in range(steps):
-        adcd_step(fast, a, b, lam)
+        adcd_step(fast)
         reference_step(ref, a, b, lam)
         assert_sweep_parity(fast, ref)
 
@@ -139,14 +174,14 @@ class TestStep:
         # updates (to rounding), the same supports and the same counted
         # multiply-adds after every step
         a, b = s1_instance.a, s1_instance.b
-        fast, ref = adcd_init(*a.shape), adcd_init(*a.shape)
+        fast, ref = adcd_init(a, b, lam), adcd_init(a, b, lam)
         lockstep(fast, ref, a, b, lam, 10)
 
     # n = 200 at a dense and a nearly empty support
     @pytest.mark.parametrize("lam", [0.02, 0.5])
     def test_sweep_matches_public_coordinate_op_s2(self, make_instance, lam):
         inst = make_instance("s2")
-        fast, ref = adcd_init(*inst.a.shape), adcd_init(*inst.a.shape)
+        fast, ref = adcd_init(inst.a, inst.b, lam), adcd_init(inst.a, inst.b, lam)
         lockstep(fast, ref, inst.a, inst.b, lam, 10)
 
     def test_sweep_zero_column(self, s1_instance):
@@ -155,7 +190,7 @@ class TestStep:
         a, b = s1_instance.a.copy(), s1_instance.b
         dead = [0, 17, a.shape[1] - 1]
         a[:, dead] = 0.0
-        fast, ref = adcd_init(*a.shape), adcd_init(*a.shape)
+        fast, ref = adcd_init(a, b, 0.02), adcd_init(a, b, 0.02)
         lockstep(fast, ref, a, b, 0.02, 5)
         assert np.count_nonzero(fast.x) > 3
         assert not fast.x[dead].any()
@@ -164,7 +199,7 @@ class TestStep:
         # x = 0 with e != 0: the whole sweep starts as one run of zero
         # coordinates, and the ones that leave zero split it
         a, b = s1_instance.a, s1_instance.b
-        fast, ref = adcd_init(*a.shape), adcd_init(*a.shape)
+        fast, ref = adcd_init(a, b, 0.02), adcd_init(a, b, 0.02)
         lockstep(fast, ref, a, b, 0.02, 3)
         assert fast.e_mat.any()
         fast.x[:] = 0.0
@@ -179,7 +214,7 @@ class TestStep:
         a = s1_instance.a
         m, n = a.shape
         b = 3.0 * a[:, n - 1]
-        fast, ref = adcd_init(m, n), adcd_init(m, n)
+        fast, ref = adcd_init(a, b, 0.05), adcd_init(a, b, 0.05)
         for state in (fast, ref):
             state.x[[2, 9]] = (0.1, -0.1)
         lockstep(fast, ref, a, b, 0.05, 1)
@@ -189,8 +224,8 @@ class TestStep:
         # all coordinates thresholded away -> e update from x = 0 is zero
         a = np.array([[1.0, 0.5], [0.0, 0.5]])
         b = np.array([0.01, 0.0])
-        state = adcd_init(2, 2)
-        adcd_step(state, a, b, lam=10.0)
+        state = adcd_init(a, b, 10.0)
+        adcd_step(state)
         assert not state.x.any()
         assert not state.e_mat.any()
 
@@ -198,16 +233,16 @@ class TestStep:
         # sweep gives x = (2 - 1) / 1 = 1, then e = (2 - 1) * 1 / (1 + 1)
         a = np.array([[1.0]])
         b = np.array([2.0])
-        state = adcd_init(1, 1)
-        adcd_step(state, a, b, lam=2.0)
+        state = adcd_init(a, b, 2.0)
+        adcd_step(state)
         assert state.x[0] == 1.0
         assert state.e_mat[0, 0] == 0.5
 
     def test_perturbation_update_closed_form_holds(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
-        state = adcd_init(*a.shape)
+        state = adcd_init(a, b, 0.02)
         for _ in range(5):
-            adcd_step(state, a, b, lam=0.02)
+            adcd_step(state)
             x = state.x
             expected = np.outer((b - a @ x) / (float(x @ x) + 1.0), x)
             assert np.abs(state.e_mat - expected).max() < 1e-10
@@ -215,10 +250,10 @@ class TestStep:
     def test_perturbation_update_beats_random_perturbations(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
         lam = 0.02
-        state = adcd_init(*a.shape)
+        state = adcd_init(a, b, lam)
         rng = np.random.default_rng(11)
         for _ in range(3):
-            adcd_step(state, a, b, lam)
+            adcd_step(state)
             base = objective(a, state.e_mat, state.x, b, lam)
             for _ in range(200):
                 delta = rng.normal(size=state.e_mat.shape) * rng.choice([1e-3, 1e-2, 0.1])
@@ -228,7 +263,7 @@ class TestStep:
         a, b = s1_instance.a, s1_instance.b
         lam = 0.02
         m, n = a.shape
-        state = adcd_init(m, n)
+        state = adcd_init(a, b, lam)
         for _ in range(30):
             before_sweep = objective(a, state.e_mat, state.x, b, lam)
             val = before_sweep
@@ -289,10 +324,10 @@ class TestSolve:
     def test_iteration_flops_within_bounds(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
         m, n = a.shape
-        state = adcd_init(m, n)
+        state = adcd_init(a, b, 0.02)
         for _ in range(40):
             before = state.flops.madds
-            adcd_step(state, a, b, lam=0.02)
+            adcd_step(state)
             spent = state.flops.madds - before
             nnz = np.count_nonzero(state.x)
             assert spent >= n * m * nnz
@@ -393,16 +428,17 @@ def zero_point(m, n):
     return np.zeros(n), np.zeros(m), np.zeros(n)
 
 
-def state_pair(x, u, v):
+def state_pair(a, b, lam, x, u, v):
     """The same starting point for adcd_step and dense_step."""
-    return (AdcdState(x=x.copy(), u=u.copy(), v=v.copy(), n=0),
-            DenseState(x=x.copy(), e_mat=np.outer(u, v)))
+    fast = adcd_init(a, b, lam)
+    fast.x, fast.u, fast.v = x.copy(), u.copy(), v.copy()
+    return fast, DenseState(x=x.copy(), e_mat=np.outer(u, v))
 
 
 def bit_lockstep(fast, ref, a, b, lam, steps):
     """Step both; x, e, f and the multiply-adds must agree bit for bit."""
     for _ in range(steps):
-        adcd_step(fast, a, b, lam)
+        adcd_step(fast)
         dense_step(ref, a, b, lam)
         assert fast.x.tobytes() == ref.x.tobytes()
         assert fast.e_mat.tobytes() == ref.e_mat.tobytes()
@@ -416,7 +452,7 @@ class TestBitParityWithDenseSweep:
         # 120 steps: past the iterations where coordinates still leave zero
         for trial in (0, 1):
             inst = make_instance(scenario, seed=8, trial=trial)
-            fast, ref = state_pair(*zero_point(*inst.a.shape))
+            fast, ref = state_pair(inst.a, inst.b, lam, *zero_point(*inst.a.shape))
             bit_lockstep(fast, ref, inst.a, inst.b, lam, 120)
 
     @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
@@ -440,7 +476,7 @@ class TestBitParityWithDenseSweep:
         half = rho
         for _ in range(abs(ulps)):
             half = np.nextafter(half, np.inf if ulps > 0 else 0.0)
-        fast, ref = state_pair(x, u, v)
+        fast, ref = state_pair(a, b, 2.0 * float(half), x, u, v)
         bit_lockstep(fast, ref, a, b, 2.0 * float(half), 1)
         assert (fast.x[0] != 0.0) == (ulps < 0)
         bit_lockstep(fast, ref, a, b, 2.0 * float(half), 4)
@@ -454,7 +490,7 @@ class TestBitParityWithDenseSweep:
         b = 3.0 * a[:, n - 1]
         x, u, v = zero_point(m, n)
         x[[2, 9]] = (4.0, -4.0)
-        fast, ref = state_pair(x, u, v)
+        fast, ref = state_pair(a, b, 0.05, x, u, v)
         bit_lockstep(fast, ref, a, b, 0.05, 1)
         assert fast.x[n - 1] != 0.0
         bit_lockstep(fast, ref, a, b, 0.05, 5)
@@ -465,7 +501,7 @@ class TestBitParityWithDenseSweep:
         n = a.shape[1]
         a[:, [7, 30]] = a[:, [3, 3]]
         a[:, [0, 17, n - 1]] = 0.0
-        fast, ref = state_pair(*zero_point(*a.shape))
+        fast, ref = state_pair(a, b, lam, *zero_point(*a.shape))
         bit_lockstep(fast, ref, a, b, lam, 40)
         assert not fast.x[[0, 17, n - 1]].any()
 
@@ -475,7 +511,7 @@ class TestBitParityWithDenseSweep:
         # inside the zero runs the screen reads
         inst = make_instance(scenario, seed=8, trial=2)
         a, b = inst.a, inst.b
-        fast, ref = state_pair(*zero_point(*a.shape))
+        fast, ref = state_pair(a, b, 0.02, *zero_point(*a.shape))
         bit_lockstep(fast, ref, a, b, 0.02, 3)
         assert fast.v.any()
         fast.x[:] = 0.0
@@ -497,9 +533,9 @@ class TestCertificate:
         a, b = inst.a, inst.b
         iterations = 40
         res = adcd_solve(a, b, lam, iterations)
-        state = adcd_init(*a.shape)
+        state = adcd_init(a, b, lam)
         for it in range(iterations):
-            adcd_step(state, a, b, lam)
+            adcd_step(state)
             joint = objective(a, state.e_mat, state.x, b, lam)
             assert abs(joint - res.cost[it]) <= 1e-12 * abs(res.cost[it]), it
         assert np.array_equal(state.x, res.x)
@@ -508,10 +544,10 @@ class TestCertificate:
 def reference_records(a, b, lam, iterations, truth):
     """adcd_solve's per-iteration records the plain way: adcd_step, then
     eval_cost and squared_error at each iterate."""
-    state = adcd_init(*a.shape)
+    state = adcd_init(a, b, lam)
     records = []
     for _ in range(iterations):
-        adcd_step(state, a, b, lam)
+        adcd_step(state)
         cost = eval_cost(a, b, state.x, lam)
         err = None if truth is None else squared_error(state.x, truth)
         records.append(TraceRecord(state.n, cost.total, cost.f, 0.0, 0, state.flops.madds, err))

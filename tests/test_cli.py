@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +282,70 @@ def test_config_may_set_a_key_the_command_never_reads(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(list(out.iterdir())) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--trials", "1", "--iters", "0"],
+    ["solve", "--lambda", "0.02", "--iters", "0"],
+    ["sweep-lambda", "--iters", "-3", "--grid", "0.5", "--trials", "1"],
+    ["sweep-xi", "--iters", "0", "--grid", "0.01", "--trials", "1"],
+    ["bench", "--scenario", "s1", "--iters", "0", "--grid", "0.5", "--trials", "1"],
+])
+def test_iters_below_one_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # rejected before any instance is drawn
+    monkeypatch.setattr("sparsetls.cli.generate_instance", None)
+    monkeypatch.setattr("sparsetls.experiments.generate_instance", None)
+    out = [] if argv[0] == "solve" else ["--out", str(tmp_path)]
+    assert cli_main([*argv, *out]) == 2
+    assert "iterations must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_iters_below_one_from_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iters = 0\n")
+    assert cli_main(["solve", "--config", str(cfg), "--lambda", "0.1"]) == 2
+    assert "iterations must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,argv", [
+    # choices of another subcommand: custom is not a bench scenario, and
+    # both is a bench scenario only
+    ("scenario = custom\nn = 30\nm = 15\nk = 3\nensemble = gaussian\n",
+     ["bench", "--trials", "1", "--grid", "0.5", "--iters", "2"]),
+    ("scenario = both\n", ["trace", "--trials", "1", "--iters", "2"]),
+    ("scenario = both\n", ["generate"]),
+    ("algo = wibble\n", ["solve", "--lambda", "0.1", "--iters", "2"]),
+    ("ensemble = uniform\n", ["generate", "--scenario", "custom", "--n", "30", "--m", "15",
+                               "--k", "3"]),
+])
+def test_config_value_outside_the_commands_choices_is_usage_error(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    out_flags = [] if argv[0] == "solve" else ["--out", str(out)]
+    assert cli_main([*argv, "--config", str(cfg), *out_flags]) == 2
+    err = capsys.readouterr().err
+    assert "must be one of" in err
+    assert "custom scenario requires" not in err
+    assert not out.exists()
+
+
+def test_explicit_flag_wins_over_a_config_value_outside_the_choices(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = custom\n")
+    out = tmp_path / "out"
+    rc = cli_main(["bench", "--config", str(cfg), "--scenario", "s1", "--trials", "1",
+                   "--grid", "0.5", "--iters", "2", "--out", str(out)])
+    assert rc == 0
+    assert (out / "bench.csv").exists()
+
+
+def test_run_all_experiments_script_runs_from_a_checkout(tmp_path):
+    # the script puts the src/ next to it on sys.path, as the README runs it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout

@@ -93,6 +93,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(tmp_path, algos=("pg", "magic"))
 
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_rejects_iters_below_one(self, tmp_path, iters):
+        with pytest.raises(ValueError, match="^iterations must be >= 1"):
+            make_cfg(tmp_path, iters=iters)
+
     @pytest.mark.parametrize("grids", [
         dict(lambda_grid=[0.02, math.nan]),
         dict(lambda_grid=[math.nan]),

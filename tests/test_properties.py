@@ -68,10 +68,10 @@ def test_pg_finite_and_monotone(case):
 @given(systems())
 def test_adcd_finite_and_f_matches_eval_cost(case):
     a, b, lam = case
-    state = adcd_init(*a.shape)
+    state = adcd_init(a, b, lam)
     fs = []
     for _ in range(ADCD_ITERS):
-        adcd_step(state, a, b, lam)
+        adcd_step(state)
         want = eval_cost(a, b, state.x, lam).f
         assert abs(state.f - want) <= REL * f_scale(a, b, state.x)
         fs.append(state.f)

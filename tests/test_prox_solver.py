@@ -24,27 +24,28 @@ from sparsetls.prox_solver import MAX_BACKTRACKS
 class TestInit:
     def test_start_step_is_fixed(self, tiny_system):
         a, b = tiny_system
-        state, _, _ = pg_init(a, b, lam=1.0)
+        state = pg_init(a, b, lam=1.0)
         assert state.mu == 0.2
 
     def test_zero_rhs_gives_zero_first_iterate(self):
         a = np.eye(3)
-        state, _, _ = pg_init(a, np.zeros(3), lam=0.5)
+        state = pg_init(a, np.zeros(3), lam=0.5)
         assert not state.x.any()
         assert state.f == 0.0
 
     def test_hand_evaluated_first_iterate(self, tiny_system):
         # g0 = [-2, 0], z = 0.4 * atb = [0.4, 0], threshold 0.2 -> x1 = [0.2, 0]
         a, b = tiny_system
-        state, ata, atb = pg_init(a, b, lam=1.0)
+        state = pg_init(a, b, lam=1.0)
         assert np.array_equal(state.g_prev, np.array([-2.0, 0.0]))
         assert np.array_equal(state.x, np.array([0.2, 0.0]))
         assert state.n == 1
-        assert np.array_equal(ata, a.T @ a)
-        assert np.array_equal(atb, a.T @ b)
+        assert np.array_equal(state.ata_rows.rows, a.T @ a)
+        assert np.array_equal(state.atb, a.T @ b)
+        assert state.b is b and state.lam == 1.0
 
     def test_state_invariants_after_init(self, s1_instance):
-        state, _, _ = pg_init(s1_instance.a, s1_instance.b, lam=0.02)
+        state = pg_init(s1_instance.a, s1_instance.b, lam=0.02)
         x = state.x
         assert abs(state.y - 1.0 / (float(x @ x) + 1.0)) < 1e-12
         resid = s1_instance.a @ x - s1_instance.b
@@ -79,19 +80,46 @@ class TestInit:
 
     def test_support_invariant_and_row_copies(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
-        state, ata, atb = pg_init(a, b, lam=0.02)
+        state = pg_init(a, b, lam=0.02)
         # the gradient gathers rows of ata as its columns
+        ata = state.ata_rows.rows
         assert np.array_equal(ata, ata.T)
-        assert state.ata_rows.rows is ata
+        assert np.array_equal(ata, a.T @ a)
         assert state.a_rows.rows.flags.c_contiguous
         assert np.array_equal(state.a_rows.rows, a.T)
         for _ in range(30):
             assert np.array_equal(state.support, np.flatnonzero(state.x))
-            pg_step(state, ata, atb, a, b, lam=0.02)
+            pg_step(state)
             # each kept block is its matrix's rows at the support of its key
             for held in (state.ata_rows, state.a_rows):
                 support = np.frombuffer(held.key, dtype=np.intp)
                 assert held.block.tobytes() == held.rows[support].tobytes()
+
+
+class TestBoundSystem:
+    """pg_init binds (a, b, lam) to the state, and pg_step reads nothing
+    else."""
+
+    def test_init_rejects_bad_system(self, bad_system):
+        with pytest.raises(ValueError):
+            pg_init(*bad_system)
+
+    def test_alternating_states_match_each_stepped_alone(self, make_instance):
+        # two systems of one shape, so a step that read the other state's
+        # system would run and give other bytes
+        systems = [(make_instance("s1", trial=0), 0.02), (make_instance("s1", trial=3), 0.1)]
+
+        def record(state):
+            cost = state.f + state.lam * float(np.abs(state.x).sum())
+            return state.x.tobytes(), cost, state.flops.madds
+
+        alone = []
+        for inst, lam in systems:
+            state = pg_init(inst.a, inst.b, lam)
+            alone.append([record(pg_step(state)) for _ in range(80)])
+        states = [pg_init(inst.a, inst.b, lam) for inst, lam in systems]
+        turns = [[record(pg_step(state)) for state in states] for _ in range(80)]
+        assert [list(run) for run in zip(*turns)] == alone
 
 
 class TestAdaptiveStep:
@@ -179,8 +207,8 @@ def straight_line_two_by_two(a, b, lam):
 class TestStep:
     def test_one_step_matches_straight_line_oracle(self, tiny_system):
         a, b = tiny_system
-        state, ata, atb = pg_init(a, b, lam=1.0)
-        pg_step(state, ata, atb, a, b, lam=1.0)
+        state = pg_init(a, b, lam=1.0)
+        pg_step(state)
         x2, y2, f2, mu = straight_line_two_by_two(a, b, 1.0)
         assert np.max(np.abs(state.x - x2)) < 1e-14
         assert abs(state.f - f2) < 1e-14
@@ -191,9 +219,9 @@ class TestStep:
         # b = 0 makes x = 0 a stationary point: step must accept it unchanged
         a = np.eye(2)
         b = np.zeros(2)
-        state, ata, atb = pg_init(a, b, lam=0.5)
+        state = pg_init(a, b, lam=0.5)
         f_before = state.f
-        pg_step(state, ata, atb, a, b, lam=0.5)
+        pg_step(state)
         assert not state.x.any()
         assert state.f == f_before
 
@@ -208,18 +236,18 @@ class TestStep:
         # cost, so no halving can satisfy the decrease test
         a = np.eye(2)
         b = np.array([1.0, 0.2])
-        state, ata, atb = pg_init(a, b, lam=1.0)
+        state = pg_init(a, b, lam=1.0)
         state.y = 1e9
         with pytest.raises(BacktrackingError):
-            pg_step(state, ata, atb, a, b, lam=1.0)
+            pg_step(state)
 
     def test_accepted_steps_satisfy_condition_post_hoc(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
-        state, ata, atb = pg_init(a, b, lam=0.02)
+        state = pg_init(a, b, lam=0.02)
         f_prev = state.f
         for _ in range(80):
-            pg_step(state, ata, atb, a, b, lam=0.02)
-            dx = state.x - state.x_prev
+            pg_step(state)
+            dx = state.dx
             if dx.any():
                 rhs = f_prev + float(dx @ state.g_prev) + float(dx @ dx) / (2.0 * state.mu)
                 assert state.f < rhs
@@ -289,12 +317,13 @@ class TestBitParity:
     def test_lockstep_with_reference(self, make_instance, scenario, lam):
         inst = make_instance(scenario, seed=11, trial=2)
         a, b = inst.a, inst.b
-        state, ata, atb = pg_init(a, b, lam)
+        state = pg_init(a, b, lam)
         ref = reference_init(a, b, lam)
+        ata, atb = a.T @ a, a.T @ b
         assert np.array_equal(state.x, ref["x"])
         assert (state.y, state.f, state.flops.madds) == (ref["y"], ref["f"], ref["madds"])
         for it in range(150):
-            pg_step(state, ata, atb, a, b, lam)
+            pg_step(state)
             reference_step(ref, ata, atb, a, b, lam)
             assert np.array_equal(state.x, ref["x"]), it
             assert state.y == ref["y"] and state.f == ref["f"] and state.mu == ref["mu"], it
@@ -416,15 +445,16 @@ class TestBitParityWithGatherEveryCall:
         for trial in (0, 1):
             inst = make_instance(scenario, seed=9, trial=trial)
             a, b = inst.a, inst.b
-            state, ata, atb = pg_init(a, b, lam)
+            state = pg_init(a, b, lam)
+            ata, atb = a.T @ a, a.T @ b
             ref = GatherState(
-                x_prev=state.x_prev.copy(), x=state.x.copy(), dx=state.dx.copy(),
+                x_prev=np.zeros_like(state.x), x=state.x.copy(), dx=state.dx.copy(),
                 g_prev=state.g_prev.copy(), mu=state.mu, y=state.y, f=state.f, n=state.n,
                 support=state.support.copy(), a_rows=state.a_rows.rows.copy(),
                 flops=FlopCounter(state.flops.madds),
             )
             for it in range(300):
-                pg_step(state, ata, atb, a, b, lam)
+                pg_step(state)
                 gather_pg_step(ref, ata, atb, a, b, lam)
                 assert state.x.tobytes() == ref.x.tobytes(), it
                 cost = state.f + lam * float(np.abs(state.x).sum())
@@ -438,11 +468,11 @@ def reference_records(a, b, lam, iterations, truth):
     """pg_solve's per-iteration records the plain way: pg_init/pg_step and
     a TraceRecord after each, cost from np.abs and error from
     squared_error."""
-    state, ata, atb = pg_init(a, b, lam)
+    state = pg_init(a, b, lam)
     records = []
     for it in range(iterations):
         if it:
-            pg_step(state, ata, atb, a, b, lam)
+            pg_step(state)
         records.append(TraceRecord(
             iteration=state.n,
             cost=state.f + lam * float(np.abs(state.x).sum()),
@@ -488,7 +518,7 @@ class TestSolve:
     def test_single_iteration_returns_first_iterate(self, tiny_system):
         a, b = tiny_system
         res = pg_solve(a, b, 1.0, iterations=1)
-        state, _, _ = pg_init(a, b, 1.0)
+        state = pg_init(a, b, 1.0)
         assert np.array_equal(res.x, state.x)
         assert len(res.trace) == 1
 
@@ -517,11 +547,11 @@ class TestSolve:
     def test_iteration_flops_within_bounds(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
         m, n = a.shape
-        state, ata, atb = pg_init(a, b, lam=0.02)
+        state = pg_init(a, b, lam=0.02)
         for _ in range(150):
             nnz = np.count_nonzero(state.x)
             before = state.flops.madds
-            pg_step(state, ata, atb, a, b, lam=0.02)
+            pg_step(state)
             spent = state.flops.madds - before
             assert spent >= n * nnz
             retries = 1 + state.backtracks_last
