@@ -87,9 +87,11 @@ class AdcdState:
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
-    # no step size, no line search: the mu and backtracks columns read 0
+    # no step size, no line search: the mu and backtracks columns read 0;
+    # every step is executed (SolveResult.from_states reads replay_madds)
     mu: ClassVar[float] = 0.0
     backtracks_last: ClassVar[int] = 0
+    replay_madds: ClassVar[int] = 0
 
     @property
     def e_mat(self) -> np.ndarray:
@@ -110,10 +112,9 @@ def adcd_init(a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
     )
 
 
-def adcd_coordinate_update(
-    state: AdcdState, a: np.ndarray, b: np.ndarray, lam: float, i: int
-) -> float:
-    """Exact minimization of the objective over coordinate i (in place).
+def adcd_coordinate_update(state: AdcdState, i: int) -> float:
+    """Exact minimization of the objective over coordinate i (in place),
+    for the state's system (a, b, lam) and perturbation e.
 
     With column c_j = a[:, j] + e_mat[:, j], the partial residual excludes
     coordinate i and skips exact-zero entries of x:
@@ -124,15 +125,14 @@ def adcd_coordinate_update(
     ||c_i||^2 (the boundary |resid . c_i| = lam / 2 maps to 0).  A zero
     column gets x_i = 0.
     """
-    m = b.shape[0]
-    x = state.x
+    b, x = state.b, state.x
     others = np.flatnonzero(x)
     others = others[others != i]
-    c = a + state.e_mat
+    c = state.rows.rows.T + state.e_mat
     resid = b - support_matvec(c.T, x, others)
     col = c[:, i]
-    state.flops.add(_update_madds(m, int(others.size)))
-    new = _threshold(float(col @ resid), 0.5 * lam, float(col @ col))
+    state.flops.add(_update_madds(b.shape[0], int(others.size)))
+    new = _threshold(float(col @ resid), 0.5 * state.lam, float(col @ col))
     x[i] = new
     return new
 

@@ -35,6 +35,28 @@ in ten on the benchmark's instances).  Neither matrix is written during
 a solve, so a kept block has the bytes of a new gather, and no output
 bit changes.
 
+Once a step returns x itself, the rest of the schedule is bookkeeping.
+The line search accepts a trial with a zero displacement (it can never
+pass the strict test, so it exits there, typically after about 30
+halvings).  The state after that step is a fixed point of pg_step:
+
+- x, its support, y and f have the bytes they had before: the trial
+  gave x's bytes (shrink makes every zero +0.0, so equal entries are
+  equal bytes), and y and f come from the same quotient call on them;
+- the next gradient is computed from the same bytes, so it equals
+  g_prev bit for bit; dx is zero, so dx . dg = 0 and adaptive_step
+  returns state.mu, the step size that trial was accepted at;
+- the first trial at that mu is the accepted trial again, x itself, so
+  it is accepted with no halving, and the step leaves the state as it
+  found it.
+
+So pg_step remembers, in state.replay_madds, the counted cost of such a
+step: the gradient (n nnz + 3n), dx, dg and the step size (5n) and one
+trial (6n + m nnz + 2m), taken from the same expressions the executed
+step charges.  While it is set, a step adds it to the multiply-adds,
+counts the iteration and records no backtrack, in O(1): every column and
+every counted multiply-add is that of executing the step.
+
 pg_solve returns a columnar SolveResult: the final iterate plus one list
 entry per accepted iteration for the cost, f, mu, backtracks and
 multiply-adds (and the squared error when the ground truth is given).
@@ -81,6 +103,8 @@ class PgState:
     recompute it).  b, lam and atb = a^T b are the system's; ata_rows
     holds a^T a and a_rows a C-contiguous copy of a.T, made once by
     pg_init, each with its last support block (see the module docstring).
+    replay_madds is 0 until a step returns x itself; from then on it is
+    the counted cost of each further step, which only replays it.
     """
 
     x: np.ndarray
@@ -98,6 +122,7 @@ class PgState:
     a_rows: SupportRows
     flops: FlopCounter = field(default_factory=FlopCounter)
     backtracks_last: int = 0
+    replay_madds: int = 0
 
 
 @dataclass(frozen=True)
@@ -136,19 +161,27 @@ class SolveResult:
         """One entry per PgState or AdcdState yielded, read before the next
         step (which may update x in place): cost = f + lam * ||x||_1, with
         the state's lam, and, with a ground truth,
-        sq_error = ||x - ground_truth||^2."""
+        sq_error = ||x - ground_truth||^2.  Once a state's replay_madds is
+        set, the steps after it leave x and f as they are (see pg_step),
+        so their cost and sq_error entries repeat the last computed."""
         cost, f, mu, backtracks, flops = [], [], [], [], []
         sq_error = None if ground_truth is None else []
+        fixed = False
         for state in states:
             x = state.x
-            cost.append(state.f + state.lam * float(np.abs(x).sum()))
+            if not fixed:
+                entry_cost = state.f + state.lam * float(np.abs(x).sum())
+                if sq_error is not None:
+                    d = x - ground_truth
+                    entry_error = float(d.dot(d))
+            cost.append(entry_cost)
             f.append(state.f)
             mu.append(state.mu)
             backtracks.append(state.backtracks_last)
             flops.append(state.flops.madds)
             if sq_error is not None:
-                d = x - ground_truth
-                sq_error.append(float(d.dot(d)))
+                sq_error.append(entry_error)
+            fixed = state.replay_madds != 0
         return cls(x.copy(), cost, f, mu, backtracks, flops, sq_error)
 
     @cached_property
@@ -227,15 +260,25 @@ def pg_step(state: PgState) -> PgState:
     The prox output is also accepted when it equals the current iterate
     exactly: threshold fixed points are step-size independent, so the
     strict decrease test can never pass there and halving cannot change
-    the outcome.
+    the outcome.  Every step after that one is the same step again, so it
+    is replayed from state.replay_madds without executing it (see the
+    module docstring); x and the state's other fields are not written.
     """
+    if state.replay_madds:
+        state.flops.add(state.replay_madds)
+        state.n += 1
+        state.backtracks_last = 0
+        return state
     x, b, lam = state.x, state.b, state.lam
     m, n = b.shape[0], x.shape[0]
+    start = state.flops.madds
     g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.flops, state.support)
     mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
     # the counted cost of dx and dg (2n) and of the step size (3n), then of
-    # each line-search trial, charged once after the accepted trial
+    # each line-search trial, charged once after the accepted trial; head
+    # adds the gradient's charge, so head + trial is a one-trial step's
     madds = 5 * n
+    head = state.flops.madds - start + madds
 
     a_rows = state.a_rows
     backtracks = 0
@@ -244,8 +287,14 @@ def pg_step(state: PgState) -> PgState:
         support = x_next.nonzero()[0]
         _, y_next, f_next = quotient(a_rows, b, x_next, support)
         step = x_next - x
-        madds += 6 * n + m * support.size + 2 * m
-        if line_search_ok(f_next, state.f, step, g, mu) or not step.any():
+        trial = 6 * n + m * support.size + 2 * m
+        madds += trial
+        if line_search_ok(f_next, state.f, step, g, mu):
+            break
+        if not step.any():
+            # x came back: every later step repeats this one with no
+            # halving, at this charge (see the module docstring)
+            state.replay_madds = head + trial
             break
         mu *= 0.5
         backtracks += 1

@@ -160,7 +160,7 @@ def test_criterion_04_adcd_coordinate_and_perturbation_oracles():
         cols = a[:, others] + e_mat[:, others]
         resid = b - cols @ x[others]
         col = a[:, i] + e_mat[:, i]
-        new = adcd_coordinate_update(state, a + e_mat, b, lam, i)
+        new = adcd_coordinate_update(state, i)
 
         phi = (
             float(resid @ resid)

@@ -78,7 +78,7 @@ class TestCoordinateUpdate:
         a = np.array([[1.0], [0.0]])
         b = np.array([1.0, 0.0])
         state = adcd_init(a, b, 0.5)
-        new = adcd_coordinate_update(state, a, b, lam=0.5, i=0)
+        new = adcd_coordinate_update(state, i=0)
         # resid = b, resid . col = 1 > 0.25 -> (1 - 0.25) / 1
         assert new == 0.75
         assert state.x[0] == 0.75
@@ -87,13 +87,13 @@ class TestCoordinateUpdate:
         a = np.array([[1.0], [0.0]])
         b = np.array([0.25, 0.0])
         state = adcd_init(a, b, 0.5)
-        assert adcd_coordinate_update(state, a, b, lam=0.5, i=0) == 0.0
+        assert adcd_coordinate_update(state, i=0) == 0.0
 
     def test_degenerate_column_gets_zero(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([1.0, 0.0])
         state = adcd_init(a, b, 0.1)
-        assert adcd_coordinate_update(state, a, b, lam=0.1, i=0) == 0.0
+        assert adcd_coordinate_update(state, i=0) == 0.0
 
     def test_update_minimizes_one_dimensional_objective(self, s1_instance):
         # grid-search oracle over phi(t) = ||resid - col t||^2 + lam |t|
@@ -109,7 +109,7 @@ class TestCoordinateUpdate:
             cols = a[:, others] + state.e_mat[:, others]
             resid = b - cols @ x_backup[others]
             col = a[:, i] + state.e_mat[:, i]
-            new = adcd_coordinate_update(state, a, b, lam, i)
+            new = adcd_coordinate_update(state, i)
             phi = (
                 float(resid @ resid)
                 - 2.0 * grid * float(col @ resid)
@@ -126,9 +126,9 @@ class TestCoordinateUpdate:
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([2.0, 1.0])
         state = adcd_init(a, b, 0.01)
-        adcd_coordinate_update(state, a, b, lam=0.01, i=0)
+        adcd_coordinate_update(state, i=0)
         x0_after_first = state.x[0]
-        adcd_coordinate_update(state, a, b, lam=0.01, i=1)
+        adcd_coordinate_update(state, i=1)
         resid = b - a[:, 0] * x0_after_first
         expected = (float(a[:, 1] @ resid) - 0.005) / float(a[:, 1] @ a[:, 1])
         assert state.x[1] == pytest.approx(expected, abs=1e-15)
@@ -139,7 +139,7 @@ def reference_step(state, a, b, lam):
     the closed-form e update charged as adcd_step documents it."""
     m, n = a.shape
     for i in range(n):
-        adcd_coordinate_update(state, a, b, lam, i)
+        adcd_coordinate_update(state, i)
     sup = np.flatnonzero(state.x)
     ax = a[:, sup] @ state.x[sup] if sup.size else np.zeros(m)
     coef = 1.0 / (float(state.x @ state.x) + 1.0)
@@ -268,7 +268,7 @@ class TestStep:
             before_sweep = objective(a, state.e_mat, state.x, b, lam)
             val = before_sweep
             for i in range(n):
-                adcd_coordinate_update(state, a, b, lam, i)
+                adcd_coordinate_update(state, i)
                 nxt = objective(a, state.e_mat, state.x, b, lam)
                 assert nxt <= val + 1e-10 * max(1.0, val)
                 val = nxt

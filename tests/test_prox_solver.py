@@ -11,6 +11,7 @@ from sparsetls import (
     BacktrackingError,
     TraceRecord,
     adaptive_step,
+    iteration_schedule,
     line_search_ok,
     pg_init,
     pg_solve,
@@ -462,6 +463,91 @@ class TestBitParityWithGatherEveryCall:
                 assert (cost, state.f, state.mu) == (ref_cost, ref.f, ref.mu), it
                 assert state.backtracks_last == ref.backtracks_last, it
                 assert state.flops.madds == ref.flops.madds, it
+
+
+class TestFixedPointReplay:
+    """pg_step, which replays a step that returned x itself instead of
+    executing it, against the gather copy above, which executes every
+    step, over each case's whole scheduled budget."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_lockstep_over_full_schedule(self, make_instance, scenario):
+        replayed = 0
+        for lam in (5e-4, 0.02, 0.1, 0.5, 1.0):
+            for trial in (0, 1):
+                inst = make_instance(scenario, seed=9, trial=trial)
+                a, b = inst.a, inst.b
+                state = pg_init(a, b, lam)
+                ata, atb = a.T @ a, a.T @ b
+                ref = GatherState(
+                    x_prev=np.zeros_like(state.x), x=state.x.copy(), dx=state.dx.copy(),
+                    g_prev=state.g_prev.copy(), mu=state.mu, y=state.y, f=state.f, n=state.n,
+                    support=state.support.copy(), a_rows=state.a_rows.rows.copy(),
+                    flops=FlopCounter(state.flops.madds),
+                )
+                for it in range(iteration_schedule(lam, scenario) - 1):
+                    x = state.x
+                    pg_step(state)
+                    # an executed step binds a new x; a replayed one
+                    # writes no field of the state
+                    replayed += state.x is x
+                    gather_pg_step(ref, ata, atb, a, b, lam)
+                    case = (lam, trial, it)
+                    assert state.x.tobytes() == ref.x.tobytes(), case
+                    cost = state.f + lam * float(np.abs(state.x).sum())
+                    ref_cost = ref.f + lam * float(np.abs(ref.x).sum())
+                    assert (cost, state.f, state.mu) == (ref_cost, ref.f, ref.mu), case
+                    assert state.backtracks_last == ref.backtracks_last, case
+                    assert state.flops.madds == ref.flops.madds, case
+                    assert state.n == ref.n, case
+        assert replayed > 0, "no step was replayed, so the lockstep shows nothing"
+
+
+def first_fixed_point(a, b, lam, iterations):
+    """The 0-based column index of the first step that returned x itself
+    (zero displacement), found by executing the steps and reading dx;
+    None when no step within the budget did."""
+    state = pg_init(a, b, lam)
+    for index in range(1, iterations):
+        pg_step(state)
+        if not state.dx.any():
+            return index
+    return None
+
+
+class TestFixedPointClosedForm:
+    """After the first step that returns x itself, every column is the
+    closed form of a fixed point: the values repeat, no halving, and
+    (n + m) nnz + 14n + 2m multiply-adds per iteration."""
+
+    def test_hand_case_zero_rhs(self):
+        # x stays 0 from x_1 on; init charges n^2 m + n m + 4n + 2m = 24
+        # and each step 14n + 2m = 32 (nnz = 0)
+        a, b = np.eye(2), np.zeros(2)
+        res = pg_solve(a, b, 0.5, 6, ground_truth=np.zeros(2))
+        assert first_fixed_point(a, b, 0.5, 6) == 1
+        assert res.cost == [0.0] * 6 and res.f == [0.0] * 6
+        assert res.mu == [0.2] * 6 and res.sq_error == [0.0] * 6
+        assert res.backtracks == [0] * 6
+        assert res.flops == [24, 56, 88, 120, 152, 184]
+
+    @pytest.mark.parametrize("scenario, lam", [("s1", 0.02), ("s1", 1.0), ("s2", 0.1)])
+    def test_columns_after_first_zero_step(self, make_instance, scenario, lam):
+        inst = make_instance(scenario, seed=9, trial=1)
+        a, b = inst.a, inst.b
+        m, n = a.shape
+        iterations = iteration_schedule(lam, scenario)
+        k = first_fixed_point(a, b, lam, iterations)
+        assert k is not None and k < iterations - 1, "no replayed iteration to check"
+        res = pg_solve(a, b, lam, iterations, ground_truth=inst.x_true)
+        nnz = int(np.count_nonzero(res.x))
+        for column in (res.cost, res.f, res.mu, res.sq_error):
+            assert column[k:] == [column[k]] * (iterations - k)
+        assert res.backtracks[k + 1:] == [0] * (iterations - k - 1)
+        per_iteration = (n + m) * nnz + 14 * n + 2 * m
+        assert [later - earlier for earlier, later in zip(res.flops[k:], res.flops[k + 1:])] == [
+            per_iteration
+        ] * (iterations - k - 1)
 
 
 def reference_records(a, b, lam, iterations, truth):
