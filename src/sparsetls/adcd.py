@@ -31,10 +31,11 @@ algorithm more cheaply:
   v_i = 0, so the sweep reads a's own columns there and adds v_i u only on
   P = supp(x) + supp(v), which in a solve is the support;
 - with what depends on a alone made once a solve, by adcd_init: a
-  C-contiguous copy of a^T, held as a kernel.SupportRows, and its row
-  norms.  Each sweep copies the one and recomputes the other on P's rows
-  only; the e update's block a^T[s] is gathered again only when the
-  support changes, and the next sweep forms P's rows from it;
+  C-contiguous copy of a^T, held as a kernel.SupportRows, and its squared
+  row norms a_i . a_i, from one np.vecdot.  Each sweep copies both and
+  recomputes P's rows and their squared norms only; the e update's block
+  a^T[s] is gathered again only when the support changes, and the next
+  sweep forms P's rows from it;
 - checking a run of zero coordinates exactly only where a bound cannot
   prove that none of them leaves zero (a screen in the manner of the
   strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
@@ -73,7 +74,7 @@ class AdcdState:
     so v is the iterate at the last e update (both are zero before the
     first).  e_mat builds the dense m x n matrix on demand, with the bits
     of the np.outer(u, v) a dense e update would have stored.  What the
-    sweep and the e update read of a alone, rows and norms, is made once
+    sweep and the e update read of a alone, rows and sq_norms, is made once
     by adcd_init; a must not be written while a state holds them.
     """
 
@@ -83,7 +84,7 @@ class AdcdState:
     b: np.ndarray
     lam: float
     rows: SupportRows   # a C-contiguous copy of a^T, with its last support block
-    norms: np.ndarray   # the row norms of rows, ||a_i||
+    sq_norms: np.ndarray  # the squared row norms of rows, a_i . a_i
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
@@ -108,7 +109,7 @@ def adcd_init(a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
     rows = np.ascontiguousarray(a.T)
     return AdcdState(
         x=np.zeros(n), u=np.zeros(m), v=np.zeros(n), b=b, lam=lam,
-        rows=SupportRows(rows), norms=np.sqrt(np.einsum("ij,ij->i", rows, rows)),
+        rows=SupportRows(rows), sq_norms=np.vecdot(rows, rows),
     )
 
 
@@ -167,14 +168,19 @@ def _sweep(state: AdcdState) -> None:
     the solve's contiguous a^T.  Outside P = supp(x) + supp(v) that sum is
     a_i itself (a_ij + 0.0 = a_ij), so only P's rows get v_i u added, to
     the block a^T[P] (the e update's kept block when P is its support),
-    from one |P| x m outer product; the row norms outside P are the
-    solve's, and P's come from that block.  The full residual r = b - c x
-    is built once, from the support, at the start of the sweep and then
-    kept current:
+    as one |P| x m product v[P, None] * u (the bytes of np.outer).  Each
+    norm2 = c_i . c_i the sweep reads comes from one array: the solve's
+    squared row norms outside P, and np.vecdot(block, block) on P, whose
+    rows have the bytes of c_i.dot(c_i) (tests/test_kernel.py::TestRowDots
+    pins this).  The full residual r = b - c x is built once, from the
+    support, at the start of the sweep and then kept current:
 
-    - a support coordinate gets rho = c_i . r + x_i ||c_i||^2, which is
+    - a support coordinate gets rho = c_i . r + x_i norm2, which is
       c_i . resid for the partial residual that excludes i; after the
-      update r -= (new - old) c_i;
+      update r -= (new - old) c_i.  Its threshold and charge run inline on
+      Python floats (the formulas of _threshold and _update_madds), with
+      x_i read from one tolist() of x: a coordinate is written only when
+      visited, so until then its entry is the one the sweep started with;
     - a zero coordinate's partial residual is r itself, so the rhos of a
       run of zero coordinates between two support entries come from one
       product with the contiguous block of their rows.  The first rho
@@ -189,8 +195,10 @@ def _sweep(state: AdcdState) -> None:
 
         max_run rho0 + max_run ||c_i|| * (drift + tol (drift + ||r0||))
 
-    is below lam / 2, the two maxima per run coming from np.maximum.reduceat.
-    The margin covers every rounding, with u = 2^-53 and, to first order,
+    is below lam / 2, the two maxima per run coming from np.maximum.reduceat;
+    the norms' is the square root of the run's largest norm2, which is the
+    largest computed norm N_i = sqrt(norm2) since sqrt is monotone.  The
+    margin covers every rounding, with u = 2^-53 and, to first order,
     gamma_k = k u, the bound of a computed length-k dot product
     (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1):
 
@@ -226,32 +234,40 @@ def _sweep(state: AdcdState) -> None:
     nonzero = x != 0.0
     support = nonzero.nonzero()[0]
     perturbed = (nonzero | (v != 0.0)).nonzero()[0]
-    block = support_block(state.rows, perturbed) + np.outer(v[perturbed], state.u)
+    block = support_block(state.rows, perturbed) + v[perturbed, None] * state.u
     # P is the support in a solve, so the residual reads P's block as is
     held = state.rows.replaced(perturbed, block)
     rows = held.rows
-    norms = state.norms.copy()
-    norms[perturbed] = np.sqrt(np.einsum("ij,ij->i", block, block))
+    sq = state.sq_norms.copy()
+    sq[perturbed] = np.vecdot(block, block)
     r = state.b - support_matvec(held, x, support)
     # segments, from the support the sweep starts with (the entries ahead
     # of the sweep position have not changed): each support coordinate
     # alone, and each run of zero coordinates between two of them
     cuts = (nonzero | np.concatenate(([True], nonzero[:-1]))).nonzero()[0]
     rho0_max = np.maximum.reduceat(np.abs(rows @ r), cuts).tolist()
-    norm_max = np.maximum.reduceat(norms, cuts).tolist()
+    norm_max = np.sqrt(np.maximum.reduceat(sq, cuts)).tolist()
     r0_norm = math.sqrt(float(r.dot(r)))
     tol = (m + n + 4) * 2.0**-50
     drift = 0.0
+    # a coordinate is visited once, so until then x's entry is the list's
+    olds, norm2s = x.tolist(), sq.tolist()
     nnz = int(support.size)
     madds = 0
     segments = zip(cuts.tolist(), [*cuts[1:].tolist(), n], nonzero[cuts].tolist(), rho0_max, norm_max)
     for lo, hi, in_support, rho0_hi, norm_hi in segments:
         if in_support:
+            # _update_madds(m, nnz - 1) and _threshold, inline
             col = rows[lo]
-            old = float(x[lo])
-            norm2 = float(col.dot(col))
-            madds += _update_madds(m, nnz - 1)
-            new = _threshold(float(col.dot(r)) + old * norm2, half, norm2)
+            old, norm2 = olds[lo], norm2s[lo]
+            madds += 3 * m + (2 * m * (nnz - 1) + m if nnz > 1 else 0)
+            rho = float(col.dot(r)) + old * norm2
+            new = 0.0
+            if norm2 != 0.0:
+                if rho > half:
+                    new = (rho - half) / norm2
+                elif rho < -half:
+                    new = (rho + half) / norm2
             if new != old:
                 x[lo] = new
                 step = new - old
@@ -267,9 +283,9 @@ def _sweep(state: AdcdState) -> None:
             if not leave.size:
                 break
             j = i + int(leave[0])
-            madds += (j + 1 - i) * _update_madds(m, nnz)
+            madds += (j + 1 - i) * (3 * m + (2 * m * nnz + m if nnz else 0))
             col = rows[j]
-            norm2 = float(col.dot(col))
+            norm2 = norm2s[j]
             new = _threshold(float(rhos[j - i]), half, norm2)
             if new != 0.0:
                 x[j] = new
@@ -277,7 +293,7 @@ def _sweep(state: AdcdState) -> None:
                 drift += abs(new) * math.sqrt(norm2)
                 nnz += 1
             i = j + 1
-        madds += (hi - i) * _update_madds(m, nnz)
+        madds += (hi - i) * (3 * m + (2 * m * nnz + m if nnz else 0))
     state.flops.add(madds)
 
 

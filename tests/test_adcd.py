@@ -12,6 +12,7 @@ from sparsetls import (
     adcd_solve,
     adcd_step,
     eval_cost,
+    iteration_schedule,
     squared_error,
 )
 from sparsetls.kernel import FlopCounter, quotient, support_matvec
@@ -38,7 +39,7 @@ class TestInit:
         assert state.b is b and state.lam == 0.02
         assert state.rows.rows.flags.c_contiguous
         assert np.array_equal(state.rows.rows, a.T)
-        assert np.allclose(state.norms, np.linalg.norm(a, axis=0), rtol=1e-14, atol=0.0)
+        assert np.allclose(state.sq_norms, np.linalg.norm(a, axis=0) ** 2, rtol=1e-14, atol=0.0)
 
     def test_two_inits_identical(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
@@ -454,6 +455,15 @@ class TestBitParityWithDenseSweep:
             inst = make_instance(scenario, seed=8, trial=trial)
             fast, ref = state_pair(inst.a, inst.b, lam, *zero_point(*inst.a.shape))
             bit_lockstep(fast, ref, inst.a, inst.b, lam, 120)
+
+    @pytest.mark.parametrize("scenario, lam", [("s1", 0.02), ("s2", 0.02), ("s2", 0.1), ("s2", 0.5)])
+    def test_benchmark_cells_over_their_schedule(self, make_instance, scenario, lam):
+        # the AD-CD cells of the gated benchmark workloads (s1 trace at
+        # 0.02; the s2 lambda sweep over 0.02, 0.1 and 0.5), each for its
+        # whole iteration budget
+        inst = make_instance(scenario, seed=12, trial=0)
+        fast, ref = state_pair(inst.a, inst.b, lam, *zero_point(*inst.a.shape))
+        bit_lockstep(fast, ref, inst.a, inst.b, lam, iteration_schedule(lam, scenario))
 
     @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
     def test_zero_coordinate_at_the_threshold(self, s1_instance, ulps):

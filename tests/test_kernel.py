@@ -234,6 +234,50 @@ class TestSupportGather:
             assert plain.madds == kept.madds
 
 
+class TestRowDots:
+    """AD-CD's sweep takes every c_i . c_i of a sweep from one np.vecdot,
+    and its bit parity with the dense sweep rests on this: on this numpy
+    and BLAS, each row of np.vecdot(B, B) and np.vecdot(B, r) has the bytes
+    of B[k].dot(B[k]) and B[k].dot(r).  One exception is known and pinned:
+    at length 1, dot keeps the sign of a zero product, so a zero row
+    against a negative entry gives -0.0, where vecdot gives +0.0.  A square
+    is never -0.0, so B . B has no exception."""
+
+    @staticmethod
+    def check(block, r, label):
+        m = block.shape[1]
+        for name, got, want in (
+            ("np.vecdot(B, B)", np.vecdot(block, block), [row.dot(row) for row in block]),
+            ("np.vecdot(B, r)", np.vecdot(block, r), [row.dot(r) for row in block]),
+        ):
+            bad = [k for k, w in enumerate(want) if got[k].tobytes() != w.tobytes()
+                   and not (m == 1 and w == 0.0 and got[k].tobytes() == np.float64(0.0).tobytes())]
+            assert not bad, f"{label}: rows {bad} of {name} differ from the per-row dot"
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("m", [1, 7, 20, 33, 80, 127])
+    def test_rows_of_instance_values(self, make_instance, scenario, m):
+        inst = make_instance(scenario, seed=12, trial=1)
+        values = np.ascontiguousarray(inst.a.T).ravel()
+        k = min(40, values.size // m - 1)
+        block = values[: k * m].reshape(k, m).copy()
+        block[1] = 0.0
+        r = values[-m:].copy()
+        self.check(block, r, f"{scenario}, m = {m}")
+        self.check(block[:1], r, f"{scenario}, m = {m}, one row")
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_perturbed_support_block(self, make_instance, scenario):
+        # the sweep's own shape: a^T[P] + v[P] u^T against the residual b
+        inst = make_instance(scenario, seed=12, trial=2)
+        rows = np.ascontiguousarray(inst.a.T)
+        s = (inst.x_true != 0.0).nonzero()[0]
+        v = 0.1 * inst.x_true
+        block = rows[s] + v[s, None] * (0.05 * inst.b)
+        self.check(block, inst.b, f"{scenario} support block")
+        self.check(rows, inst.b, f"{scenario} a^T")
+
+
 class TestShrink:
     def test_componentwise_values(self):
         out = shrink(np.array([0.5, -0.1, -0.9]), 0.2)
