@@ -279,7 +279,7 @@ def _sweep(state: AdcdState) -> None:
         i = lo
         while i < hi and not rho0_hi + norm_hi * (drift + tol * (drift + r0_norm)) < half:
             rhos = rows[i:hi] @ r
-            leave = np.flatnonzero(np.abs(rhos) > half)
+            leave = (np.abs(rhos) > half).nonzero()[0]
             if not leave.size:
                 break
             j = i + int(leave[0])
