@@ -31,11 +31,17 @@ algorithm more cheaply:
   v_i = 0, so the sweep reads a's own columns there and adds v_i u only on
   P = supp(x) + supp(v), which in a solve is the support;
 - with what depends on a alone made once a solve, by adcd_init: a
-  C-contiguous copy of a^T, held as a kernel.SupportRows, and its squared
-  row norms a_i . a_i, from one np.vecdot.  Each sweep copies both and
-  recomputes P's rows and their squared norms only; the e update's block
-  a^T[s] is gathered again only when the support changes, and the next
-  sweep forms P's rows from it;
+  C-contiguous copy of a^T, held as a kernel.SupportRows, its squared row
+  norms a_i . a_i, from one np.vecdot, and a kept working copy of both.
+  A sweep forms the support's columns as one block, from the e update's
+  block a^T[s], which is gathered again only when the support changes.
+  Into the working copy it writes only the rows of P outside the support,
+  after restoring the rows it wrote the sweep before.  In a solve that set
+  is empty (each e update sets v = x, so the next sweep starts with
+  supp(v) = supp(x)), and the working copy keeps the bytes of a^T.  The
+  layout of the sweep's segments is kept too, keyed by the bytes of the
+  support, as a SupportRows keys its block.  So the set-up outside the
+  coordinate loop and the screen is O(|s| m), not O(n m);
 - checking a run of zero coordinates exactly only where a bound cannot
   prove that none of them leaves zero (a screen in the manner of the
   strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
@@ -76,6 +82,13 @@ class AdcdState:
     of the np.outer(u, v) a dense e update would have stored.  What the
     sweep and the e update read of a alone, rows and sq_norms, is made once
     by adcd_init; a must not be written while a state holds them.
+
+    work and work_sq are the sweep's kept copies of rows.rows and sq_norms.
+    Their rows are those of a^T and a_i . a_i, except the rows in patched,
+    which hold c_i = a_i + v_i u and c_i . c_i of the last sweep that wrote
+    them.  Each sweep restores those rows first, so no value derived from
+    x, u or v outlives it, apart from the segment layout, which is keyed
+    by the bytes of the support it was made from.
     """
 
     x: np.ndarray       # current iterate, length n
@@ -85,6 +98,11 @@ class AdcdState:
     lam: float
     rows: SupportRows   # a C-contiguous copy of a^T, with its last support block
     sq_norms: np.ndarray  # the squared row norms of rows, a_i . a_i
+    work: np.ndarray    # kept copy of rows.rows, c_i on the rows in patched
+    work_sq: np.ndarray  # kept copy of sq_norms, c_i . c_i on the rows in patched
+    patched: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
+    layout_key: Optional[bytes] = None  # support.tobytes() of layout
+    layout: tuple = ()  # (cuts, segments) of the sweep from that support
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
@@ -107,9 +125,10 @@ def adcd_init(a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
     require_system(a, b, lam)
     m, n = a.shape
     rows = np.ascontiguousarray(a.T)
+    sq_norms = np.vecdot(rows, rows)
     return AdcdState(
         x=np.zeros(n), u=np.zeros(m), v=np.zeros(n), b=b, lam=lam,
-        rows=SupportRows(rows), sq_norms=np.vecdot(rows, rows),
+        rows=SupportRows(rows), sq_norms=sq_norms, work=rows.copy(), work_sq=sq_norms.copy(),
     )
 
 
@@ -163,23 +182,26 @@ def _sweep(state: AdcdState) -> None:
     The values are those of calling adcd_coordinate_update for
     i = 0..n-1, up to floating-point rounding (a test holds the two to a
     stated tolerance, with exact supports and multiply-adds); only the
-    execution is cheaper.  e = u v^T is fixed during the sweep, so the
-    columns c_i = a_i + v_i u are formed once, as the rows of a copy of
-    the solve's contiguous a^T.  Outside P = supp(x) + supp(v) that sum is
-    a_i itself (a_ij + 0.0 = a_ij), so only P's rows get v_i u added, to
-    the block a^T[P] (the e update's kept block when P is its support),
-    as one |P| x m product v[P, None] * u (the bytes of np.outer).  Each
-    norm2 = c_i . c_i the sweep reads comes from one array: the solve's
-    squared row norms outside P, and np.vecdot(block, block) on P, whose
-    rows have the bytes of c_i.dot(c_i) (tests/test_kernel.py::TestRowDots
-    pins this).  The full residual r = b - c x is built once, from the
-    support, at the start of the sweep and then kept current:
+    execution is cheaper.  e = u v^T is fixed during the sweep, so each
+    column c_i = a_i + v_i u is formed once.  Outside P = supp(x) + supp(v)
+    that sum is a_i itself (a_ij + 0.0 = a_ij).  The support's columns are
+    one block, a^T[s] + v[s, None] * u (the e update's kept block plus the
+    bytes of np.outer), whose rows the support coordinates read in place.
+    The rows of P outside the support lie inside the zero runs; they are
+    formed the same way and written into the state's working copy of a^T,
+    which holds a_i on every other row (see AdcdState).  Each
+    norm2 = c_i . c_i the sweep reads is a row of np.vecdot: of the block on
+    the support, of the written rows in the working copy's squared norms,
+    and the solve's squared row norms elsewhere.  A row of np.vecdot has the
+    bytes of c_i.dot(c_i) (tests/test_kernel.py::TestRowDots pins this).
+    The full residual r = b - c x is built once, from the block, at the
+    start of the sweep and then kept current:
 
     - a support coordinate gets rho = c_i . r + x_i norm2, which is
       c_i . resid for the partial residual that excludes i; after the
       update r -= (new - old) c_i.  Its threshold and charge run inline on
       Python floats (the formulas of _threshold and _update_madds), with
-      x_i read from one tolist() of x: a coordinate is written only when
+      x_i read from one tolist() of x[s]: a coordinate is written only when
       visited, so until then its entry is the one the sweep started with;
     - a zero coordinate's partial residual is r itself, so the rhos of a
       run of zero coordinates between two support entries come from one
@@ -189,7 +211,8 @@ def _sweep(state: AdcdState) -> None:
 
     That product is skipped while a bound proves that no rho of the run
     can leave [-lam / 2, lam / 2].  With r0 the residual at the start of
-    the sweep, rho0_i = |c_i . r0| (one product with all rows per sweep)
+    the sweep, rho0_i = |c_i . r0| (one product with the working copy per
+    sweep, whose outputs on the support rows, a_i . r0, are never read)
     and drift = sum |d_t| ||c_t|| over the updates r -= d_t c_t made so
     far, the run is quiet when
 
@@ -228,38 +251,50 @@ def _sweep(state: AdcdState) -> None:
     size, as the per-call update does: that is the baseline's algorithmic
     cost.
     """
-    n, m = state.rows.shape
-    x, v = state.x, state.v
+    n, m = state.work.shape
+    x, v, u = state.x, state.v, state.u
+    a_t, work, work_sq = state.rows.rows, state.work, state.work_sq
     half = 0.5 * state.lam
     nonzero = x != 0.0
     support = nonzero.nonzero()[0]
-    perturbed = (nonzero | (v != 0.0)).nonzero()[0]
-    block = support_block(state.rows, perturbed) + v[perturbed, None] * state.u
-    # P is the support in a solve, so the residual reads P's block as is
-    held = state.rows.replaced(perturbed, block)
-    rows = held.rows
-    sq = state.sq_norms.copy()
-    sq[perturbed] = np.vecdot(block, block)
-    r = state.b - support_matvec(held, x, support)
-    # segments, from the support the sweep starts with (the entries ahead
-    # of the sweep position have not changed): each support coordinate
-    # alone, and each run of zero coordinates between two of them
-    cuts = (nonzero | np.concatenate(([True], nonzero[:-1]))).nonzero()[0]
-    rho0_max = np.maximum.reduceat(np.abs(rows @ r), cuts).tolist()
-    norm_max = np.sqrt(np.maximum.reduceat(sq, cuts)).tolist()
+    # the working copy: a^T again where the last sweep wrote, then c_i on
+    # P outside the support (nothing to do in a solve, where P = supp(x))
+    if state.patched.size:
+        work[state.patched] = a_t[state.patched]
+        work_sq[state.patched] = state.sq_norms[state.patched]
+    state.patched = patched = ((v != 0.0) & ~nonzero).nonzero()[0]
+    if patched.size:
+        rows = a_t[patched] + v[patched, None] * u
+        work[patched] = rows
+        work_sq[patched] = np.vecdot(rows, rows)
+    block = support_block(state.rows, support) + v[support, None] * u
+    xs = x[support]
+    r = state.b - block.T @ xs
+    key = support.tobytes()
+    if key != state.layout_key:
+        # segments, from the support the sweep starts with (the entries
+        # ahead of the sweep position have not changed): each support
+        # coordinate alone, with its position in s, and each run of zero
+        # coordinates between two of them
+        cuts = (nonzero | np.concatenate(([True], nonzero[:-1]))).nonzero()[0]
+        los, flags = cuts.tolist(), nonzero[cuts].tolist()
+        segments = list(zip(los, [*los[1:], n], flags, (np.cumsum(flags) - 1).tolist()))
+        state.layout_key, state.layout = key, (cuts, segments)
+    cuts, segments = state.layout
+    rho0_max = np.maximum.reduceat(np.abs(work @ r), cuts).tolist()
+    norm_max = np.sqrt(np.maximum.reduceat(work_sq, cuts)).tolist()
     r0_norm = math.sqrt(float(r.dot(r)))
     tol = (m + n + 4) * 2.0**-50
     drift = 0.0
     # a coordinate is visited once, so until then x's entry is the list's
-    olds, norm2s = x.tolist(), sq.tolist()
+    olds, norm2s = xs.tolist(), np.vecdot(block, block).tolist()
     nnz = int(support.size)
     madds = 0
-    segments = zip(cuts.tolist(), [*cuts[1:].tolist(), n], nonzero[cuts].tolist(), rho0_max, norm_max)
-    for lo, hi, in_support, rho0_hi, norm_hi in segments:
+    for (lo, hi, in_support, k), rho0_hi, norm_hi in zip(segments, rho0_max, norm_max):
         if in_support:
             # _update_madds(m, nnz - 1) and _threshold, inline
-            col = rows[lo]
-            old, norm2 = olds[lo], norm2s[lo]
+            col = block[k]
+            old, norm2 = olds[k], norm2s[k]
             madds += 3 * m + (2 * m * (nnz - 1) + m if nnz > 1 else 0)
             rho = float(col.dot(r)) + old * norm2
             new = 0.0
@@ -278,14 +313,14 @@ def _sweep(state: AdcdState) -> None:
             continue
         i = lo
         while i < hi and not rho0_hi + norm_hi * (drift + tol * (drift + r0_norm)) < half:
-            rhos = rows[i:hi] @ r
+            rhos = work[i:hi] @ r
             leave = (np.abs(rhos) > half).nonzero()[0]
             if not leave.size:
                 break
             j = i + int(leave[0])
             madds += (j + 1 - i) * (3 * m + (2 * m * nnz + m if nnz else 0))
-            col = rows[j]
-            norm2 = norm2s[j]
+            col = work[j]
+            norm2 = float(work_sq[j])
             new = _threshold(float(rhos[j - i]), half, norm2)
             if new != 0.0:
                 x[j] = new

@@ -57,7 +57,9 @@ def eval_cost(a: np.ndarray, b: np.ndarray, x: np.ndarray, lam: float) -> CostEv
 class SupportRows:
     """rows (a.T, a C-contiguous copy of it, or the symmetric a^T a) and
     block = rows[s] for the support s whose bytes are key (both None
-    before the first gather).  rows must not be written while held."""
+    before the first gather).  Neither rows nor block may be written while
+    held: a caller that needs modified rows (AD-CD's sweep adds v[s] u^T to
+    the block) computes them into an array of its own."""
 
     __slots__ = ("rows", "key", "block")
 
@@ -69,16 +71,6 @@ class SupportRows:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.rows.shape
-
-    def replaced(self, support: np.ndarray, block: np.ndarray) -> SupportRows:
-        """A SupportRows over a copy of rows with rows[support] = block,
-        holding block as the block of support: the bytes a gather of those
-        rows would give."""
-        rows = self.rows.copy()
-        rows[support] = block
-        held = SupportRows(rows)
-        held.key, held.block = support.tobytes(), block
-        return held
 
 
 def support_block(rows: np.ndarray | SupportRows, support: np.ndarray) -> np.ndarray:

@@ -291,7 +291,7 @@ def pg_step(state: PgState) -> PgState:
         madds += trial
         if line_search_ok(f_next, state.f, step, g, mu):
             break
-        if not step.any():
+        if not np.count_nonzero(step):
             # x came back: every later step repeats this one with no
             # halving, at this charge (see the module docstring)
             state.replay_madds = head + trial

@@ -529,6 +529,32 @@ class TestBitParityWithDenseSweep:
         bit_lockstep(fast, ref, a, b, 0.02, 3)
         assert np.count_nonzero(fast.x) > 1
 
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_perturbed_rows_outside_the_support_change(self, make_instance, scenario):
+        # P minus supp(x) grows, moves (in part onto the rows it held, in part
+        # off them) and empties between steps; only those rows of the working
+        # copy may differ from a^T after each step, so a missed restore fails
+        # here even where the screen would never read the stale row
+        inst = make_instance(scenario, seed=8, trial=1)
+        a, b = inst.a, inst.b
+        a_t = np.ascontiguousarray(a.T)
+        sq_norms = np.vecdot(a_t, a_t)
+        fast, ref = state_pair(a, b, 0.02, *zero_point(*a.shape))
+        bit_lockstep(fast, ref, a, b, 0.02, 3)
+        s = fast.x.nonzero()[0]
+        for outside in (s[:1], s[:3], s[2:5], s[6:8], s[:0]):
+            fast.x[outside] = 0.0
+            ref.x[outside] = 0.0
+            assert np.array_equal(((fast.v != 0.0) & (fast.x == 0.0)).nonzero()[0], outside)
+            c_rows = np.ascontiguousarray((a + np.outer(fast.u, fast.v)).T)
+            bit_lockstep(fast, ref, a, b, 0.02, 1)
+            kept = np.ones(a.shape[1], dtype=bool)
+            kept[outside] = False
+            assert fast.work[kept].tobytes() == a_t[kept].tobytes()
+            assert fast.work_sq[kept].tobytes() == sq_norms[kept].tobytes()
+            assert fast.work[outside].tobytes() == c_rows[outside].tobytes()
+        bit_lockstep(fast, ref, a, b, 0.02, 3)
+
 
 class TestCertificate:
     """The solver's recorded cost against the joint objective it minimizes,

@@ -203,19 +203,6 @@ class TestSupportGather:
         for s in (np.array([3]), np.array([3, 4]), np.array([3])):
             assert support_matvec(rows, x, s).tobytes() == support_matvec(held, x, s).tobytes()
 
-    def test_replaced_rows_hold_their_block(self):
-        rows, x = self.rows_and_x()
-        held = SupportRows(rows)
-        original = rows.copy()
-        s = np.array([2, 5, 17])
-        block = support_block(held, s) + 0.25
-        copy = held.replaced(s, block)
-        assert rows.tobytes() == original.tobytes()  # held's matrix is not written
-        assert copy.rows[s].tobytes() == block.tobytes()
-        assert support_block(copy, s) is block  # held: gathers nothing
-        for t in (s, np.array([2, 5]), s):
-            self.check(copy, x, t)
-
     def test_gradient_through_held_ata_is_bit_identical(self):
         rng = RngStream(78)
         n = 25
