@@ -31,25 +31,29 @@ algorithm more cheaply:
   v_i = 0, so the sweep reads a's own columns there and adds v_i u only on
   P = supp(x) + supp(v), which in a solve is the support;
 - with what depends on a alone made once a solve, by adcd_init: a
-  C-contiguous copy of a^T, held as a kernel.SupportRows, its squared row
-  norms a_i . a_i, from one np.vecdot, and a kept working copy of both.
-  A sweep forms the support's columns as one block, from the e update's
-  block a^T[s], which is gathered again only when the support changes.
-  Into the working copy it writes only the rows of P outside the support,
-  after restoring the rows it wrote the sweep before.  In a solve that set
-  is empty (each e update sets v = x, so the next sweep starts with
-  supp(v) = supp(x)), and the working copy keeps the bytes of a^T.  The
-  layout of the sweep's segments is kept too, keyed by the bytes of the
-  support, as a SupportRows keys its block.  So the set-up outside the
-  coordinate loop and the screen is O(|s| m), not O(n m);
+  C-contiguous copy of a^T, held as a kernel.SupportRows, and its squared
+  row norms a_i . a_i, from one np.vecdot.  A sweep forms the columns of
+  P as one block, from a^T[P], which the SupportRows gathers again only
+  when P changes, and reads a^T and its norms themselves everywhere else.
+  Each coordinate of P is a segment of its own, so every run of zero
+  coordinates is made of columns with v_i = 0, c_i = a_i.  The layout of
+  the segments, with the largest ||a_i|| of each, is kept too, keyed by
+  the bytes of P, as a SupportRows keys its block.  So the set-up outside
+  the coordinate loop and the screen is O(|P| m), not O(n m);
 - checking a run of zero coordinates exactly only where a bound cannot
   prove that none of them leaves zero (a screen in the manner of the
   strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
   is lost; see _sweep).
 
-None of these changes a bit: x, e, f and the counted multiply-adds are
-those of the running-residual sweep on a dense e (a is never written
-during a solve, so what is kept has the bytes of computing it again).
+None of these changes a bit in a state a solve reaches: x, e, f and the
+counted multiply-adds are those of the running-residual sweep on a dense
+e (a is never written during a solve, so what is kept has the bytes of
+computing it again).  There each e update sets v = x, so every sweep
+starts with P = supp(x).  Only a caller that writes the state can make a
+coordinate of P with x_i = 0; its rho then comes from its own dot, not a
+row of its run's product, so the values may differ by rounding (the
+tests hold such states to a stated tolerance, with exact supports and
+multiply-adds).
 
 adcd_solve returns the same columnar SolveResult as the proximal-gradient
 solver, filled by the same loop.  Its cost c(x) = f + lam * ||x||_1 (the
@@ -81,14 +85,9 @@ class AdcdState:
     first).  e_mat builds the dense m x n matrix on demand, with the bits
     of the np.outer(u, v) a dense e update would have stored.  What the
     sweep and the e update read of a alone, rows and sq_norms, is made once
-    by adcd_init; a must not be written while a state holds them.
-
-    work and work_sq are the sweep's kept copies of rows.rows and sq_norms.
-    Their rows are those of a^T and a_i . a_i, except the rows in patched,
-    which hold c_i = a_i + v_i u and c_i . c_i of the last sweep that wrote
-    them.  Each sweep restores those rows first, so no value derived from
-    x, u or v outlives it, apart from the segment layout, which is keyed
-    by the bytes of the support it was made from.
+    by adcd_init; a must not be written while a state holds them.  The
+    sweep's segment layout depends only on P = supp(x) + supp(v) and on
+    sq_norms, and is kept keyed by the bytes of P.
     """
 
     x: np.ndarray       # current iterate, length n
@@ -98,11 +97,8 @@ class AdcdState:
     lam: float
     rows: SupportRows   # a C-contiguous copy of a^T, with its last support block
     sq_norms: np.ndarray  # the squared row norms of rows, a_i . a_i
-    work: np.ndarray    # kept copy of rows.rows, c_i on the rows in patched
-    work_sq: np.ndarray  # kept copy of sq_norms, c_i . c_i on the rows in patched
-    patched: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
-    layout_key: Optional[bytes] = None  # support.tobytes() of layout
-    layout: tuple = ()  # (cuts, segments) of the sweep from that support
+    layout_key: Optional[bytes] = None  # P.tobytes() of layout
+    layout: tuple = ()  # (cuts, segments, norm_max) of the sweep from that P
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: FlopCounter = field(default_factory=FlopCounter)
@@ -125,10 +121,9 @@ def adcd_init(a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
     require_system(a, b, lam)
     m, n = a.shape
     rows = np.ascontiguousarray(a.T)
-    sq_norms = np.vecdot(rows, rows)
     return AdcdState(
         x=np.zeros(n), u=np.zeros(m), v=np.zeros(n), b=b, lam=lam,
-        rows=SupportRows(rows), sq_norms=sq_norms, work=rows.copy(), work_sq=sq_norms.copy(),
+        rows=SupportRows(rows), sq_norms=np.vecdot(rows, rows),
     )
 
 
@@ -184,43 +179,44 @@ def _sweep(state: AdcdState) -> None:
     stated tolerance, with exact supports and multiply-adds); only the
     execution is cheaper.  e = u v^T is fixed during the sweep, so each
     column c_i = a_i + v_i u is formed once.  Outside P = supp(x) + supp(v)
-    that sum is a_i itself (a_ij + 0.0 = a_ij).  The support's columns are
-    one block, a^T[s] + v[s, None] * u (the e update's kept block plus the
-    bytes of np.outer), whose rows the support coordinates read in place.
-    The rows of P outside the support lie inside the zero runs; they are
-    formed the same way and written into the state's working copy of a^T,
-    which holds a_i on every other row (see AdcdState).  Each
-    norm2 = c_i . c_i the sweep reads is a row of np.vecdot: of the block on
-    the support, of the written rows in the working copy's squared norms,
-    and the solve's squared row norms elsewhere.  A row of np.vecdot has the
-    bytes of c_i.dot(c_i) (tests/test_kernel.py::TestRowDots pins this).
-    The full residual r = b - c x is built once, from the block, at the
-    start of the sweep and then kept current:
+    that sum is a_i itself (a_ij + 0.0 = a_ij).  P's columns are one
+    block, a^T[P] + v[P, None] * u (the kept block of a SupportRows plus
+    the bytes of np.outer), whose rows P's coordinates read in place.
+    Every coordinate of P is a segment of its own, even one with x_i = 0,
+    so the zero runs are made of unperturbed columns and read a^T and its
+    squared row norms as adcd_init made them.  In a solve P is the support
+    (each e update sets v = x), so this costs nothing there.  Each
+    norm2 = c_i . c_i the sweep reads is a row of np.vecdot: of the block
+    on P, and the solve's squared row norms elsewhere.  A row of np.vecdot
+    has the bytes of c_i.dot(c_i) (tests/test_kernel.py::TestRowDots pins
+    this).  The full residual r = b - c x is built once, from the block,
+    at the start of the sweep and then kept current:
 
-    - a support coordinate gets rho = c_i . r + x_i norm2, which is
+    - a coordinate of P gets rho = c_i . r + x_i norm2, which is
       c_i . resid for the partial residual that excludes i; after the
       update r -= (new - old) c_i.  Its threshold and charge run inline on
-      Python floats (the formulas of _threshold and _update_madds), with
-      x_i read from one tolist() of x[s]: a coordinate is written only when
+      Python floats (the formulas of _threshold and _update_madds, over
+      the nnz - 1 other nonzero entries, or all nnz where x_i = 0), with
+      x_i read from one tolist() of x[P]: a coordinate is written only when
       visited, so until then its entry is the one the sweep started with;
     - a zero coordinate's partial residual is r itself, so the rhos of a
-      run of zero coordinates between two support entries come from one
+      run of zero coordinates between two coordinates of P come from one
       product with the contiguous block of their rows.  The first rho
       outside +-lam / 2 ends the run: that coordinate leaves zero, r
       changes, and the rest of the run is recomputed from the new r.
 
     That product is skipped while a bound proves that no rho of the run
     can leave [-lam / 2, lam / 2].  With r0 the residual at the start of
-    the sweep, rho0_i = |c_i . r0| (one product with the working copy per
-    sweep, whose outputs on the support rows, a_i . r0, are never read)
-    and drift = sum |d_t| ||c_t|| over the updates r -= d_t c_t made so
-    far, the run is quiet when
+    the sweep, rho0_i = |c_i . r0| (one product with a^T per sweep, whose
+    outputs on the rows of P are never read) and drift = sum |d_t| ||c_t||
+    over the updates r -= d_t c_t made so far, the run is quiet when
 
         max_run rho0 + max_run ||c_i|| * (drift + tol (drift + ||r0||))
 
     is below lam / 2, the two maxima per run coming from np.maximum.reduceat;
     the norms' is the square root of the run's largest norm2, which is the
-    largest computed norm N_i = sqrt(norm2) since sqrt is monotone.  The
+    largest computed norm N_i = sqrt(norm2) since sqrt is monotone, and is
+    made with the layout, since a run reads only a's norms.  The
     margin covers every rounding, with u = 2^-53 and, to first order,
     gamma_k = k u, the bound of a computed length-k dot product
     (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1):
@@ -247,55 +243,47 @@ def _sweep(state: AdcdState) -> None:
     r is rebuilt from scratch every sweep (e changes between sweeps), so
     rounding drift from the updates is confined to one sweep.  The
     counted multiply-adds still charge every from-scratch rebuild of the
-    partial residual and the 3m of both dots, computed from the support
-    size, as the per-call update does: that is the baseline's algorithmic
-    cost.
+    partial residual and the 3m of both dots, computed from the number of
+    nonzero entries, as the per-call update does: that is the baseline's
+    algorithmic cost.
     """
-    n, m = state.work.shape
+    n, m = state.rows.shape
     x, v, u = state.x, state.v, state.u
-    a_t, work, work_sq = state.rows.rows, state.work, state.work_sq
+    a_t, sq_norms = state.rows.rows, state.sq_norms
     half = 0.5 * state.lam
-    nonzero = x != 0.0
-    support = nonzero.nonzero()[0]
-    # the working copy: a^T again where the last sweep wrote, then c_i on
-    # P outside the support (nothing to do in a solve, where P = supp(x))
-    if state.patched.size:
-        work[state.patched] = a_t[state.patched]
-        work_sq[state.patched] = state.sq_norms[state.patched]
-    state.patched = patched = ((v != 0.0) & ~nonzero).nonzero()[0]
-    if patched.size:
-        rows = a_t[patched] + v[patched, None] * u
-        work[patched] = rows
-        work_sq[patched] = np.vecdot(rows, rows)
-    block = support_block(state.rows, support) + v[support, None] * u
-    xs = x[support]
+    p_mask = (x != 0.0) | (v != 0.0)
+    p = p_mask.nonzero()[0]
+    block = support_block(state.rows, p) + v[p, None] * u
+    xs = x[p]
     r = state.b - block.T @ xs
-    key = support.tobytes()
+    key = p.tobytes()
     if key != state.layout_key:
-        # segments, from the support the sweep starts with (the entries
-        # ahead of the sweep position have not changed): each support
-        # coordinate alone, with its position in s, and each run of zero
-        # coordinates between two of them
-        cuts = (nonzero | np.concatenate(([True], nonzero[:-1]))).nonzero()[0]
-        los, flags = cuts.tolist(), nonzero[cuts].tolist()
+        # segments, from the P the sweep starts with (the entries ahead of
+        # the sweep position have not changed): each coordinate of P alone,
+        # with its position in p, and each run of zero coordinates between
+        # two of them; and each segment's largest ||a_i||, which a zero run's
+        # screen reads
+        cuts = (p_mask | np.concatenate(([True], p_mask[:-1]))).nonzero()[0]
+        los, flags = cuts.tolist(), p_mask[cuts].tolist()
         segments = list(zip(los, [*los[1:], n], flags, (np.cumsum(flags) - 1).tolist()))
-        state.layout_key, state.layout = key, (cuts, segments)
-    cuts, segments = state.layout
-    rho0_max = np.maximum.reduceat(np.abs(work @ r), cuts).tolist()
-    norm_max = np.sqrt(np.maximum.reduceat(work_sq, cuts)).tolist()
+        norm_max = np.sqrt(np.maximum.reduceat(sq_norms, cuts)).tolist()
+        state.layout_key, state.layout = key, (cuts, segments, norm_max)
+    cuts, segments, norm_max = state.layout
+    rho0_max = np.maximum.reduceat(np.abs(a_t @ r), cuts).tolist()
     r0_norm = math.sqrt(float(r.dot(r)))
     tol = (m + n + 4) * 2.0**-50
     drift = 0.0
     # a coordinate is visited once, so until then x's entry is the list's
     olds, norm2s = xs.tolist(), np.vecdot(block, block).tolist()
-    nnz = int(support.size)
+    nnz = int(np.count_nonzero(xs))
     madds = 0
-    for (lo, hi, in_support, k), rho0_hi, norm_hi in zip(segments, rho0_max, norm_max):
-        if in_support:
-            # _update_madds(m, nnz - 1) and _threshold, inline
+    for (lo, hi, in_p, k), rho0_hi, norm_hi in zip(segments, rho0_max, norm_max):
+        if in_p:
+            # _update_madds(m, others) and _threshold, inline
             col = block[k]
             old, norm2 = olds[k], norm2s[k]
-            madds += 3 * m + (2 * m * (nnz - 1) + m if nnz > 1 else 0)
+            others = nnz - 1 if old else nnz
+            madds += 3 * m + (2 * m * others + m if others else 0)
             rho = float(col.dot(r)) + old * norm2
             new = 0.0
             if norm2 != 0.0:
@@ -310,17 +298,19 @@ def _sweep(state: AdcdState) -> None:
                 drift += abs(step) * math.sqrt(norm2)
                 if new == 0.0:
                     nnz -= 1
+                elif old == 0.0:
+                    nnz += 1
             continue
         i = lo
         while i < hi and not rho0_hi + norm_hi * (drift + tol * (drift + r0_norm)) < half:
-            rhos = work[i:hi] @ r
+            rhos = a_t[i:hi] @ r
             leave = (np.abs(rhos) > half).nonzero()[0]
             if not leave.size:
                 break
             j = i + int(leave[0])
             madds += (j + 1 - i) * (3 * m + (2 * m * nnz + m if nnz else 0))
-            col = work[j]
-            norm2 = float(work_sq[j])
+            col = a_t[j]
+            norm2 = float(sq_norms[j])
             new = _threshold(float(rhos[j - i]), half, norm2)
             if new != 0.0:
                 x[j] = new
