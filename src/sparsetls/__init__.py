@@ -16,7 +16,7 @@ from .experiments import (
     iteration_schedule,
     solve_instance,
 )
-from .kernel import FlopCounter, eval_cost, gradient, shrink
+from .kernel import eval_cost, gradient, shrink
 from .metrics import squared_error, support_errors
 from .problems import (
     Ensemble,
@@ -44,8 +44,8 @@ from .rng import derive_stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "BacktrackingError", "Ensemble", "ExperimentConfig", "FlopCounter",
-    "ScenarioConfig", "TraceRecord",
+    "BacktrackingError", "Ensemble", "ExperimentConfig", "ScenarioConfig",
+    "TraceRecord",
     "adaptive_step", "adcd_coordinate_update", "adcd_init", "adcd_solve",
     "adcd_step", "cli_main", "default_lambda_grid", "default_xi_grid",
     "derive_stream", "eval_cost", "gaussian_matrix", "generate_instance",

@@ -11,8 +11,8 @@ coordinate the partial residual is rebuilt from scratch, skipping
 exact-zero entries of x, so a sweep costs on the order of n * m * nnz(x)
 multiply-adds, and e is formed as an explicit dense matrix.  Both choices
 are deliberate: they are what the per-iteration cost comparison against
-the proximal-gradient solver is about, and the flop counter charges every
-rebuild and the m * n of forming e.
+the proximal-gradient solver is about, and each step charges every
+rebuild and the m * n of forming e to the state's flops.
 
 adcd_init(a, b, lam) binds the system to the state it returns, and
 adcd_step(state) reads everything from the state.  adcd_coordinate_update
@@ -65,13 +65,13 @@ pass over a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
 
-from .kernel import (FlopCounter, SupportRows, quotient, require_budget, require_system,
-                     support_block, support_matvec)
+from .kernel import (SupportRows, quotient, require_budget, require_system, support_block,
+                     support_matvec)
 from .prox_solver import SolveResult
 
 
@@ -101,7 +101,7 @@ class AdcdState:
     layout: tuple = ()  # (cuts, segments, norm_max) of the sweep from that P
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
-    flops: FlopCounter = field(default_factory=FlopCounter)
+    flops: int = 0      # counted multiply-adds, charged by each step
     # no step size, no line search: the mu and backtracks columns read 0;
     # every step is executed (SolveResult.from_states reads replay_madds)
     mu: ClassVar[float] = 0.0
@@ -146,7 +146,7 @@ def adcd_coordinate_update(state: AdcdState, i: int) -> float:
     c = state.rows.rows.T + state.e_mat
     resid = b - support_matvec(c.T, x, others)
     col = c[:, i]
-    state.flops.add(_update_madds(b.shape[0], int(others.size)))
+    state.flops += _update_madds(b.shape[0], int(others.size))
     new = _threshold(float(col @ resid), 0.5 * state.lam, float(col @ col))
     x[i] = new
     return new
@@ -319,7 +319,7 @@ def _sweep(state: AdcdState) -> None:
                 nnz += 1
             i = j + 1
         madds += (hi - i) * (3 * m + (2 * m * nnz + m if nnz else 0))
-    state.flops.add(madds)
+    state.flops += madds
 
 
 def adcd_step(state: AdcdState) -> AdcdState:
@@ -336,7 +336,7 @@ def adcd_step(state: AdcdState) -> AdcdState:
     resid, y, state.f = quotient(state.rows, state.b, x, support)
     state.u = -y * resid
     state.v = x.copy()
-    state.flops.add(m * int(support.size) + 2 * m + n + m * n)
+    state.flops += m * int(support.size) + 2 * m + n + m * n
     state.n += 1
     return state
 

@@ -44,12 +44,6 @@ class UsageError(Exception):
     """Bad arguments or config; maps to exit code 2."""
 
 
-# the flags without their dashes; each value is kept as a string, which
-# argparse converts with the flag's type when the default is read
-_CONFIG_KEYS = {"scenario", "lambda", "xi", "trials", "seed", "trial", "iters", "algo", "out",
-                "grid", "n", "m", "k", "ensemble"}
-
-
 def _read_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -98,6 +92,10 @@ _FLAGS = {
     "--out": dict(default="results", help="output directory"),
     "--algo": dict(choices=["pg", "adcd", "both"], default="both"),
 }
+# the flags without their dashes: the shared ones and those subcommands
+# add themselves; each value is kept as a string, which argparse converts
+# with the flag's type when the default is read
+_CONFIG_KEYS = {flag[2:] for flag in _FLAGS} | {"scenario", "lambda", "grid"}
 _CUSTOM = ("--n", "--m", "--k", "--ensemble")
 _LAMBDA_GRID_HELP = "comma-separated lambda values (default: 25 log-spaced on [5e-4, 1])"
 

@@ -26,16 +26,6 @@ from typing import Optional
 import numpy as np
 
 
-@dataclass
-class FlopCounter:
-    """Running count of multiply-add-equivalent operations in a solve."""
-
-    madds: int = 0
-
-    def add(self, n: int) -> None:
-        self.madds += int(n)
-
-
 @dataclass(frozen=True)
 class CostEval:
     f: float        # quotient residual, >= 0
@@ -116,7 +106,6 @@ def gradient(
     x: np.ndarray,
     y: float,
     f: float,
-    flops: FlopCounter,
     support: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gradient of the quotient residual: 2 y (a^T a x - a^T b - f x).
@@ -124,7 +113,8 @@ def gradient(
     ata and atb must be the cached a^T a and a^T b; y and f must be the
     values of 1/(||x||^2+1) and f(x) at this x.  The columns of ata whose
     x entry is an exact zero are skipped, so the product costs n * nnz(x)
-    multiply-adds (n^2 worst case); the remaining terms cost 3 n.
+    multiply-adds (n^2 worst case) and the remaining terms cost 3 n; the
+    caller charges them (see prox_solver.pg_step).
 
     `support`, when given, must equal x.nonzero()[0] (the solver keeps
     it as a state invariant); it is computed here when omitted.  ata must
@@ -137,9 +127,7 @@ def gradient(
         raise ValueError(f"dimension mismatch: ata {ata.shape}, atb {atb.shape}, x {x.shape}")
     if support is None:
         support = x.nonzero()[0]
-    atax = support_matvec(ata, x, support)
-    flops.add(n * int(support.size) + 3 * n)
-    return (2.0 * y) * (atax - atb - f * x)
+    return (2.0 * y) * (support_matvec(ata, x, support) - atb - f * x)
 
 
 def require_system(a: np.ndarray, b: np.ndarray, lam: float) -> None:

@@ -44,9 +44,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 < self.k < self.m < self.n):
-            raise ValueError(f"need 0 < k < m < n, got k={self.k} m={self.m} n={self.n}")
+        require_dims(self.k, self.m, self.n)
         require_xi(self.xi)
+
+
+def require_dims(k: int, m: int, n: int) -> None:
+    """Raise ValueError unless 0 < k < m < n."""
+    if not (0 < k < m < n):
+        raise ValueError(f"need 0 < k < m < n, got k={k} m={m} n={n}")
 
 
 def require_xi(xi: float) -> None:
@@ -231,10 +236,12 @@ def _read_block(
 def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
     """Read an instance file written by save_instance.
 
-    Strict: every block must have the shape the header gives (A_o and E_o
-    m x n, x_o n, e_o and b m), every value must be finite, and nothing
-    but blank lines may follow the last block.  Any violation, including
-    a truncated file, raises ValueError.
+    Strict: the header must give 0 < k < m < n and a finite xi >= 0, as
+    a ScenarioConfig requires; every block must have the shape the header
+    gives (A_o and E_o m x n, x_o n, e_o and b m), every value must be
+    finite, x_o must have exactly k nonzero entries, and nothing but blank
+    lines may follow the last block.  Any violation, including a
+    truncated file, raises ValueError.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("PCS1 "):
@@ -242,10 +249,15 @@ def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
     fields = lines[0].split()
     if len(fields) != 6:
         raise ValueError(f"{path}: malformed header line")
-    header = InstanceHeader(
-        m=int(fields[1]), n=int(fields[2]), k=int(fields[3]),
-        xi=float(fields[4]), seed=int(fields[5]),
-    )
+    try:
+        header = InstanceHeader(
+            m=int(fields[1]), n=int(fields[2]), k=int(fields[3]),
+            xi=float(fields[4]), seed=int(fields[5]),
+        )
+        require_dims(header.k, header.m, header.n)
+        require_xi(header.xi)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header: {exc}") from exc
     m, n = header.m, header.n
 
     pos = 1
@@ -257,6 +269,9 @@ def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
             raise ValueError(f"{path}: unexpected data after the last block at line {lineno + 1}")
 
     a_true, x_true = blocks["A_o"], blocks["x_o"]
+    nnz = int(np.count_nonzero(x_true))
+    if nnz != header.k:
+        raise ValueError(f"{path}: block 'x_o' has {nnz} nonzero entries, the header k={header.k}")
     a_pert, b_pert, b = blocks["E_o"], blocks["e_o"], blocks["b"]
     inst = ProblemInstance(
         a_true=a_true,

@@ -68,15 +68,14 @@ first read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .kernel import (FlopCounter, SupportRows, gradient, quotient, require_budget,
-                     require_system, shrink)
+from .kernel import SupportRows, gradient, quotient, require_budget, require_system, shrink
 
 START_STEP = 0.2
 MAX_BACKTRACKS = 60
@@ -103,8 +102,10 @@ class PgState:
     recompute it).  b, lam and atb = a^T b are the system's; ata_rows
     holds a^T a and a_rows a C-contiguous copy of a.T, made once by
     pg_init, each with its last support block (see the module docstring).
-    replay_madds is 0 until a step returns x itself; from then on it is
-    the counted cost of each further step, which only replays it.
+    flops is the running total of counted multiply-adds, which pg_init
+    and each pg_step charge for their own work.  replay_madds is 0 until
+    a step returns x itself; from then on it is the counted cost of each
+    further step, which only replays it.
     """
 
     x: np.ndarray
@@ -120,7 +121,7 @@ class PgState:
     atb: np.ndarray
     ata_rows: SupportRows
     a_rows: SupportRows
-    flops: FlopCounter = field(default_factory=FlopCounter)
+    flops: int
     backtracks_last: int = 0
     replay_madds: int = 0
 
@@ -128,7 +129,7 @@ class PgState:
 @dataclass(frozen=True)
 class TraceRecord:
     """One accepted iteration; rejected line-search trials only show up in
-    the flop and backtrack counters."""
+    the flop and backtrack counts."""
 
     iteration: int
     cost: float
@@ -178,7 +179,7 @@ class SolveResult:
             f.append(state.f)
             mu.append(state.mu)
             backtracks.append(state.backtracks_last)
-            flops.append(state.flops.madds)
+            flops.append(state.flops)
             if sq_error is not None:
                 sq_error.append(entry_error)
             fixed = state.replay_madds != 0
@@ -209,10 +210,8 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> PgState:
     """
     require_system(a, b, lam)
     m, n = a.shape
-    flops = FlopCounter()
     ata = a.T @ a
     atb = a.T @ b
-    flops.add(n * n * m + n * m)
     a_rows = SupportRows(np.ascontiguousarray(a.T))
 
     x0 = np.zeros(n)
@@ -220,7 +219,8 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> PgState:
     x1 = shrink(x0 - START_STEP * g0, START_STEP * lam)
     support = x1.nonzero()[0]
     _, y1, f1 = quotient(a_rows, b, x1, support)
-    flops.add(4 * n + m * int(support.size) + 2 * m)
+    # a^T a and a^T b, then x_1 and its quotient
+    flops = n * n * m + n * m + 4 * n + m * int(support.size) + 2 * m
 
     return PgState(
         x=x1, dx=x1 - x0, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1, support=support,
@@ -265,20 +265,18 @@ def pg_step(state: PgState) -> PgState:
     module docstring); x and the state's other fields are not written.
     """
     if state.replay_madds:
-        state.flops.add(state.replay_madds)
+        state.flops += state.replay_madds
         state.n += 1
         state.backtracks_last = 0
         return state
     x, b, lam = state.x, state.b, state.lam
     m, n = b.shape[0], x.shape[0]
-    start = state.flops.madds
-    g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.flops, state.support)
+    g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.support)
     mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
-    # the counted cost of dx and dg (2n) and of the step size (3n), then of
-    # each line-search trial, charged once after the accepted trial; head
-    # adds the gradient's charge, so head + trial is a one-trial step's
-    madds = 5 * n
-    head = state.flops.madds - start + madds
+    # the counted cost of the gradient (n nnz + 3n), of dx and dg (2n) and
+    # of the step size (3n), then of each line-search trial, charged once
+    # after the accepted trial; head + trial is a one-trial step's
+    madds = head = n * int(state.support.size) + 8 * n
 
     a_rows = state.a_rows
     backtracks = 0
@@ -305,7 +303,7 @@ def pg_step(state: PgState) -> PgState:
                 "gradient and cost are inconsistent"
             )
 
-    state.flops.add(madds)
+    state.flops += madds
     state.dx = step
     state.g_prev = g
     state.x = x_next

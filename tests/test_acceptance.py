@@ -27,7 +27,7 @@ from sparsetls import (
 )
 from sparsetls.adcd import adcd_init, adcd_step
 from sparsetls.experiments import ExperimentConfig, bench_rows
-from sparsetls.kernel import FlopCounter, eval_cost, gradient
+from sparsetls.kernel import eval_cost, gradient
 from sparsetls.rng import RngStream
 
 TRIALS = 100
@@ -103,7 +103,7 @@ def test_criterion_02_gradient_oracle():
         b = rng.normal_block(20)
         x = rng.normal_block(40) * 0.3
         c = eval_cost(a, b, x, lam=1.0)
-        g = gradient(a.T @ a, a.T @ b, x, c.y, c.f, FlopCounter())
+        g = gradient(a.T @ a, a.T @ b, x, c.y, c.f)
 
         def f_of(v):
             r = a @ v - b

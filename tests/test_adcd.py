@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from sparsetls import (
     iteration_schedule,
     squared_error,
 )
-from sparsetls.kernel import FlopCounter, quotient, support_matvec
+from sparsetls.kernel import quotient, support_matvec
 
 
 def objective(a, e, x, b, lam):
@@ -63,7 +63,7 @@ class TestBoundSystem:
 
         def record(state):
             cost = state.f + state.lam * float(np.abs(state.x).sum())
-            return state.x.tobytes(), cost, state.flops.madds
+            return state.x.tobytes(), cost, state.flops
 
         alone = []
         for inst, lam in systems:
@@ -146,7 +146,7 @@ def reference_step(state, a, b, lam):
     coef = 1.0 / (float(state.x @ state.x) + 1.0)
     state.u = coef * (b - ax)
     state.v = state.x.copy()
-    state.flops.add(m * int(sup.size) + 2 * m + n + m * n)
+    state.flops += m * int(sup.size) + 2 * m + n + m * n
 
 
 def assert_sweep_parity(fast, ref):
@@ -154,7 +154,7 @@ def assert_sweep_parity(fast, ref):
     1e-12 * max(1, ||x||_inf) (the running residual changes rounding
     only: full s1 and s2 solves measured within 7e-15 of that scale)."""
     assert np.array_equal(fast.x != 0.0, ref.x != 0.0)
-    assert fast.flops.madds == ref.flops.madds
+    assert fast.flops == ref.flops
     tol = 1e-12 * max(1.0, float(np.abs(ref.x).max()))
     assert np.abs(fast.x - ref.x).max() <= tol
     assert np.abs(fast.e_mat - ref.e_mat).max() <= tol
@@ -327,9 +327,9 @@ class TestSolve:
         m, n = a.shape
         state = adcd_init(a, b, 0.02)
         for _ in range(40):
-            before = state.flops.madds
+            before = state.flops
             adcd_step(state)
-            spent = state.flops.madds - before
+            spent = state.flops - before
             nnz = np.count_nonzero(state.x)
             assert spent >= n * m * nnz
             assert spent <= 3 * n * n * m
@@ -350,7 +350,7 @@ class DenseState:
     e_mat: np.ndarray
     n: int = 0
     f: float = math.nan
-    flops: FlopCounter = field(default_factory=FlopCounter)
+    flops: int = 0
 
 
 def dense_update_madds(m: int, cnt: int) -> int:
@@ -409,7 +409,7 @@ def dense_sweep(state, a: np.ndarray, b: np.ndarray, lam: float) -> None:
             if new == 0.0:
                 nnz -= 1
         start = s + 1
-    state.flops.add(madds)
+    state.flops += madds
 
 
 def dense_step(state, a: np.ndarray, b: np.ndarray, lam: float):
@@ -419,7 +419,7 @@ def dense_step(state, a: np.ndarray, b: np.ndarray, lam: float):
     support = x.nonzero()[0]
     resid, y, state.f = quotient(a.T, b, x, support)
     state.e_mat = np.outer(-y * resid, x)
-    state.flops.add(m * int(support.size) + 2 * m + n + m * n)
+    state.flops += m * int(support.size) + 2 * m + n + m * n
     state.n += 1
     return state
 
@@ -443,7 +443,7 @@ def bit_lockstep(fast, ref, a, b, lam, steps):
         dense_step(ref, a, b, lam)
         assert fast.x.tobytes() == ref.x.tobytes()
         assert fast.e_mat.tobytes() == ref.e_mat.tobytes()
-        assert (fast.f, fast.flops.madds, fast.n) == (ref.f, ref.flops.madds, ref.n)
+        assert (fast.f, fast.flops, fast.n) == (ref.f, ref.flops, ref.n)
 
 
 def tolerance_lockstep(fast, ref, a, b, lam, steps):
@@ -640,7 +640,7 @@ def reference_records(a, b, lam, iterations, truth):
         adcd_step(state)
         cost = eval_cost(a, b, state.x, lam)
         err = None if truth is None else squared_error(state.x, truth)
-        records.append(TraceRecord(state.n, cost.total, cost.f, 0.0, 0, state.flops.madds, err))
+        records.append(TraceRecord(state.n, cost.total, cost.f, 0.0, 0, state.flops, err))
     return state.x, records
 
 
@@ -665,9 +665,3 @@ class TestColumns:
     def test_rejects_ground_truth_of_wrong_length(self, s1_instance):
         with pytest.raises(ValueError, match="^length mismatch"):
             adcd_solve(s1_instance.a, s1_instance.b, 0.02, 5, ground_truth=np.zeros(3))
-
-
-def test_flop_counter_shared_semantics():
-    c = FlopCounter()
-    c.add(5)
-    assert c.madds == 5

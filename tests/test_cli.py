@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sparsetls import cli_main, load_instance
+from sparsetls.cli import _CONFIG_KEYS, _read_config, build_parser
 
 
 def small(command, tmp_path):
@@ -158,6 +160,18 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert cli_main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_every_long_option_is_a_config_key(tmp_path):
+    # a config file may set each flag of each subcommand, and no key that
+    # is no subcommand's flag
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {opt[2:] for parser in sub.choices.values() for action in parser._actions
+            for opt in action.option_strings if opt.startswith("--")} - {"config", "help"}
+    assert keys == _CONFIG_KEYS
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in sorted(keys)))
+    assert set(_read_config(str(cfg))) == {"lam" if key == "lambda" else key for key in keys}
 
 
 def test_module_entry_point_runs():

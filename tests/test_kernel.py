@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsetls import FlopCounter, eval_cost, gradient, shrink
+from sparsetls import eval_cost, gradient, shrink
 from sparsetls.kernel import SupportRows, require_lambda, support_block, support_matvec
 from sparsetls.rng import RngStream
 
@@ -80,14 +80,14 @@ class TestGradient:
     def test_at_origin_is_minus_two_atb(self, tiny_system):
         a, b = tiny_system
         atb = a.T @ b
-        g = gradient(a.T @ a, atb, np.zeros(2), y=1.0, f=float(b @ b), flops=FlopCounter())
+        g = gradient(a.T @ a, atb, np.zeros(2), y=1.0, f=float(b @ b))
         assert np.array_equal(g, -2.0 * atb)
 
     def test_hand_evaluated_case(self, tiny_system):
         a, b = tiny_system
         x = np.array([0.0, 1.0])
         c = eval_cost(a, b, x, lam=0.5)
-        g = gradient(a.T @ a, a.T @ b, x, c.y, c.f, FlopCounter())
+        g = gradient(a.T @ a, a.T @ b, x, c.y, c.f)
         assert g == pytest.approx([-1.0, 0.0], abs=1e-15)
         assert np.max(np.abs(g - fd_gradient(a, b, x))) < 1e-6
 
@@ -96,7 +96,7 @@ class TestGradient:
         b = np.array([3.0, 4.0])
         x = np.array([3.0, 4.0])
         c = eval_cost(a, b, x, lam=1.0)
-        g = gradient(a.T @ a, a.T @ b, x, c.y, c.f, FlopCounter())
+        g = gradient(a.T @ a, a.T @ b, x, c.y, c.f)
         assert np.array_equal(g, np.zeros(2))
 
     def test_matches_finite_differences_on_random_cases(self):
@@ -106,25 +106,14 @@ class TestGradient:
             b = rng.normal_block(20)
             x = rng.normal_block(40) * 0.3
             c = eval_cost(a, b, x, lam=1.0)
-            g = gradient(a.T @ a, a.T @ b, x, c.y, c.f, FlopCounter())
+            g = gradient(a.T @ a, a.T @ b, x, c.y, c.f)
             err = np.max(np.abs(g - fd_gradient(a, b, x))) / max(1.0, np.max(np.abs(g)))
             assert err < 1e-6
-
-    def test_flop_count_scales_with_support(self):
-        rng = RngStream(55)
-        a = rng.normal_block(20 * 40).reshape(20, 40)
-        b = rng.normal_block(20)
-        x = np.zeros(40)
-        x[[3, 17, 30]] = 1.0
-        c = eval_cost(a, b, x, lam=1.0)
-        flops = FlopCounter()
-        gradient(a.T @ a, a.T @ b, x, c.y, c.f, flops)
-        assert flops.madds == 40 * 3 + 3 * 40
 
     def test_dimension_mismatch(self, tiny_system):
         a, b = tiny_system
         with pytest.raises(ValueError):
-            gradient(np.zeros((2, 3)), a.T @ b, np.zeros(2), 1.0, 0.0, FlopCounter())
+            gradient(np.zeros((2, 3)), a.T @ b, np.zeros(2), 1.0, 0.0)
 
     def test_explicit_support_is_bit_identical(self):
         # the reference is the plain column gather of a^T a, which BLAS
@@ -143,10 +132,8 @@ class TestGradient:
             atax = ata[:, s] @ x[s] if s.size else np.zeros(n)
             expected = (2.0 * 0.3) * (atax - atb - 0.7 * x)
             for kwargs in ({}, {"support": s}):
-                flops = FlopCounter()
-                g = gradient(ata, atb, x, 0.3, 0.7, flops, **kwargs)
+                g = gradient(ata, atb, x, 0.3, 0.7, **kwargs)
                 assert np.array_equal(g, expected), kwargs
-                assert flops.madds == n * nnz + 3 * n
 
 
 class TestSupportGather:
@@ -214,11 +201,9 @@ class TestSupportGather:
         for cut in (0.5, 1.5, 0.5, 3.0, 3.0):
             z = np.where(np.abs(x) > cut, x, 0.0)
             s = z.nonzero()[0]
-            plain, kept = FlopCounter(), FlopCounter()
-            g_plain = gradient(ata, atb, z, 0.3, 0.7, plain, s)
-            g_kept = gradient(held, atb, z, 0.3, 0.7, kept, s)
+            g_plain = gradient(ata, atb, z, 0.3, 0.7, s)
+            g_kept = gradient(held, atb, z, 0.3, 0.7, s)
             assert g_plain.tobytes() == g_kept.tobytes()
-            assert plain.madds == kept.madds
 
 
 class TestRowDots:
@@ -320,11 +305,3 @@ class TestShrink:
             val = t * np.abs(out).sum() + 0.5 * float((z - out) @ (z - out))
             cand_vals = t * np.abs(cands).sum(axis=1) + 0.5 * ((cands - z) ** 2).sum(axis=1)
             assert val <= cand_vals.min() + 1e-12
-
-
-def test_flop_counter_accumulates():
-    c = FlopCounter()
-    c.add(3)
-    c.add(0)
-    c.add(7)
-    assert c.madds == 10

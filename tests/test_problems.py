@@ -252,6 +252,25 @@ def test_load_rejects_trailing_data_but_not_blank_lines(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("header, match", [
+    ("PCS1 20 40 5 nan 4", "xi must be non-negative and finite"),
+    ("PCS1 20 40 5 inf 4", "xi must be non-negative and finite"),
+    ("PCS1 20 40 5 -1 4", "xi must be non-negative and finite"),
+    ("PCS1 20 40 0 0.01 4", "need 0 < k < m < n"),
+    ("PCS1 20 40 999 0.01 4", "need 0 < k < m < n"),
+    # dimensions a ScenarioConfig accepts, but x_o holds 5 nonzeros
+    ("PCS1 20 40 4 0.01 4", "'x_o' has 5 nonzero entries"),
+])
+def test_load_rejects_bad_header(tmp_path, header, match):
+    path, lines = _saved_lines(tmp_path)
+    assert lines[0].split()[1:4] == ["20", "40", "5"]
+    lines[0] = header
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match) as err:
+        load_instance(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_load_rejects_unparsable_value(tmp_path):
     path, lines = _saved_lines(tmp_path)
     lines[_block_row(lines, "A_o", 2)] += "x"

@@ -1,4 +1,4 @@
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,7 +18,7 @@ from sparsetls import (
     pg_step,
     squared_error,
 )
-from sparsetls.kernel import FlopCounter, shrink
+from sparsetls.kernel import shrink
 from sparsetls.prox_solver import MAX_BACKTRACKS
 
 
@@ -112,7 +112,7 @@ class TestBoundSystem:
 
         def record(state):
             cost = state.f + state.lam * float(np.abs(state.x).sum())
-            return state.x.tobytes(), cost, state.flops.madds
+            return state.x.tobytes(), cost, state.flops
 
         alone = []
         for inst, lam in systems:
@@ -322,20 +322,22 @@ class TestBitParity:
         ref = reference_init(a, b, lam)
         ata, atb = a.T @ a, a.T @ b
         assert np.array_equal(state.x, ref["x"])
-        assert (state.y, state.f, state.flops.madds) == (ref["y"], ref["f"], ref["madds"])
+        assert (state.y, state.f, state.flops) == (ref["y"], ref["f"], ref["madds"])
         for it in range(150):
             pg_step(state)
             reference_step(ref, ata, atb, a, b, lam)
             assert np.array_equal(state.x, ref["x"]), it
             assert state.y == ref["y"] and state.f == ref["f"] and state.mu == ref["mu"], it
             assert state.backtracks_last == ref["backtracks"], it
-            assert state.flops.madds == ref["madds"], it
+            assert state.flops == ref["madds"], it
 
 
 # pg_step with the gradient and quotient it called before the support
 # blocks were kept, copied verbatim with the gather they call (renamed
 # only), as the bit-for-bit reference: keeping a block changes execution
 # only.  The state is pg_init's, with a_rows the plain contiguous copy.
+# The multiply-adds are counted on an int: the gradient's charge
+# (n nnz + 3n) is added where the gradient is called.
 
 
 @dataclass
@@ -350,7 +352,7 @@ class GatherState:
     n: int
     support: np.ndarray
     a_rows: np.ndarray
-    flops: FlopCounter = field(default_factory=FlopCounter)
+    flops: int = 0
     backtracks_last: int = 0
 
 
@@ -374,7 +376,6 @@ def gather_gradient(
     x: np.ndarray,
     y: float,
     f: float,
-    flops: FlopCounter,
     support: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     n = x.shape[0]
@@ -383,7 +384,6 @@ def gather_gradient(
     if support is None:
         support = x.nonzero()[0]
     atax = gather_support_matvec(ata, x, support)
-    flops.add(n * int(support.size) + 3 * n)
     return (2.0 * y) * (atax - atb - f * x)
 
 
@@ -397,7 +397,8 @@ def gather_pg_step(
 ) -> GatherState:
     m, n = a.shape
     x = state.x
-    g = gather_gradient(ata, atb, x, state.y, state.f, state.flops, state.support)
+    g = gather_gradient(ata, atb, x, state.y, state.f, state.support)
+    state.flops += n * int(state.support.size) + 3 * n  # the gradient's
     mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
     # the counted cost of dx and dg (2n) and of the step size (3n), then of
     # each line-search trial, charged once after the accepted trial
@@ -422,7 +423,7 @@ def gather_pg_step(
                 "gradient and cost are inconsistent"
             )
 
-    state.flops.add(madds)
+    state.flops += madds
     state.x_prev = x
     state.dx = step
     state.g_prev = g
@@ -452,7 +453,7 @@ class TestBitParityWithGatherEveryCall:
                 x_prev=np.zeros_like(state.x), x=state.x.copy(), dx=state.dx.copy(),
                 g_prev=state.g_prev.copy(), mu=state.mu, y=state.y, f=state.f, n=state.n,
                 support=state.support.copy(), a_rows=state.a_rows.rows.copy(),
-                flops=FlopCounter(state.flops.madds),
+                flops=state.flops,
             )
             for it in range(300):
                 pg_step(state)
@@ -462,7 +463,7 @@ class TestBitParityWithGatherEveryCall:
                 ref_cost = ref.f + lam * float(np.abs(ref.x).sum())
                 assert (cost, state.f, state.mu) == (ref_cost, ref.f, ref.mu), it
                 assert state.backtracks_last == ref.backtracks_last, it
-                assert state.flops.madds == ref.flops.madds, it
+                assert state.flops == ref.flops, it
 
 
 class TestFixedPointReplay:
@@ -483,7 +484,7 @@ class TestFixedPointReplay:
                     x_prev=np.zeros_like(state.x), x=state.x.copy(), dx=state.dx.copy(),
                     g_prev=state.g_prev.copy(), mu=state.mu, y=state.y, f=state.f, n=state.n,
                     support=state.support.copy(), a_rows=state.a_rows.rows.copy(),
-                    flops=FlopCounter(state.flops.madds),
+                    flops=state.flops,
                 )
                 for it in range(iteration_schedule(lam, scenario) - 1):
                     x = state.x
@@ -498,7 +499,7 @@ class TestFixedPointReplay:
                     ref_cost = ref.f + lam * float(np.abs(ref.x).sum())
                     assert (cost, state.f, state.mu) == (ref_cost, ref.f, ref.mu), case
                     assert state.backtracks_last == ref.backtracks_last, case
-                    assert state.flops.madds == ref.flops.madds, case
+                    assert state.flops == ref.flops, case
                     assert state.n == ref.n, case
         assert replayed > 0, "no step was replayed, so the lockstep shows nothing"
 
@@ -550,6 +551,33 @@ class TestFixedPointClosedForm:
         ] * (iterations - k - 1)
 
 
+class TestStepCharge:
+    """What pg_step adds to state.flops, against the cost model written
+    out from the supports before and after each step."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_one_trial_and_replayed_steps_over_whole_solves(self, make_instance, scenario):
+        executed = replayed = 0
+        for lam in (5e-4, 0.02, 0.1, 0.5, 1.0):
+            inst = make_instance(scenario, seed=9, trial=0)
+            m, n = inst.a.shape
+            state = pg_init(inst.a, inst.b, lam)
+            for it in range(iteration_schedule(lam, scenario) - 1):
+                x, before = state.x, state.flops
+                nnz_before = int(np.count_nonzero(x))
+                pg_step(state)
+                spent = state.flops - before
+                nnz_after = int(np.count_nonzero(state.x))
+                if state.x is x:
+                    # a replayed step binds no new x (see pg_step)
+                    replayed += 1
+                    assert spent == (n + m) * nnz_after + 14 * n + 2 * m, (lam, it)
+                elif state.backtracks_last == 0:
+                    executed += 1
+                    assert spent == n * nnz_before + 14 * n + m * nnz_after + 2 * m, (lam, it)
+        assert executed > 0 and replayed > 0, (executed, replayed)
+
+
 def reference_records(a, b, lam, iterations, truth):
     """pg_solve's per-iteration records the plain way: pg_init/pg_step and
     a TraceRecord after each, cost from np.abs and error from
@@ -565,7 +593,7 @@ def reference_records(a, b, lam, iterations, truth):
             f=state.f,
             mu=state.mu,
             backtracks=state.backtracks_last,
-            flops=state.flops.madds,
+            flops=state.flops,
             sq_error=None if truth is None else squared_error(state.x, truth),
         ))
     return state.x, records
@@ -636,9 +664,9 @@ class TestSolve:
         state = pg_init(a, b, lam=0.02)
         for _ in range(150):
             nnz = np.count_nonzero(state.x)
-            before = state.flops.madds
+            before = state.flops
             pg_step(state)
-            spent = state.flops.madds - before
+            spent = state.flops - before
             assert spent >= n * nnz
             retries = 1 + state.backtracks_last
             assert spent <= (2 * n * n + 16 * n + 4 * m) * retries
