@@ -33,13 +33,14 @@ algorithm more cheaply:
 - with what depends on a alone made once a solve, by adcd_init: a
   C-contiguous copy of a^T, held as a kernel.SupportRows, and its squared
   row norms a_i . a_i, from one np.vecdot.  A sweep forms the columns of
-  P as one block, from a^T[P], which the SupportRows gathers again only
-  when P changes, and reads a^T and its norms themselves everywhere else.
-  Each coordinate of P is a segment of its own, so every run of zero
-  coordinates is made of columns with v_i = 0, c_i = a_i.  The layout of
-  the segments, with the largest ||a_i|| of each, is kept too, keyed by
-  the bytes of P, as a SupportRows keys its block.  So the set-up outside
-  the coordinate loop and the screen is O(|P| m), not O(n m);
+  P as one block, from a^T[P], and reads a^T and its norms themselves
+  everywhere else.  It is one pass over P: each coordinate of P once,
+  then the run of zero coordinates that follows it (the run ahead of P's
+  first coordinate comes first), so every run is made of columns with
+  v_i = 0, c_i = a_i.  a^T[P] and the layout of the runs, with the
+  largest ||a_i|| of each, are made only when P changes, keyed by the
+  bytes of P, as a SupportRows keys its block.  So the set-up outside the
+  coordinate loop and the screen is O(|P| m), not O(n m);
 - checking a run of zero coordinates exactly only where a bound cannot
   prove that none of them leaves zero (a screen in the manner of the
   strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
@@ -86,8 +87,9 @@ class AdcdState:
     of the np.outer(u, v) a dense e update would have stored.  What the
     sweep and the e update read of a alone, rows and sq_norms, is made once
     by adcd_init; a must not be written while a state holds them.  The
-    sweep's segment layout depends only on P = supp(x) + supp(v) and on
-    sq_norms, and is kept keyed by the bytes of P.
+    sweep's layout (a^T[P] and its runs of zero coordinates) depends only
+    on P = supp(x) + supp(v), rows and sq_norms, and is kept keyed by the
+    bytes of P.
     """
 
     x: np.ndarray       # current iterate, length n
@@ -98,7 +100,7 @@ class AdcdState:
     rows: SupportRows   # a C-contiguous copy of a^T, with its last support block
     sq_norms: np.ndarray  # the squared row norms of rows, a_i . a_i
     layout_key: Optional[bytes] = None  # P.tobytes() of layout
-    layout: tuple = ()  # (cuts, segments, norm_max) of the sweep from that P
+    layout: tuple = ()  # (a^T[P], cuts, runs) of the sweep from that P
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: int = 0      # counted multiply-adds, charged by each step
@@ -180,12 +182,18 @@ def _sweep(state: AdcdState) -> None:
     execution is cheaper.  e = u v^T is fixed during the sweep, so each
     column c_i = a_i + v_i u is formed once.  Outside P = supp(x) + supp(v)
     that sum is a_i itself (a_ij + 0.0 = a_ij).  P's columns are one
-    block, a^T[P] + v[P, None] * u (the kept block of a SupportRows plus
-    the bytes of np.outer), whose rows P's coordinates read in place.
-    Every coordinate of P is a segment of its own, even one with x_i = 0,
-    so the zero runs are made of unperturbed columns and read a^T and its
-    squared row norms as adcd_init made them.  In a solve P is the support
-    (each e update sets v = x), so this costs nothing there.  Each
+    block, np.multiply.outer(v[P], u) with a^T[P] added in place (the bytes
+    of np.outer plus the block of a SupportRows, kept with the layout),
+    whose rows P's coordinates read in place.
+
+    The pass visits each coordinate of P once, even one with x_i = 0, and
+    after it the run of zero coordinates that follows it, if any; the run
+    ahead of P's first coordinate is the loop's first entry.  So the zero
+    runs are made of unperturbed columns and read a^T and its squared row
+    norms as adcd_init made them.  In a solve P is the support (each e
+    update sets v = x), so this costs nothing there.  The runs, each as
+    (its index among rho0's cuts, lo, hi, its largest ||a_i||), depend on
+    P alone and are made when P changes.  Each
     norm2 = c_i . c_i the sweep reads is a row of np.vecdot: of the block
     on P, and the solve's squared row norms elsewhere.  A row of np.vecdot
     has the bytes of c_i.dot(c_i) (tests/test_kernel.py::TestRowDots pins
@@ -194,16 +202,20 @@ def _sweep(state: AdcdState) -> None:
 
     - a coordinate of P gets rho = c_i . r + x_i norm2, which is
       c_i . resid for the partial residual that excludes i; after the
-      update r -= (new - old) c_i.  Its threshold and charge run inline on
-      Python floats (the formulas of _threshold and _update_madds, over
-      the nnz - 1 other nonzero entries, or all nnz where x_i = 0), with
-      x_i read from one tolist() of x[P]: a coordinate is written only when
-      visited, so until then its entry is the one the sweep started with;
+      update r -= (new - old) c_i.  Its threshold runs inline on Python
+      floats (the formula of _threshold), with x_i read from one tolist()
+      of x[P]: a coordinate is visited once, so until then its entry is the
+      one the sweep started with, and P's new values go into x in one
+      assignment at the end;
     - a zero coordinate's partial residual is r itself, so the rhos of a
-      run of zero coordinates between two coordinates of P come from one
-      product with the contiguous block of their rows.  The first rho
-      outside +-lam / 2 ends the run: that coordinate leaves zero, r
+      run of zero coordinates come from one product with the contiguous
+      block of their rows.  The first rho outside +-lam / 2 ends the run:
+      that coordinate leaves zero (and writes its own entry of x), r
       changes, and the rest of the run is recomputed from the new r.
+
+    The charges are _update_madds over the nnz other nonzero entries (a
+    zero coordinate's) and over nnz - 1 (a nonzero coordinate of P's);
+    both are kept as ints and made again only when nnz changes.
 
     That product is skipped while a bound proves that no rho of the run
     can leave [-lam / 2, lam / 2].  With r0 the residual at the start of
@@ -216,7 +228,9 @@ def _sweep(state: AdcdState) -> None:
     is below lam / 2, the two maxima per run coming from np.maximum.reduceat;
     the norms' is the square root of the run's largest norm2, which is the
     largest computed norm N_i = sqrt(norm2) since sqrt is monotone, and is
-    made with the layout, since a run reads only a's norms.  The
+    made with the layout, since a run reads only a's norms.  The bracket
+    changes only with drift, so it is computed once per update, by the
+    same operations in the same order.  The
     margin covers every rounding, with u = 2^-53 and, to first order,
     gamma_k = k u, the bound of a computed length-k dot product
     (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1):
@@ -251,39 +265,47 @@ def _sweep(state: AdcdState) -> None:
     x, v, u = state.x, state.v, state.u
     a_t, sq_norms = state.rows.rows, state.sq_norms
     half = 0.5 * state.lam
-    p_mask = (x != 0.0) | (v != 0.0)
+    p_mask = np.logical_or(x, v)
     p = p_mask.nonzero()[0]
-    block = support_block(state.rows, p) + v[p, None] * u
-    xs = x[p]
-    r = state.b - block.T @ xs
     key = p.tobytes()
     if key != state.layout_key:
-        # segments, from the P the sweep starts with (the entries ahead of
-        # the sweep position have not changed): each coordinate of P alone,
-        # with its position in p, and each run of zero coordinates between
-        # two of them; and each segment's largest ||a_i||, which a zero run's
-        # screen reads
+        # from the P the sweep starts with (the entries ahead of the sweep
+        # position have not changed): the cuts start each coordinate of P
+        # and each zero run, as segments of rho0's reduceat; then per loop
+        # entry, the leading run and the run after each coordinate of P,
+        # (segment, lo, hi, largest ||a_i||), with lo = hi where none is
         cuts = (p_mask | np.concatenate(([True], p_mask[:-1]))).nonzero()[0]
-        los, flags = cuts.tolist(), p_mask[cuts].tolist()
-        segments = list(zip(los, [*los[1:], n], flags, (np.cumsum(flags) - 1).tolist()))
         norm_max = np.sqrt(np.maximum.reduceat(sq_norms, cuts)).tolist()
-        state.layout_key, state.layout = key, (cuts, segments, norm_max)
-    cuts, segments, norm_max = state.layout
+        los = cuts.tolist()
+        runs = [(0, 0, 0, 0.0)]
+        for s, (lo, hi, in_p) in enumerate(zip(los, [*los[1:], n], p_mask[cuts].tolist())):
+            if in_p:
+                runs.append((s, hi, hi, 0.0))
+            else:
+                runs[-1] = (s, lo, hi, norm_max[s])
+        state.layout_key, state.layout = key, (support_block(state.rows, p), cuts, runs)
+    a_p, cuts, runs = state.layout
+    block = np.multiply.outer(v[p], u)
+    block += a_p
+    xs = x[p]
+    r = state.b - block.T @ xs
     rho0_max = np.maximum.reduceat(np.abs(a_t @ r), cuts).tolist()
     r0_norm = math.sqrt(float(r.dot(r)))
     tol = (m + n + 4) * 2.0**-50
     drift = 0.0
+    screen = drift + tol * (drift + r0_norm)
     # a coordinate is visited once, so until then x's entry is the list's
     olds, norm2s = xs.tolist(), np.vecdot(block, block).tolist()
-    nnz = int(np.count_nonzero(xs))
+    nnz = len(olds) - olds.count(0.0)
+    # the charges of a zero coordinate (nnz others) and of a nonzero one
+    zero_madds, in_madds = _update_madds(m, nnz), _update_madds(m, nnz - 1)
     madds = 0
-    for (lo, hi, in_p, k), rho0_hi, norm_hi in zip(segments, rho0_max, norm_max):
-        if in_p:
-            # _update_madds(m, others) and _threshold, inline
+    for k, (s, i, hi, norm_hi) in enumerate(runs, -1):
+        if k >= 0:
+            # _threshold, inline
             col = block[k]
             old, norm2 = olds[k], norm2s[k]
-            others = nnz - 1 if old else nnz
-            madds += 3 * m + (2 * m * others + m if others else 0)
+            madds += in_madds if old else zero_madds
             rho = float(col.dot(r)) + old * norm2
             new = 0.0
             if norm2 != 0.0:
@@ -292,23 +314,21 @@ def _sweep(state: AdcdState) -> None:
                 elif rho < -half:
                     new = (rho + half) / norm2
             if new != old:
-                x[lo] = new
+                olds[k] = new
                 step = new - old
                 r -= step * col
                 drift += abs(step) * math.sqrt(norm2)
-                if new == 0.0:
-                    nnz -= 1
-                elif old == 0.0:
-                    nnz += 1
-            continue
-        i = lo
-        while i < hi and not rho0_hi + norm_hi * (drift + tol * (drift + r0_norm)) < half:
+                screen = drift + tol * (drift + r0_norm)
+                if new == 0.0 or old == 0.0:  # nnz changes
+                    nnz += 1 if new else -1
+                    zero_madds, in_madds = _update_madds(m, nnz), _update_madds(m, nnz - 1)
+        while i < hi and not rho0_max[s] + norm_hi * screen < half:
             rhos = a_t[i:hi] @ r
             leave = (np.abs(rhos) > half).nonzero()[0]
             if not leave.size:
                 break
             j = i + int(leave[0])
-            madds += (j + 1 - i) * (3 * m + (2 * m * nnz + m if nnz else 0))
+            madds += (j + 1 - i) * zero_madds
             col = a_t[j]
             norm2 = float(sq_norms[j])
             new = _threshold(float(rhos[j - i]), half, norm2)
@@ -316,9 +336,12 @@ def _sweep(state: AdcdState) -> None:
                 x[j] = new
                 r -= new * col
                 drift += abs(new) * math.sqrt(norm2)
+                screen = drift + tol * (drift + r0_norm)
                 nnz += 1
+                zero_madds, in_madds = _update_madds(m, nnz), _update_madds(m, nnz - 1)
             i = j + 1
-        madds += (hi - i) * (3 * m + (2 * m * nnz + m if nnz else 0))
+        madds += (hi - i) * zero_madds
+    x[p] = olds
     state.flops += madds
 
 

@@ -221,6 +221,45 @@ class TestStep:
         lockstep(fast, ref, a, b, 0.05, 1)
         assert fast.x[n - 1] != 0.0
 
+    def test_sweep_with_every_coordinate_in_p(self, s1_instance):
+        # x has no zero entry: the first sweep has no run of zero
+        # coordinates at all, and the coordinates that fall to zero in it
+        # make the runs of the sweeps after it
+        a, b = s1_instance.a, s1_instance.b
+        n = a.shape[1]
+        fast, ref = adcd_init(a, b, 0.1), adcd_init(a, b, 0.1)
+        for state in (fast, ref):
+            state.x[:] = 0.1 * np.where(np.arange(n) % 2, 1.0, -1.0)
+        lockstep(fast, ref, a, b, 0.1, 1)
+        assert fast.layout_key == np.arange(n).tobytes()
+        assert 0 < np.count_nonzero(fast.x) < n - 10
+        lockstep(fast, ref, a, b, 0.1, 3)
+
+    def test_sweep_with_coordinate_0_in_p(self, s1_instance):
+        # the sweep starts from the support {0, 9}: there is no run ahead
+        # of P's first coordinate
+        a, b = s1_instance.a, s1_instance.b
+        fast, ref = adcd_init(a, b, 0.05), adcd_init(a, b, 0.05)
+        for state in (fast, ref):
+            state.x[[0, 9]] = (0.1, -0.1)
+        lockstep(fast, ref, a, b, 0.05, 1)
+        assert fast.layout_key == np.array([0, 9]).tobytes()
+        lockstep(fast, ref, a, b, 0.05, 2)
+
+    def test_sweep_leading_run_leaves_zero(self, s1_instance):
+        # the first column is the one that explains b and the sweep starts
+        # from the support {20, 31}: coordinate 0, in the run ahead of P's
+        # first coordinate, leaves zero
+        a = s1_instance.a
+        b = 3.0 * a[:, 0]
+        fast, ref = adcd_init(a, b, 0.05), adcd_init(a, b, 0.05)
+        for state in (fast, ref):
+            state.x[[20, 31]] = (0.1, -0.1)
+        lockstep(fast, ref, a, b, 0.05, 1)
+        assert fast.layout_key == np.array([20, 31]).tobytes()
+        assert fast.x[0] != 0.0
+        lockstep(fast, ref, a, b, 0.05, 2)
+
     def test_zero_sweep_keeps_zero_perturbation(self):
         # all coordinates thresholded away -> e update from x = 0 is zero
         a = np.array([[1.0, 0.5], [0.0, 0.5]])
