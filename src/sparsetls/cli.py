@@ -6,12 +6,14 @@ Exit codes: 0 success, 2 invalid arguments, 1 runtime failure.
 A plain-text config file (`key = value` lines, # comments) can supply any
 flag default via --config; explicit command-line flags win.  The running
 subcommand checks a config value as it would the flag's: its type, and
-its choices (_check_choices).
+its choices (_check_choices).  cli_main builds its parser once per
+process for each set of config defaults (_parser).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -156,6 +158,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(config_items: tuple) -> argparse.ArgumentParser:
+    """build_parser(dict(config_items)), built on first use and then kept
+    for the process, one per set of config defaults: parsing never writes
+    the parser, and a call without a config gets the one built without
+    defaults.  The parser binds each subcommand to its cmd_* function
+    when it is built."""
+    return build_parser(dict(config_items))
+
+
 def _check_choices(args) -> None:
     """Raise UsageError unless each flag with choices has one of them:
     argparse does not check a default, such as a config file's value."""
@@ -295,8 +307,7 @@ def cmd_bench(args) -> int:
 
 def cli_main(argv: list[str]) -> int:
     try:
-        defaults = _config_defaults(argv)
-        parser = build_parser(defaults)
+        parser = _parser(tuple(sorted(_config_defaults(argv).items())))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -208,12 +208,10 @@ def trace_rows(cfg: ExperimentConfig) -> list[list]:
         cost_sum[cell.algo] += cell.res.cost
     rows = []
     for algo in cfg.algos:
-        for it in range(iters):
-            rows.append([
-                cfg.kind, algo, it + 1,
-                err_sum[algo][it] / cfg.trials,
-                cost_sum[algo][it] / cfg.trials,
-            ])
+        # one division per column; Python floats print as numpy's would
+        errs = (err_sum[algo] / cfg.trials).tolist()
+        costs = (cost_sum[algo] / cfg.trials).tolist()
+        rows += [[cfg.kind, algo, it, e, c] for it, (e, c) in enumerate(zip(errs, costs), 1)]
     return rows
 
 

@@ -159,30 +159,35 @@ class SolveResult:
 
     @classmethod
     def from_states(cls, states: Iterable, ground_truth: Optional[np.ndarray]):
-        """One entry per PgState or AdcdState yielded, read before the next
-        step (which may update x in place): cost = f + lam * ||x||_1, with
-        the state's lam, and, with a ground truth,
-        sq_error = ||x - ground_truth||^2.  Once a state's replay_madds is
-        set, the steps after it leave x and f as they are (see pg_step),
-        so their cost and sq_error entries repeat the last computed."""
-        cost, f, mu, backtracks, flops = [], [], [], [], []
-        sq_error = None if ground_truth is None else []
+        """One entry per PgState or AdcdState yielded: cost = f + lam *
+        ||x||_1, with the state's lam, and, with a ground truth,
+        sq_error = ||x - ground_truth||^2.  A copy of each state's x is
+        taken before the next step (which may update x in place), and the
+        norms and errors of all of them are reduced after the loop, each
+        row with the bytes of float(np.abs(x).sum()) and d.dot(d).  Once
+        a state's replay_madds is set, the steps after it leave x and f as
+        they are (see pg_step), so no copy is taken and their cost and
+        sq_error entries repeat the last computed."""
+        f, mu, backtracks, flops, rows = [], [], [], [], []
         fixed = False
         for state in states:
             x = state.x
             if not fixed:
-                entry_cost = state.f + state.lam * float(np.abs(x).sum())
-                if sq_error is not None:
-                    d = x - ground_truth
-                    entry_error = float(d.dot(d))
-            cost.append(entry_cost)
+                rows.append(x.copy())
             f.append(state.f)
             mu.append(state.mu)
             backtracks.append(state.backtracks_last)
             flops.append(state.flops)
-            if sq_error is not None:
-                sq_error.append(entry_error)
             fixed = state.replay_madds != 0
+        lam, xs, replayed = state.lam, np.array(rows), len(f) - len(rows)
+        l1 = np.add.reduce(np.abs(xs), axis=1).tolist()
+        cost = [fk + lam * nk for fk, nk in zip(f, l1)]
+        cost += cost[-1:] * replayed
+        sq_error = None
+        if ground_truth is not None:
+            d = xs - ground_truth
+            sq_error = np.vecdot(d, d).tolist()
+            sq_error += sq_error[-1:] * replayed
         return cls(x.copy(), cost, f, mu, backtracks, flops, sq_error)
 
     @cached_property

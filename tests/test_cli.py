@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsetls import cli_main, load_instance
+from sparsetls import cli, cli_main, load_instance
 from sparsetls.cli import _CONFIG_KEYS, _read_config, build_parser
 
 
@@ -150,6 +150,55 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     rc = cli_main(["solve", "--config", str(cfg), "--iters", "12"])
     assert rc == 0
     assert "iterations=12" in capsys.readouterr().out
+
+
+# cli_main keeps one parser per set of config defaults for the life of
+# the process (cli._parser).  Such a parser binds each subcommand to its
+# cmd_* function when it is built, so replacing a cmd_* function after a
+# cli_main call does not reach later calls; the names a cmd_* function
+# reads when it runs can still be replaced.
+
+
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.3\niters = 12\n")
+    argv = ["solve", "--algo", "pg", "--scenario", "s1"]
+    assert cli_main([*argv, "--config", str(cfg)]) == 0
+    assert "iterations=12" in capsys.readouterr().out
+    # without the config, --lambda is required again and the schedule
+    # (78 iterations for s1 at 0.3) sets the budget
+    assert cli_main(argv) == 2
+    assert "--lambda" in capsys.readouterr().err
+    assert cli_main([*argv, "--lambda", "0.3"]) == 0
+    assert "iterations=78" in capsys.readouterr().out
+
+
+def test_each_config_sees_its_own_defaults(tmp_path, capsys):
+    paths = []
+    for iters in (12, 13):
+        paths.append(tmp_path / f"run{iters}.cfg")
+        paths[-1].write_text(f"lambda = 0.3\niters = {iters}\n")
+    for path, iters in ((paths[0], 12), (paths[1], 13), (paths[0], 12)):
+        assert cli_main(["solve", "--algo", "pg", "--config", str(path)]) == 0
+        assert f"iterations={iters}" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_set_of_config_defaults(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counting(defaults=None):
+        built.append(defaults)
+        return build_parser(defaults)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iters = 12\n")
+    for argv in (["--iters", "12"], ["--config", str(cfg)]) * 2:
+        assert cli_main(["solve", "--algo", "pg", "--lambda", "0.3", *argv]) == 0
+    assert "iterations=12" in capsys.readouterr().out
+    assert built == [{}, {"iters": "12"}]
+    cli._parser.cache_clear()
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

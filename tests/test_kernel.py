@@ -213,7 +213,9 @@ class TestRowDots:
     of B[k].dot(B[k]) and B[k].dot(r).  One exception is known and pinned:
     at length 1, dot keeps the sign of a zero product, so a zero row
     against a negative entry gives -0.0, where vecdot gives +0.0.  A square
-    is never -0.0, so B . B has no exception."""
+    is never -0.0, so B . B has no exception.  Each row of
+    np.add.reduce(np.abs(B), axis=1) has the bytes of
+    float(np.abs(B[k]).sum()), with no exception."""
 
     @staticmethod
     def check(block, r, label):
@@ -237,6 +239,23 @@ class TestRowDots:
         r = values[-m:].copy()
         self.check(block, r, f"{scenario}, m = {m}")
         self.check(block[:1], r, f"{scenario}, m = {m}, one row")
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 40, 127, 128, 129, 200, 257])
+    def test_abs_row_sums_of_instance_values(self, make_instance, scenario, n):
+        # SolveResult.from_states takes the l1 norms of a solve's iterates
+        # from one np.add.reduce(np.abs(X), axis=1) (and the squared errors
+        # from np.vecdot(D, D), pinned above); numpy sums a row pairwise in
+        # blocks of 8 up to 128 entries, so the lengths straddle both
+        inst = make_instance(scenario, seed=12, trial=1)
+        values = np.ascontiguousarray(inst.a.T).ravel()
+        k = min(40, values.size // n)
+        block = values[: k * n].reshape(k, n).copy()
+        block[k // 2:, ::3] = 0.0  # iterates are sparse
+        got = np.add.reduce(np.abs(block), axis=1)
+        bad = [i for i, row in enumerate(block)
+               if got[i].tobytes() != np.float64(float(np.abs(row).sum())).tobytes()]
+        assert not bad, f"{scenario}, n = {n}: rows {bad} differ from float(np.abs(row).sum())"
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_perturbed_support_block(self, make_instance, scenario):
