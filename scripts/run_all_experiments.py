@@ -10,6 +10,9 @@ Runs, for both named scenarios:
 At the full 100-trial setting the second scenario's lambda sweep alone
 takes on the order of an hour; use --trials to scale down for a smoke
 run (results stay deterministic for any fixed trial count and seed).
+
+A job that fails is named on stderr and the others still run; the script
+then exits 1.
 """
 
 import argparse
@@ -43,15 +46,19 @@ def main() -> int:
         "--trials", str(args.bench_trials), "--out", str(Path(args.out) / "bench"),
     ])
 
+    failed = 0
     for job in jobs:
         t0 = time.perf_counter()
         print(f"+ sparsetls {' '.join(job)}", flush=True)
         rc = cli_main(job)
         if rc != 0:
-            print(f"failed with exit code {rc}", file=sys.stderr)
-            return rc
+            print(f"failed with exit code {rc}: sparsetls {' '.join(job)}", file=sys.stderr)
+            failed += 1
+            continue
         print(f"  done in {time.perf_counter() - t0:.1f}s", flush=True)
-    return 0
+    if failed:
+        print(f"{failed} of {len(jobs)} jobs failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -54,8 +54,19 @@ So pg_step remembers, in state.replay_madds, the counted cost of such a
 step: the gradient (n nnz + 3n), dx, dg and the step size (5n) and one
 trial (6n + m nnz + 2m), taken from the same expressions the executed
 step charges.  While it is set, a step adds it to the multiply-adds,
-counts the iteration and records no backtrack, in O(1): every column and
-every counted multiply-add is that of executing the step.
+counts the iteration and records state.replay_backtracks (here none), in
+O(1): every column and every counted multiply-add is that of executing
+the step.
+
+A fixed point to rounding is kept the same way.  When the halvings run
+out, the last trial's change in f and its predicted change
+dx . g + |dx|^2 / (2 mu) both within (m + n + 4) 2^-52 f mean the trials
+only moved coordinates whose gradient is within rounding of lam: the
+step keeps x (and its support, y and f), records the step size it
+started from, and charges its halvings and trials.  The next step starts
+from the same bytes and, with dx = 0, that same step size, so it runs the
+same trials to the same end; so it is replayed with that step's
+multiply-adds and backtracks (state.replay_backtracks).
 
 pg_solve returns a columnar SolveResult: the final iterate plus one list
 entry per accepted iteration for the cost, f, mu, backtracks and
@@ -85,8 +96,9 @@ class BacktrackingError(RuntimeError):
     """Raised when the line search keeps failing past the halving cap.
 
     Any step size below the reciprocal local Lipschitz bound must pass the
-    search, so hitting the cap signals an inconsistent gradient or cost,
-    not a legitimate solver state.
+    search, so hitting the cap while the last trial still changes f, or
+    predicts a change, by more than rounding signals an inconsistent
+    gradient or cost, not a legitimate solver state.
     """
 
 
@@ -105,7 +117,8 @@ class PgState:
     flops is the running total of counted multiply-adds, which pg_init
     and each pg_step charge for their own work.  replay_madds is 0 until
     a step returns x itself; from then on it is the counted cost of each
-    further step, which only replays it.
+    further step, which only replays it, and replay_backtracks its
+    halvings (0, or MAX_BACKTRACKS at a fixed point to rounding).
     """
 
     x: np.ndarray
@@ -124,6 +137,7 @@ class PgState:
     flops: int
     backtracks_last: int = 0
     replay_madds: int = 0
+    replay_backtracks: int = 0
 
 
 @dataclass(frozen=True)
@@ -268,16 +282,17 @@ def pg_step(state: PgState) -> PgState:
     the outcome.  Every step after that one is the same step again, so it
     is replayed from state.replay_madds without executing it (see the
     module docstring); x and the state's other fields are not written.
+    So is a step that runs out of halvings at a fixed point to rounding.
     """
     if state.replay_madds:
         state.flops += state.replay_madds
         state.n += 1
-        state.backtracks_last = 0
+        state.backtracks_last = state.replay_backtracks
         return state
     x, b, lam = state.x, state.b, state.lam
     m, n = b.shape[0], x.shape[0]
     g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.support)
-    mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
+    mu = mu0 = adaptive_step(state.dx, g - state.g_prev, state.mu)
     # the counted cost of the gradient (n nnz + 3n), of dx and dg (2n) and
     # of the step size (3n), then of each line-search trial, charged once
     # after the accepted trial; head + trial is a one-trial step's
@@ -299,14 +314,24 @@ def pg_step(state: PgState) -> PgState:
             # halving, at this charge (see the module docstring)
             state.replay_madds = head + trial
             break
+        if backtracks == MAX_BACKTRACKS:
+            # out of halvings: unless the last trial's change in f and its
+            # predicted change are both within the quotient's rounding, the
+            # gradient and f disagree; if they are, x is a fixed point to
+            # rounding, kept and replayed (see the module docstring)
+            tol = (m + n + 4) * 2.0**-52 * state.f
+            predicted = float(step.dot(g)) + float(step.dot(step)) / (2.0 * mu)
+            if abs(f_next - state.f) > tol or abs(predicted) > tol:
+                raise BacktrackingError(
+                    f"line search failed {backtracks + 1} halvings at iteration {state.n} "
+                    f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
+                    "gradient and cost are inconsistent"
+                )
+            x_next, support, y_next, f_next, step, mu = x, state.support, state.y, state.f, np.zeros(n), mu0
+            state.replay_madds, state.replay_backtracks = madds, backtracks
+            break
         mu *= 0.5
         backtracks += 1
-        if backtracks > MAX_BACKTRACKS:
-            raise BacktrackingError(
-                f"line search failed {backtracks} halvings at iteration {state.n} "
-                f"(mu={mu:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
-                "gradient and cost are inconsistent"
-            )
 
     state.flops += madds
     state.dx = step

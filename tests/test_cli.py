@@ -152,11 +152,11 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     assert "iterations=12" in capsys.readouterr().out
 
 
-# cli_main keeps one parser per set of config defaults for the life of
-# the process (cli._parser).  Such a parser binds each subcommand to its
-# cmd_* function when it is built, so replacing a cmd_* function after a
-# cli_main call does not reach later calls; the names a cmd_* function
-# reads when it runs can still be replaced.
+# cli_main keeps one parser for the life of the process (cli._parser).
+# The parser binds each subcommand to its cmd_* function when it is
+# built, so replacing a cmd_* function after a cli_main call does not
+# reach later calls; the names a cmd_* function reads when it runs can
+# still be replaced.
 
 
 def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
@@ -183,21 +183,23 @@ def test_each_config_sees_its_own_defaults(tmp_path, capsys):
         assert f"iterations={iters}" in capsys.readouterr().out
 
 
-def test_parser_is_built_once_per_set_of_config_defaults(tmp_path, monkeypatch, capsys):
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     built = []
 
-    def counting(defaults=None):
-        built.append(defaults)
-        return build_parser(defaults)
+    def counting():
+        built.append(1)
+        return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", counting)
     cli._parser.cache_clear()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("iters = 12\n")
-    for argv in (["--iters", "12"], ["--config", str(cfg)]) * 2:
+    cfgs = [tmp_path / "run12.cfg", tmp_path / "run13.cfg"]
+    cfgs[0].write_text("iters = 12\n")
+    cfgs[1].write_text("iters = 13\nalgo = adcd\n")
+    for argv in (["--iters", "12"], ["--config", str(cfgs[0])], ["--config", str(cfgs[1])]) * 2:
         assert cli_main(["solve", "--algo", "pg", "--lambda", "0.3", *argv]) == 0
-    assert "iterations=12" in capsys.readouterr().out
-    assert built == [{}, {"iters": "12"}]
+    assert cli_main(["trace", "--iters", "0"]) == 2
+    assert "iterations=13" in capsys.readouterr().out
+    assert len(built) == 1
     cli._parser.cache_clear()
 
 
@@ -347,6 +349,87 @@ def test_config_may_set_a_key_the_command_never_reads(tmp_path, capsys):
     assert len(list(out.iterdir())) == 1
 
 
+@pytest.mark.parametrize("config,argv,made", [
+    # bench takes no --algo, generate no --lambda and solve no --grid
+    ("algo = foo\n", ["bench", "--scenario", "s1", "--trials", "1", "--grid", "0.5", "--iters", "3"],
+     "bench.csv"),
+    ("lambda = nan\n", ["generate"], "instance_s1_seed0_trial0.txt"),
+    ("grid = junk\n", ["solve", "--lambda", "0.1", "--iters", "2"], None),
+])
+def test_config_key_for_a_flag_the_command_lacks_is_ignored(config, argv, made, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    out_flags = [] if argv[0] == "solve" else ["--out", str(out)]
+    assert cli_main([*argv, "--config", str(cfg), *out_flags]) == 0
+    assert capsys.readouterr().err == ""
+    if made:
+        assert [p.name for p in out.iterdir()] == [made]
+
+
+@pytest.mark.parametrize("key,value,argv", [
+    ("lambda", "nan", ["solve", "--iters", "2"]),
+    ("xi", "-1", ["solve", "--lambda", "0.1", "--iters", "2"]),
+    ("iters", "0", ["solve", "--lambda", "0.1"]),
+    ("grid", "0.5,0.02", ["sweep-lambda", "--trials", "1", "--iters", "2"]),
+    ("trials", "abc", ["trace", "--iters", "2"]),
+    ("scenario", "custom", ["bench", "--trials", "1", "--grid", "0.5", "--iters", "2"]),
+    ("algo", "wibble", ["solve", "--lambda", "0.1", "--iters", "2"]),
+])
+def test_bad_value_is_reported_alike_from_config_and_flag(key, value, argv, tmp_path, capsys):
+    # a config entry is parsed as the flag it names, so the exit code and
+    # the message are the flag's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    out_flags = [] if argv[0] == "solve" else ["--out", str(out)]
+    seen = []
+    for given in (["--config", str(cfg)], [f"--{key}={value}"]):
+        rc = cli_main([*argv, *given, *out_flags])
+        seen.append((rc, capsys.readouterr().err.splitlines()[-1]))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 2
+    assert f"argument --{key}: " in seen[0][1]
+    assert not out.exists()
+
+
+def test_trace_from_a_config_file_writes_the_bytes_of_the_flags(tmp_path):
+    values = {"scenario": "s2", "lambda": "0.1", "xi": "0.02", "trials": "2", "seed": "5",
+              "iters": "4", "algo": "pg"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    flags = [tok for key, value in values.items() for tok in (f"--{key}", value)]
+    assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    assert cli_main(["trace", *flags, "--out", str(tmp_path / "flags")]) == 0
+    text = (tmp_path / "cfg" / "trace.csv").read_bytes()
+    assert text == (tmp_path / "flags" / "trace.csv").read_bytes()
+    assert len(text.splitlines()) == 5  # header + 4 iterations of pg
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "-1"],
+    ["solve", "--seed", "18446744073709551616"],
+    ["solve", "--trial", "-1"],
+    ["solve", "--trial=18446744073709551616"],
+    ["generate", "--trial", "-1"],
+    ["trace", "--seed=-1", "--trials", "1"],
+])
+def test_seed_and_trial_outside_64_bits_are_usage_errors(argv, tmp_path, capsys):
+    # the stream derivation reads them modulo 2**64, so -1 would draw the
+    # instance of 2**64 - 1
+    flag = next(tok for tok in argv if tok.startswith("--") and tok != "--trials").split("=")[0]
+    rc = cli_main([*argv, *small(argv[0], tmp_path), *(["--lambda", "0.1"] if argv[0] == "solve" else [])])
+    assert rc == 2
+    assert f"bad {flag} value: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_seed_and_trial_are_accepted(capsys):
+    top = str(2**64 - 1)
+    assert cli_main(["solve", "--lambda", "0.1", "--iters", "20", "--seed", top, "--trial", top]) == 0
+    assert capsys.readouterr().out.startswith("pg sq_error=")
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "--trials", "1", "--iters", "0"],
     ["solve", "--lambda", "0.02", "--iters", "0"],
@@ -389,7 +472,7 @@ def test_config_value_outside_the_commands_choices_is_usage_error(config, argv, 
     out_flags = [] if argv[0] == "solve" else ["--out", str(out)]
     assert cli_main([*argv, "--config", str(cfg), *out_flags]) == 2
     err = capsys.readouterr().err
-    assert "must be one of" in err
+    assert "invalid choice" in err
     assert "custom scenario requires" not in err
     assert not out.exists()
 

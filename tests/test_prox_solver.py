@@ -242,6 +242,34 @@ class TestStep:
         with pytest.raises(BacktrackingError):
             pg_step(state)
 
+    def test_stall_at_the_halving_cap_is_a_fixed_point(self, make_instance):
+        # s2, seed 17008008, trial 11, lambda 0.02: at iteration 116 a zero
+        # coordinate's gradient is above lambda by 6.4e-9 relative, so
+        # every trial moves it alone and f_next misses the strict test by
+        # rounding until the halvings run out.  The step keeps x, and the
+        # steps after it replay it with the columns of executing it.
+        inst = make_instance("s2", seed=17008008, trial=11)
+        lam = 0.02
+        iters = iteration_schedule(lam, "s2")
+        state, executed = pg_init(inst.a, inst.b, lam), pg_init(inst.a, inst.b, lam)
+        stalled = []
+        for _ in range(iters - 1):
+            x = state.x.copy()
+            pg_step(state)
+            executed.replay_madds = executed.replay_backtracks = 0
+            pg_step(executed)
+            assert state.x.tobytes() == executed.x.tobytes()
+            assert (state.f, state.mu, state.backtracks_last, state.flops) == (
+                executed.f, executed.mu, executed.backtracks_last, executed.flops)
+            if state.backtracks_last == MAX_BACKTRACKS:
+                assert state.x.tobytes() == x.tobytes()
+                stalled.append(state.n)
+        assert stalled == list(range(117, iters + 1))
+        res = pg_solve(inst.a, inst.b, lam, iters)
+        assert len(res.cost) == iters
+        for prev, cur in zip(res.cost, res.cost[1:]):
+            assert cur <= prev + 1e-12 * max(1.0, prev)
+
     def test_accepted_steps_satisfy_condition_post_hoc(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
         state = pg_init(a, b, lam=0.02)
