@@ -104,11 +104,9 @@ class AdcdState:
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: int = 0      # counted multiply-adds, charged by each step
-    # no step size, no line search: the mu and backtracks columns read 0;
-    # every step is executed (SolveResult.from_states reads replay_madds)
+    # no step size, no line search: the mu and backtracks columns read 0
     mu: ClassVar[float] = 0.0
     backtracks_last: ClassVar[int] = 0
-    replay_madds: ClassVar[int] = 0
 
     @property
     def e_mat(self) -> np.ndarray:
@@ -348,10 +346,13 @@ def _sweep(state: AdcdState) -> None:
 def adcd_step(state: AdcdState) -> AdcdState:
     """One outer iteration: full in-order sweep, then the e update.
 
-    The e update keeps e's factors, u = -y (a x - b) and v = x; its
-    residual also gives state.f.  It is charged m * nnz(x) + 2m + n + m * n
-    multiply-adds, the m * n for forming e as the algorithm does.
+    The sweep writes x in place, so the step first binds a copy of it: an
+    iterate a step has returned is never written.  The e update keeps e's
+    factors, u = -y (a x - b) and v = x; its residual also gives state.f.
+    It is charged m * nnz(x) + 2m + n + m * n multiply-adds, the m * n for
+    forming e as the algorithm does.
     """
+    state.x = state.x.copy()
     _sweep(state)
     x = state.x
     n, m = state.rows.shape

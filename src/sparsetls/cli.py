@@ -41,7 +41,7 @@ from .problems import (
     save_instance,
     scenario_config,
 )
-from .rng import derive_stream
+from .rng import derive_stream, require_u64
 
 
 class UsageError(Exception):
@@ -93,11 +93,6 @@ def _typed(flag: str, check, convert=float):
     return typed
 
 
-def _require_u64(value: int) -> None:
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"{value} is outside [0, 2**64)")
-
-
 def _grid(check):
     """--grid's type: comma-separated floats that pass the config's grid
     rule (non-empty, strictly ascending, each value passing `check`)."""
@@ -114,8 +109,8 @@ _FLAGS = {
     "--ensemble": dict(choices=["gaussian", "rademacher"], help="matrix ensemble (custom scenario)"),
     "--xi": dict(type=_typed("--xi", require_xi), default=0.01, help="perturbation-variance parameter"),
     "--trials": dict(type=int, default=100),
-    "--seed": dict(type=_typed("--seed", _require_u64, int), default=0, help="master seed"),
-    "--trial": dict(type=_typed("--trial", _require_u64, int), default=0, help="trial index of the instance"),
+    "--seed": dict(type=_typed("--seed", require_u64, int), default=0, help="master seed"),
+    "--trial": dict(type=_typed("--trial", require_u64, int), default=0, help="trial index of the instance"),
     "--iters": dict(type=_typed("--iters", require_iterations, int), help="override the iteration schedule"),
     "--out": dict(default="results", help="output directory"),
     "--algo": dict(choices=["pg", "adcd", "both"], default="both"),

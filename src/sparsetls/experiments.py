@@ -44,8 +44,8 @@ from .adcd import adcd_solve
 from .kernel import require_iterations, require_lambda
 from .metrics import squared_error, support_errors
 from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance, require_xi
-from .prox_solver import SolveResult, pg_solve
-from .rng import derive_stream
+from .prox_solver import BacktrackingError, SolveResult, pg_solve
+from .rng import derive_stream, require_u64
 
 ALGORITHMS = ("pg", "adcd")
 
@@ -134,6 +134,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        require_u64(self.master_seed, "master_seed")
         if self.iters is not None:
             require_iterations(self.iters)
         require_grid("lambda_grid", self.lambda_grid, require_lambda)
@@ -174,7 +175,12 @@ class Cell(NamedTuple):
 
 def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iterator[Cell]:
     """Every solve of the config, xi outermost, then trial, lambda and
-    algorithm; the wall time covers the solve alone."""
+    algorithm; the wall time covers the solve alone.
+
+    A BacktrackingError or ValueError of a solve is raised again as the
+    same type, its message led by `cell solve FLAGS:`, the flags with
+    which `sparsetls solve` derives the cell's stream, instance and
+    iteration budget again."""
     tag = SCENARIO_TAGS[cfg.kind]
     for xi in cfg.xi_grid:
         scen = replace(cfg.scenario, xi=xi)
@@ -184,7 +190,14 @@ def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iter
                 iters = iteration_budget(cfg.kind, lam, cfg.iters)
                 for algo in algos:
                     t0 = time.perf_counter_ns()
-                    res = solve_instance(algo, inst, lam, iters, with_truth)
+                    try:
+                        res = solve_instance(algo, inst, lam, iters, with_truth)
+                    except (BacktrackingError, ValueError) as exc:
+                        iters_flag = "" if cfg.iters is None else f" --iters {cfg.iters}"
+                        raise type(exc)(
+                            f"cell solve --algo {algo} --scenario {cfg.kind} --seed {cfg.master_seed} "
+                            f"--trial {trial} --lambda {lam} --xi {xi}{iters_flag}: {exc}"
+                        ) from exc
                     wall_ns = time.perf_counter_ns() - t0
                     yield Cell(trial, lam, xi, algo, iters, inst, res, wall_ns)
 

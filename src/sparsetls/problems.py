@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, require_u64
 
 
 class Ensemble(Enum):
@@ -33,7 +33,8 @@ class ScenarioConfig:
     """Dimensions and noise level of a synthetic scenario.
 
     n: signal length (columns), m: measurement count (rows), k: number of
-    nonzeros in the ground truth.  Requires k < m < n.
+    nonzeros in the ground truth.  Requires k < m < n and a seed in
+    [0, 2**64).
     """
 
     n: int
@@ -46,6 +47,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         require_dims(self.k, self.m, self.n)
         require_xi(self.xi)
+        require_u64(self.seed, "seed")
 
 
 def require_dims(k: int, m: int, n: int) -> None:
@@ -183,25 +185,24 @@ def _fmt_row(row: np.ndarray) -> str:
     return " ".join(f"{v:.17g}" for v in row)
 
 
+# the blocks of an instance file, in file order: (label, ProblemInstance
+# field); the other fields follow from the identities b_true = b + b_pert
+# and a = a_true - a_pert
+_BLOCKS = (("A_o", "a_true"), ("x_o", "x_true"), ("E_o", "a_pert"), ("e_o", "b_pert"), ("b", "b"))
+
+
 def save_instance(inst: ProblemInstance, cfg: ScenarioConfig, path: str | Path) -> None:
-    """Write the text dump: header line, then labeled value blocks.
+    """Write the text dump: header line, then one labeled value block per
+    entry of _BLOCKS, one text row per matrix row.
 
     Values carry 17 significant digits, enough to round-trip float64
     exactly.  Only the independent arrays are stored; the loader rebuilds
     the observed matrix and the clean rhs from the defining identities.
     """
-    m, n = cfg.m, cfg.n
-    lines = [f"PCS1 {m} {n} {cfg.k} {cfg.xi:.17g} {cfg.seed}"]
-    lines.append("A_o")
-    lines.extend(_fmt_row(r) for r in inst.a_true)
-    lines.append("x_o")
-    lines.append(_fmt_row(inst.x_true))
-    lines.append("E_o")
-    lines.extend(_fmt_row(r) for r in inst.a_pert)
-    lines.append("e_o")
-    lines.append(_fmt_row(inst.b_pert))
-    lines.append("b")
-    lines.append(_fmt_row(inst.b))
+    lines = [f"PCS1 {cfg.m} {cfg.n} {cfg.k} {cfg.xi:.17g} {cfg.seed}"]
+    for label, field in _BLOCKS:
+        lines.append(label)
+        lines.extend(_fmt_row(r) for r in np.atleast_2d(getattr(inst, field)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -236,12 +237,13 @@ def _read_block(
 def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
     """Read an instance file written by save_instance.
 
-    Strict: the header must give 0 < k < m < n and a finite xi >= 0, as
-    a ScenarioConfig requires; every block must have the shape the header
-    gives (A_o and E_o m x n, x_o n, e_o and b m), every value must be
-    finite, x_o must have exactly k nonzero entries, and nothing but blank
-    lines may follow the last block.  Any violation, including a
-    truncated file, raises ValueError.
+    Strict: the header must give 0 < k < m < n, a finite xi >= 0 and a
+    seed in [0, 2**64), as a ScenarioConfig requires; the blocks must come
+    in the order of _BLOCKS, each with the shape the header gives (A_o and
+    E_o m x n, x_o n, e_o and b m); every value must be finite, x_o must
+    have exactly k nonzero entries, and nothing but blank lines may follow
+    the last block.  Any violation, including a truncated file, raises
+    ValueError.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("PCS1 "):
@@ -256,30 +258,22 @@ def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
         )
         require_dims(header.k, header.m, header.n)
         require_xi(header.xi)
+        require_u64(header.seed, "seed")
     except ValueError as exc:
         raise ValueError(f"{path}: header: {exc}") from exc
     m, n = header.m, header.n
 
     pos = 1
     blocks: dict[str, np.ndarray] = {}
-    for label, shape in (("A_o", (m, n)), ("x_o", (n,)), ("E_o", (m, n)), ("e_o", (m,)), ("b", (m,))):
-        blocks[label], pos = _read_block(lines, pos, label, shape, path)
+    for label, field in _BLOCKS:
+        shape = {"x_true": (n,), "b_pert": (m,), "b": (m,)}.get(field, (m, n))
+        blocks[field], pos = _read_block(lines, pos, label, shape, path)
     for lineno in range(pos, len(lines)):
         if lines[lineno].strip():
             raise ValueError(f"{path}: unexpected data after the last block at line {lineno + 1}")
 
-    a_true, x_true = blocks["A_o"], blocks["x_o"]
-    nnz = int(np.count_nonzero(x_true))
+    nnz = int(np.count_nonzero(blocks["x_true"]))
     if nnz != header.k:
         raise ValueError(f"{path}: block 'x_o' has {nnz} nonzero entries, the header k={header.k}")
-    a_pert, b_pert, b = blocks["E_o"], blocks["e_o"], blocks["b"]
-    inst = ProblemInstance(
-        a_true=a_true,
-        x_true=x_true,
-        b_true=b + b_pert,
-        a_pert=a_pert,
-        b_pert=b_pert,
-        a=a_true - a_pert,
-        b=b,
-    )
-    return inst, header
+    b_true, a = blocks["b"] + blocks["b_pert"], blocks["a_true"] - blocks["a_pert"]
+    return ProblemInstance(**blocks, b_true=b_true, a=a), header

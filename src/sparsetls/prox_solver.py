@@ -71,9 +71,10 @@ multiply-adds and backtracks (state.replay_backtracks).
 pg_solve returns a columnar SolveResult: the final iterate plus one list
 entry per accepted iteration for the cost, f, mu, backtracks and
 multiply-adds (and the squared error when the ground truth is given).
-SolveResult.from_states fills the columns, for AD-CD too; the
-per-iteration TraceRecord list is built from them only when `trace` is
-first read.
+SolveResult.from_states fills the columns, for AD-CD too, from the
+states alone: a replayed step keeps x, the array of the step before, so
+its cost and error repeat.  The per-iteration TraceRecord list is built
+from the columns only when `trace` is first read.
 """
 
 from __future__ import annotations
@@ -175,24 +176,21 @@ class SolveResult:
     def from_states(cls, states: Iterable, ground_truth: Optional[np.ndarray]):
         """One entry per PgState or AdcdState yielded: cost = f + lam *
         ||x||_1, with the state's lam, and, with a ground truth,
-        sq_error = ||x - ground_truth||^2.  A copy of each state's x is
-        taken before the next step (which may update x in place), and the
-        norms and errors of all of them are reduced after the loop, each
-        row with the bytes of float(np.abs(x).sum()) and d.dot(d).  Once
-        a state's replay_madds is set, the steps after it leave x and f as
-        they are (see pg_step), so no copy is taken and their cost and
-        sq_error entries repeat the last computed."""
+        sq_error = ||x - ground_truth||^2.  No step writes an iterate it
+        has returned, so each state's x is kept as it is, and the norms
+        and errors of all of them are reduced after the loop, each row
+        with the bytes of float(np.abs(x).sum()) and d.dot(d).  A state
+        whose x is the previous state's array (pg_step keeps x once it
+        replays, and then for every later step, so these states are a
+        suffix) repeats the last computed cost and sq_error entries."""
         f, mu, backtracks, flops, rows = [], [], [], [], []
-        fixed = False
         for state in states:
-            x = state.x
-            if not fixed:
-                rows.append(x.copy())
+            if not rows or state.x is not rows[-1]:
+                rows.append(state.x)
             f.append(state.f)
             mu.append(state.mu)
             backtracks.append(state.backtracks_last)
             flops.append(state.flops)
-            fixed = state.replay_madds != 0
         lam, xs, replayed = state.lam, np.array(rows), len(f) - len(rows)
         l1 = np.add.reduce(np.abs(xs), axis=1).tolist()
         cost = [fk + lam * nk for fk, nk in zip(f, l1)]
@@ -202,7 +200,7 @@ class SolveResult:
             d = xs - ground_truth
             sq_error = np.vecdot(d, d).tolist()
             sq_error += sq_error[-1:] * replayed
-        return cls(x.copy(), cost, f, mu, backtracks, flops, sq_error)
+        return cls(rows[-1], cost, f, mu, backtracks, flops, sq_error)
 
     @cached_property
     def trace(self) -> list[TraceRecord]:

@@ -24,9 +24,16 @@ _SALT_TRIAL = 0x3C6EF372FE94F82B
 
 _U = np.uint64
 
-# blocks shorter than this are mixed word by word in exact integer
-# arithmetic, which beats the fixed cost of the vectorized path
+# uniform blocks shorter than this are mixed word by word in exact
+# integer arithmetic, which beats the fixed cost of the vectorized path
 _SMALL_BLOCK = 16
+
+
+def require_u64(value: int, name: str = "") -> None:
+    """Raise ValueError unless 0 <= value < 2**64, the range of a master
+    seed and of a trial index; `name`, when given, leads the message."""
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} {value} is outside [0, 2**64)".lstrip())
 
 
 def _mix64(z: int) -> int:
@@ -48,8 +55,8 @@ class RngStream:
 
     The k-th output is mix64(state0 + k * WEYL), so block and scalar draws
     produce the same sequence and blocks can be generated vectorized.
-    Blocks shorter than _SMALL_BLOCK take the scalar path instead; both
-    paths yield the same words, uniforms and stream state.
+    uniform_block takes the scalar path for blocks shorter than
+    _SMALL_BLOCK; both paths yield the same uniforms and stream state.
     """
 
     __slots__ = ("_state",)
@@ -75,8 +82,6 @@ class RngStream:
         """Next n words as a uint64 array."""
         if n < 0:
             raise ValueError("block length must be non-negative")
-        if n < _SMALL_BLOCK:
-            return np.array(self._small_words(n), dtype=np.uint64)
         ks = _U(self._state) + _U(_WEYL) * np.arange(1, n + 1, dtype=np.uint64)
         self._state = (self._state + n * _WEYL) & _MASK64
         return _mix64_block(ks)
@@ -125,8 +130,11 @@ def derive_stream(master_seed: int, scenario_tag: int, trial_index: int) -> RngS
     The three inputs are folded through the avalanche mix with distinct
     salts, so streams for distinct (tag, trial) pairs are decorrelated and
     trials can run in any order (or in parallel) without changing results.
+    A master seed or trial index outside [0, 2**64) raises ValueError.
     """
-    h = _mix64((master_seed & _MASK64) ^ _SALT_SEED)
+    require_u64(master_seed, "master_seed")
+    require_u64(trial_index, "trial_index")
+    h = _mix64(master_seed ^ _SALT_SEED)
     h = _mix64(h ^ ((scenario_tag + _SALT_TAG) & _MASK64))
     h = _mix64(h ^ ((trial_index + _SALT_TRIAL) & _MASK64))
     return RngStream(h)

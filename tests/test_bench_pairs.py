@@ -15,9 +15,12 @@ ARGV = ["P", "C", "--workload", "s2-lambda-sweep", "--pairs", "4", "--seed0", "2
         "--seconds", "30"]
 
 
+STDERR = "warming up\nerror: cell solve --algo pg --scenario s2 --seed 7: line search failed\ndone\n"
+
+
 class Stub:
-    """Records each call and answers with a result line, or with `bad`
-    for the run of (checkout, seed) named in it."""
+    """Records each call and answers with a result line and STDERR, or
+    with `bad` for the run of (checkout, seed) named in it."""
 
     def __init__(self, bad=None):
         self.calls, self.bad = [], bad or {}
@@ -25,8 +28,8 @@ class Stub:
     def __call__(self, checkout, workload, seed, seconds):
         self.calls.append((str(checkout), workload, seed, seconds))
         if (str(checkout), seed) in self.bad:
-            return self.bad[str(checkout), seed]
-        return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}})
+            return self.bad[str(checkout), seed], STDERR
+        return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}}), STDERR
 
 
 def test_plan_alternates_the_first_side():
@@ -58,6 +61,29 @@ def test_incorrect_or_missing_result_exits_1_after_every_run(line):
     stub = Stub(bad={("C", 203): line})
     assert bench_pairs.main(ARGV, runner=stub) == 1
     assert len(stub.calls) == 8
+
+
+@pytest.mark.parametrize("result, shown", [
+    (json.dumps({"correct": False, "attempted": 3, "failed": 0, "metrics": {}}),
+     ["error: cell solve --algo pg --scenario s2 --seed 7: line search failed"]),
+    (json.dumps({"correct": True, "attempted": 3, "failed": 1, "metrics": {}}),
+     ["error: cell solve --algo pg --scenario s2 --seed 7: line search failed"]),
+    (None, ["warming up", "error: cell solve --algo pg --scenario s2 --seed 7: line search failed",
+            "done"]),
+])
+def test_prints_why_a_run_failed_under_its_result_line(capsys, result, shown):
+    stub = Stub(bad={("C", 203): result})
+    bench_pairs.main(ARGV, runner=stub)
+    out = capsys.readouterr().out.splitlines()
+    at = out.index(f"change seed=203 {result}")
+    assert out[at + 1:at + 1 + len(shown)] == [f"    {text}" for text in shown]
+    # only that run shows its stderr; the correct runs around it do not
+    assert len(out) == 8 + len(shown)
+
+
+def test_no_result_line_shows_only_the_stderr_tail(capsys):
+    lines = [f"line {i}" for i in range(bench_pairs.STDERR_TAIL + 5)]
+    assert bench_pairs.outcome(None, "\n".join(lines) + "\n") == (False, lines[-bench_pairs.STDERR_TAIL:])
 
 
 @pytest.mark.parametrize("flag, value", [("--pairs", "0"), ("--seed0", "-1"), ("--seconds", "0")])

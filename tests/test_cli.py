@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from sparsetls import cli, cli_main, load_instance
+from sparsetls import (ExperimentConfig, cli, cli_main, experiments, instance_digest, load_instance,
+                       scenario_config)
+from sparsetls.prox_solver import BacktrackingError
 from sparsetls.cli import _CONFIG_KEYS, _read_config, build_parser
 
 
@@ -415,8 +417,7 @@ def test_trace_from_a_config_file_writes_the_bytes_of_the_flags(tmp_path):
     ["trace", "--seed=-1", "--trials", "1"],
 ])
 def test_seed_and_trial_outside_64_bits_are_usage_errors(argv, tmp_path, capsys):
-    # the stream derivation reads them modulo 2**64, so -1 would draw the
-    # instance of 2**64 - 1
+    # a usage error here; the stream derivation rejects them as well
     flag = next(tok for tok in argv if tok.startswith("--") and tok != "--trials").split("=")[0]
     rc = cli_main([*argv, *small(argv[0], tmp_path), *(["--lambda", "0.1"] if argv[0] == "solve" else [])])
     assert rc == 2
@@ -495,3 +496,40 @@ def test_run_all_experiments_script_runs_from_a_checkout(tmp_path):
                           text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+@pytest.mark.parametrize("error", [BacktrackingError, ValueError])
+def test_failed_cell_names_the_solve_that_reproduces_it(error, tmp_path, monkeypatch, capsys):
+    # the sixth cell of the sweep (trial 1, lambda 0.1, adcd) fails; the
+    # error keeps its type and leads with that cell's `solve` flags
+    real, seen = experiments.solve_instance, []
+
+    def recorded(calls, fail_at=None):
+        def solve_instance(algo, inst, lam, iterations, *args):
+            calls.append((algo, instance_digest(inst), lam, iterations))
+            if len(calls) == fail_at:
+                raise error("line search failed 61 halvings")
+            return real(algo, inst, lam, iterations, *args)
+        return solve_instance
+
+    monkeypatch.setattr(experiments, "solve_instance", recorded(seen, fail_at=6))
+    argv = ["sweep-lambda", "--scenario", "s1", "--seed", "7", "--trials", "2", "--grid", "0.1,0.5",
+            "--iters", "3", "--out", str(tmp_path)]
+    assert cli_main(argv) == 1
+    flags = "--algo adcd --scenario s1 --seed 7 --trial 1 --lambda 0.1 --xi 0.01 --iters 3"
+    assert capsys.readouterr().err == f"error: cell solve {flags}: line search failed 61 halvings\n"
+    assert not any(tmp_path.iterdir())
+    monkeypatch.setattr(experiments, "solve_instance", recorded([], fail_at=6))
+    cfg = ExperimentConfig(
+        scenario=scenario_config("s1", seed=7), kind="s1", lambda_grid=[0.1, 0.5],
+        xi_grid=[0.01], trials=2, master_seed=7, out_dir=tmp_path, iters=3)
+    with pytest.raises(error, match=f"^cell solve {flags}: line search failed") as raised:
+        list(experiments.cells(cfg, ("pg", "adcd"), with_truth=False))
+    assert type(raised.value) is error and isinstance(raised.value.__cause__, error)
+
+    # `solve` with those flags reaches the failed cell's instance, lambda
+    # and budget
+    solved = []
+    monkeypatch.setattr(cli, "solve_instance", recorded(solved))
+    assert cli_main(["solve", *flags.split()]) == 0
+    assert solved == [seen[5]]

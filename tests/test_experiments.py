@@ -93,6 +93,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(tmp_path, algos=("pg", "magic"))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_master_seed_outside_64_bits(self, tmp_path, seed):
+        with pytest.raises(ValueError, match=rf"^master_seed {seed} is outside \[0, 2\*\*64\)"):
+            make_cfg(tmp_path, master_seed=seed)
+        assert make_cfg(tmp_path, master_seed=2**64 - 1).master_seed == 2**64 - 1
+
     @pytest.mark.parametrize("iters", [0, -3])
     def test_rejects_iters_below_one(self, tmp_path, iters):
         with pytest.raises(ValueError, match="^iterations must be >= 1"):

@@ -182,6 +182,30 @@ def test_save_load_round_trip(tmp_path, make_instance):
     assert np.abs(loaded.b_true - loaded.a_true @ loaded.x_true).max() < 1e-10
 
 
+def test_instance_file_layout(tmp_path):
+    # the header, then the labeled blocks A_o, x_o, E_o, e_o, b in that
+    # order, one text row per matrix row, each holding its field
+    cfg = scenario_config("s1", xi=0.01, seed=4)
+    inst = generate_instance(cfg, derive_stream(4, 1, 2))
+    path = tmp_path / "inst.txt"
+    save_instance(inst, cfg, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "PCS1 20 40 5 0.01 4"
+    blocks = [("A_o", 1, inst.a_true), ("x_o", 22, [inst.x_true]), ("E_o", 24, inst.a_pert),
+              ("e_o", 45, [inst.b_pert]), ("b", 47, [inst.b])]
+    for label, at, rows in blocks:
+        assert lines[at] == label
+        text = lines[at + 1:at + 1 + len(rows)]
+        assert [[float(v) for v in line.split()] for line in text] == [list(r) for r in rows], label
+    assert len(lines) == 49
+
+
+def test_scenario_seed_outside_64_bits_is_rejected():
+    with pytest.raises(ValueError, match=r"^seed -1 is outside \[0, 2\*\*64\)"):
+        scenario_config("s1", seed=-1)
+    assert scenario_config("s1", seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not an instance\n")
@@ -258,6 +282,8 @@ def test_load_rejects_trailing_data_but_not_blank_lines(tmp_path):
     ("PCS1 20 40 5 -1 4", "xi must be non-negative and finite"),
     ("PCS1 20 40 0 0.01 4", "need 0 < k < m < n"),
     ("PCS1 20 40 999 0.01 4", "need 0 < k < m < n"),
+    ("PCS1 20 40 5 0.01 -1", r"seed -1 is outside \[0, 2\*\*64\)"),
+    (f"PCS1 20 40 5 0.01 {2**70}", rf"seed {2**70} is outside \[0, 2\*\*64\)"),
     # dimensions a ScenarioConfig accepts, but x_o holds 5 nonzeros
     ("PCS1 20 40 4 0.01 4", "'x_o' has 5 nonzero entries"),
 ])

@@ -26,6 +26,20 @@ def test_same_cell_same_stream():
     assert draws(derive_stream(7, 0, 0)) == draws(derive_stream(7, 0, 0))
 
 
+@pytest.mark.parametrize("seed, trial, name", [
+    (-1, 0, "master_seed"), (2**64, 0, "master_seed"), (0, -1, "trial_index"), (0, 2**64, "trial_index"),
+])
+def test_seed_or_trial_outside_64_bits_is_rejected(seed, trial, name):
+    # not reduced modulo 2**64: -1 would draw the stream of 2**64 - 1
+    with pytest.raises(ValueError, match=rf"^{name} -?\d+ is outside \[0, 2\*\*64\)"):
+        derive_stream(seed, 1, trial)
+
+
+def test_largest_seed_and_trial_are_accepted():
+    top = 2**64 - 1
+    assert draws(derive_stream(top, 1, top), 4) != draws(derive_stream(0, 1, 0), 4)
+
+
 def test_trial_index_changes_stream():
     a = draws(derive_stream(7, 0, 0))
     b = draws(derive_stream(7, 0, 1))
