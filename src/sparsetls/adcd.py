@@ -59,8 +59,8 @@ multiply-adds).
 adcd_solve returns the same columnar SolveResult as the proximal-gradient
 solver, filled by the same loop.  Its cost c(x) = f + lam * ||x||_1 (the
 joint objective once e is at its minimizer) reads f from the state: the
-e update's residual, through kernel.quotient, gives it with no second
-pass over a.
+e update's residual, through kernel.support_quotient, gives it with no
+second pass over a.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .kernel import (SupportRows, quotient, require_budget, require_system, support_block,
-                     support_matvec)
+from .kernel import (SupportRows, require_budget, require_system, support_block, support_matvec,
+                     support_quotient)
 from .prox_solver import SolveResult
 
 
@@ -83,13 +83,14 @@ class AdcdState:
 
     e = u v^T: each e update sets u = (b - a x) / (||x||^2 + 1) and v = x,
     so v is the iterate at the last e update (both are zero before the
-    first).  e_mat builds the dense m x n matrix on demand, with the bits
-    of the np.outer(u, v) a dense e update would have stored.  What the
-    sweep and the e update read of a alone, rows and sq_norms, is made once
-    by adcd_init; a must not be written while a state holds them.  The
-    sweep's layout (a^T[P] and its runs of zero coordinates) depends only
-    on P = supp(x) + supp(v), rows and sq_norms, and is kept keyed by the
-    bytes of P.
+    first), the same array: a caller that changes x binds a new array, as
+    the steps do, rather than writing x in place.  e_mat builds the dense
+    m x n matrix on demand, with the bits of the np.outer(u, v) a dense e
+    update would have stored.  What the sweep and the e update read of a
+    alone, rows and sq_norms, is made once by adcd_init; a must not be
+    written while a state holds them.  The sweep's layout (a^T[P] and its
+    runs of zero coordinates) depends only on P = supp(x) + supp(v), rows
+    and sq_norms, and is kept keyed by the bytes of P.
     """
 
     x: np.ndarray       # current iterate, length n
@@ -138,9 +139,10 @@ def adcd_coordinate_update(state: AdcdState, i: int) -> float:
 
     and the new value soft-thresholds resid . c_i at lam / 2, scaled by
     ||c_i||^2 (the boundary |resid . c_i| = lam / 2 maps to 0).  A zero
-    column gets x_i = 0.
+    column gets x_i = 0.  The new value goes into a copy of x, which the
+    state then binds, as adcd_step does: v may be the array x was.
     """
-    b, x = state.b, state.x
+    b, x = state.b, state.x.copy()
     others = np.flatnonzero(x)
     others = others[others != i]
     c = state.rows.rows.T + state.e_mat
@@ -149,6 +151,7 @@ def adcd_coordinate_update(state: AdcdState, i: int) -> float:
     state.flops += _update_madds(b.shape[0], int(others.size))
     new = _threshold(float(col @ resid), 0.5 * state.lam, float(col @ col))
     x[i] = new
+    state.x = x
     return new
 
 
@@ -348,7 +351,8 @@ def adcd_step(state: AdcdState) -> AdcdState:
 
     The sweep writes x in place, so the step first binds a copy of it: an
     iterate a step has returned is never written.  The e update keeps e's
-    factors, u = -y (a x - b) and v = x; its residual also gives state.f.
+    factors, u = -y (a x - b) and v = x, the array itself, which no step
+    writes after this one returns it; its residual also gives state.f.
     It is charged m * nnz(x) + 2m + n + m * n multiply-adds, the m * n for
     forming e as the algorithm does.
     """
@@ -357,9 +361,9 @@ def adcd_step(state: AdcdState) -> AdcdState:
     x = state.x
     n, m = state.rows.shape
     support = x.nonzero()[0]
-    resid, y, state.f = quotient(state.rows, state.b, x, support)
+    resid, y, state.f, _ = support_quotient(state.rows, state.b, x, support)
     state.u = -y * resid
-    state.v = x.copy()
+    state.v = x
     state.flops += m * int(support.size) + 2 * m + n + m * n
     state.n += 1
     return state

@@ -8,13 +8,15 @@ the total-least-squares residual expressed through x alone.  The gradient
 uses the cached products a^T a and a^T b, and exact zeros in x are skipped
 (support_matvec) so the matrix-vector work scales with the support size.
 
-support_block is the one support gather in the package, rows[s].  A
-SupportRows holds a matrix with the last block gathered from it, keyed by
-the bytes of s, which compare its length and every index for far less
-than a gather costs, and gathers again only when s changes.  A hit runs
-the same BLAS call on the same bytes, so every bit is that of a fresh
-gather, as long as nothing writes the matrix: each solver's init binds
-one per matrix of its system into the state, and nothing writes them.
+A support gather is rows[s].  A SupportRows holds a matrix with the last
+block gathered from it, keyed by the bytes of s, which compare its length
+and every index for far less than a gather costs, and gathers again only
+when s changes.  A hit runs the same BLAS call on the same bytes, so every
+bit is that of a fresh gather, as long as nothing writes the matrix: each
+solver's init binds one per matrix of its system into the state, and
+nothing writes them.  support_block gathers through a SupportRows, and
+support_quotient, the quotient both solvers evaluate at every iterate,
+makes the same key check inline, with the product, in one call.
 """
 
 from __future__ import annotations
@@ -77,27 +79,54 @@ def support_block(rows: np.ndarray | SupportRows, support: np.ndarray) -> np.nda
 
 
 def support_matvec(
-    rows: np.ndarray | SupportRows, x: np.ndarray, support: np.ndarray
+    rows: np.ndarray | SupportRows,
+    x: np.ndarray,
+    support: np.ndarray,
+    xs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """a[:, s] @ x[s] with rows = a.T (or a C-contiguous copy), s = support.
 
     rows[s].T holds the values of a[:, s] in the same column-major layout,
     so it is the same BLAS call on the same bytes; from a contiguous copy
     each gathered row is one contiguous run.  rows may be a SupportRows.
+    xs, when given, must be x[s] (a caller that already made it passes it).
+
+    The product is formed as x[s].dot(rows[s]), which makes the BLAS call
+    of rows[s].T @ x[s] (the same gemv on the same bytes) with less of
+    numpy's per-call overhead; tests/test_kernel.py::TestRowDots pins the
+    bytes, and the one exception, a single product that is a zero.
     """
     if support.size:
-        return support_block(rows, support).T @ x[support]
+        return (x[support] if xs is None else xs).dot(support_block(rows, support))
     return np.zeros(rows.shape[1])
+
+
+def support_quotient(
+    held: SupportRows, b: np.ndarray, x: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(a x - b, y, f, x[s]) with y = 1/(||x||^2+1), f = y ||a x - b||^2
+    and s = support, which must hold every nonzero of x; held keeps a.T
+    (or a C-contiguous copy) and its last block.  The gather and the
+    product of support_matvec, with support_block's key check, in one
+    call: each line-search trial makes one."""
+    key = support.tobytes()
+    if key != held.key:
+        held.block = held.rows[support]
+        held.key = key
+    xs = x[support]
+    ax = xs.dot(held.block) if support.size else np.zeros(b.shape[0])
+    resid = ax - b
+    y = 1.0 / (float(x.dot(x)) + 1.0)
+    return resid, y, y * float(resid.dot(resid)), xs
 
 
 def quotient(
     rows: np.ndarray | SupportRows, b: np.ndarray, x: np.ndarray, support: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
-    """(a x - b, y, f) with y = 1/(||x||^2+1) and f = y ||a x - b||^2;
-    rows as in support_matvec, and support must hold every nonzero of x."""
-    resid = support_matvec(rows, x, support) - b
-    y = 1.0 / (float(x.dot(x)) + 1.0)
-    return resid, y, y * float(resid.dot(resid))
+    """(a x - b, y, f) of support_quotient, for rows a.T, a C-contiguous
+    copy or a SupportRows over either."""
+    held = rows if type(rows) is SupportRows else SupportRows(rows)
+    return support_quotient(held, b, x, support)[:3]
 
 
 def gradient(
@@ -107,6 +136,7 @@ def gradient(
     y: float,
     f: float,
     support: Optional[np.ndarray] = None,
+    xs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gradient of the quotient residual: 2 y (a^T a x - a^T b - f x).
 
@@ -117,7 +147,8 @@ def gradient(
     caller charges them (see prox_solver.pg_step).
 
     `support`, when given, must equal x.nonzero()[0] (the solver keeps
-    it as a state invariant); it is computed here when omitted.  ata must
+    it as a state invariant); it is computed here when omitted, and so is
+    xs = x[support] (the accepted trial's, which pg_step passes).  ata must
     be symmetric bit for bit, as a.T @ a comes out of BLAS, so its rows
     are its columns and support_matvec gathers them directly.  ata may be
     a SupportRows over it, which keeps its block between calls.
@@ -127,7 +158,7 @@ def gradient(
         raise ValueError(f"dimension mismatch: ata {ata.shape}, atb {atb.shape}, x {x.shape}")
     if support is None:
         support = x.nonzero()[0]
-    return (2.0 * y) * (support_matvec(ata, x, support) - atb - f * x)
+    return (2.0 * y) * (support_matvec(ata, x, support, xs) - atb - f * x)
 
 
 def require_system(a: np.ndarray, b: np.ndarray, lam: float) -> None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +162,10 @@ def generate_instance(cfg: ScenarioConfig, rng: RngStream) -> ProblemInstance:
 
 
 def instance_digest(inst: ProblemInstance) -> str:
-    """SHA-256 over all instance arrays; equal digests mean equal instances."""
+    """SHA-256 over all instance arrays; equal digests mean equal instances.
+    hashlib is imported here, not with the package: only tests call this."""
+    from hashlib import sha256
+
     h = sha256()
     for arr in (inst.a_true, inst.x_true, inst.b_true, inst.a_pert, inst.b_pert, inst.a, inst.b):
         h.update(np.ascontiguousarray(arr).tobytes())

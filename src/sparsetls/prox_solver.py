@@ -20,20 +20,29 @@ cost to be non-increasing over accepted iterations.
 
 pg_init(a, b, lam) binds the system to the state it returns, and
 pg_step(state) reads everything from the state: b, lam, a^T b and the
-two matrices below, all made once per solve.
+two matrices below.  a^T b is made once per solve.  a^T a and a
+C-contiguous copy of a^T depend on a alone, and a lambda sweep starts
+one solve per lambda from the same a, so pg_init keeps the last
+matrix's pair and reuses it for an a of the same shape, strides and
+bytes (see _products); a hit gives the arrays a cold computation would,
+bit for bit, and is charged the same multiply-adds.
 
 Exact zeros are skipped in both matrix-vector products, a^T a x in the
 gradient and a x in each line-search trial.  The state carries the
 support of its iterate (support = x.nonzero()[0]): the accepted trial
 already computed it, so the next gradient does not recompute it.
-Support columns are gathered as rows (kernel.support_matvec) of a^T a,
-which is symmetric bit for bit, and of a C-contiguous copy of a^T, with
-the same bits as the column gather.  The state holds both matrices as
+Support columns are gathered as rows of a^T a (kernel.support_matvec),
+which is symmetric bit for bit, and of a C-contiguous copy of a^T
+(kernel.support_quotient), with the same bits as the column gather.  The state holds both matrices as
 kernel.SupportRows, so the gradient's block ata[s] and the line search's
-a^T[s] are gathered again only when the support changes (about one call
-in ten on the benchmark's instances).  Neither matrix is written during
+a^T[s] are gathered again only when the support changes (in about one
+call in five on the benchmark's instances).  Neither matrix is written during
 a solve, so a kept block has the bytes of a new gather, and no output
-bit changes.
+bit changes.  The line search evaluates each trial with one call,
+kernel.support_quotient, which also returns x[s]; the accepted trial's
+x[s] and |dx|^2 (which its sufficient-decrease test computed) are kept
+in the state, and the next step passes them to the gradient and the
+step-size rule instead of computing them again.
 
 Once a step returns x itself, the rest of the schedule is bookkeeping.
 The line search accepts a trial with a zero displacement (it can never
@@ -80,6 +89,7 @@ from the columns only when `trace` is first read.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -87,7 +97,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .kernel import SupportRows, gradient, quotient, require_budget, require_system, shrink
+from .kernel import (SupportRows, gradient, require_budget, require_system, shrink,
+                     support_quotient)
 
 START_STEP = 0.2
 MAX_BACKTRACKS = 60
@@ -109,12 +120,13 @@ class PgState:
 
     g_prev is the gradient at the previous iterate; after each step the
     just-used gradient moves there.  The invariants y = 1/(||x||^2+1),
-    f = y * ||a x - b||^2 and support = x.nonzero()[0] hold for the
-    current x, and dx is the step from the previous iterate (the
-    accepted line-search trial's, kept so the next step does not
-    recompute it).  b, lam and atb = a^T b are the system's; ata_rows
-    holds a^T a and a_rows a C-contiguous copy of a.T, made once by
-    pg_init, each with its last support block (see the module docstring).
+    f = y * ||a x - b||^2, support = x.nonzero()[0] and xs = x[support]
+    hold for the current x, dx is the step from the previous iterate and
+    dxdx = float(dx.dot(dx)) (the accepted line-search trial's, kept so
+    the next step does not recompute them).  b, lam and atb = a^T b are
+    the system's; ata_rows holds a^T a and a_rows a C-contiguous copy of
+    a.T, from pg_init, each with its last support block (see the module
+    docstring).
     flops is the running total of counted multiply-adds, which pg_init
     and each pg_step charge for their own work.  replay_madds is 0 until
     a step returns x itself; from then on it is the counted cost of each
@@ -124,12 +136,14 @@ class PgState:
 
     x: np.ndarray
     dx: np.ndarray
+    dxdx: float
     g_prev: np.ndarray
     mu: float
     y: float
     f: float
     n: int
     support: np.ndarray
+    xs: np.ndarray
     b: np.ndarray
     lam: float
     atb: np.ndarray
@@ -215,43 +229,87 @@ class SolveResult:
         ]
 
 
+# a weak reference to the last matrix a, its C-contiguous a^T, the
+# strides of a and its a^T a (see _products), or None
+_last: Optional[tuple[weakref.ref, np.ndarray, tuple[int, ...], np.ndarray]] = None
+
+
+def _products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a^T a, a C-contiguous copy of a^T), the last call's when a has the
+    shape, strides and bytes of the matrix they were made from.
+
+    A hit is the same BLAS call on the same bytes, so its a^T a has the
+    bits of computing it again, and a matrix written in place since is a
+    miss.  The record holds no array a solve does not hold: the bytes of a
+    are compared against the kept a^T, and the pair is dropped before a
+    miss makes the new one and once the matrix it was made from is freed.
+    Nothing writes either array: each state wraps them in SupportRows of
+    its own.
+    """
+    global _last
+    if _last is not None:
+        _, a_t, strides, ata = _last
+        if (a.shape == a_t.shape[::-1] and a.strides == strides
+                and a.dtype == a_t.dtype == np.float64
+                and np.array_equal(a.view(np.uint64), a_t.T.view(np.uint64))):
+            return ata, a_t
+    _last = None
+    ata = a.T @ a
+    a_t = a.T.copy()
+    _last = weakref.ref(a, _forget), a_t, a.strides, ata
+    return ata, a_t
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the record once the matrix it was made from is freed."""
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
+
+
 def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> PgState:
     """First iterate from x_0 = 0, with the system and the cached products
     a^T a, a^T b bound to the state.
 
     x_1 = shrink(-mu_0 * g_0, mu_0 * lam) with g_0 = -2 a^T b and the
     fixed start step mu_0 = 0.2.  The cached products make every later
-    gradient an O(n * nnz) operation.  A NaN or infinity in a or b, or a
-    lam that is not positive and finite, raises ValueError here, before
-    any iteration could turn it into a failed line search.
+    gradient an O(n * nnz) operation; a^T a comes from _products, and is
+    charged here whether or not it was computed again.  A NaN or infinity
+    in a or b, or a lam that is not positive and finite, raises ValueError
+    here, before any iteration could turn it into a failed line search.
     """
     require_system(a, b, lam)
     m, n = a.shape
-    ata = a.T @ a
+    ata, a_t = _products(a)
     atb = a.T @ b
-    a_rows = SupportRows(np.ascontiguousarray(a.T))
+    a_rows = SupportRows(a_t)
 
     x0 = np.zeros(n)
     g0 = -2.0 * atb
     x1 = shrink(x0 - START_STEP * g0, START_STEP * lam)
     support = x1.nonzero()[0]
-    _, y1, f1 = quotient(a_rows, b, x1, support)
+    _, y1, f1, xs = support_quotient(a_rows, b, x1, support)
+    dx = x1 - x0
     # a^T a and a^T b, then x_1 and its quotient
     flops = n * n * m + n * m + 4 * n + m * int(support.size) + 2 * m
 
     return PgState(
-        x=x1, dx=x1 - x0, g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1, support=support,
-        b=b, lam=lam, atb=atb, ata_rows=SupportRows(ata), a_rows=a_rows, flops=flops,
+        x=x1, dx=dx, dxdx=float(dx.dot(dx)), g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1,
+        support=support, xs=xs, b=b, lam=lam, atb=atb, ata_rows=SupportRows(ata),
+        a_rows=a_rows, flops=flops,
     )
 
 
-def adaptive_step(dx: np.ndarray, dg: np.ndarray, mu_prev: float) -> float:
-    """Hybrid spectral step size; falls back to mu_prev on degeneracy."""
+def adaptive_step(
+    dx: np.ndarray, dg: np.ndarray, mu_prev: float, dxdx: Optional[float] = None
+) -> float:
+    """Hybrid spectral step size; falls back to mu_prev on degeneracy.
+    dxdx, when given, must be float(dx.dot(dx))."""
     s = float(dx.dot(dg))
     gg = float(dg.dot(dg))
     if s == 0.0 or gg == 0.0:
         return mu_prev
-    mu_sd = float(dx.dot(dx)) / s
+    mu_sd = (float(dx.dot(dx)) if dxdx is None else dxdx) / s
     mu_mr = s / gg
     if mu_sd == 0.0:
         # |dx|^2 underflowed while dx.dg did not; the ratio is effectively
@@ -266,9 +324,15 @@ def adaptive_step(dx: np.ndarray, dg: np.ndarray, mu_prev: float) -> float:
     return mu
 
 
-def line_search_ok(f_next: float, f_cur: float, dx: np.ndarray, g: np.ndarray, mu: float) -> bool:
-    """Sufficient-decrease test; the inequality is deliberately strict."""
-    return f_next < f_cur + float(dx.dot(g)) + float(dx.dot(dx)) / (2.0 * mu)
+def line_search_ok(
+    f_next: float, f_cur: float, dx: np.ndarray, g: np.ndarray, mu: float,
+    dxdx: Optional[float] = None,
+) -> bool:
+    """Sufficient-decrease test; the inequality is deliberately strict.
+    dxdx, when given, must be float(dx.dot(dx))."""
+    if dxdx is None:
+        dxdx = float(dx.dot(dx))
+    return f_next < f_cur + float(dx.dot(g)) + dxdx / (2.0 * mu)
 
 
 def pg_step(state: PgState) -> PgState:
@@ -289,8 +353,8 @@ def pg_step(state: PgState) -> PgState:
         return state
     x, b, lam = state.x, state.b, state.lam
     m, n = b.shape[0], x.shape[0]
-    g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.support)
-    mu = mu0 = adaptive_step(state.dx, g - state.g_prev, state.mu)
+    g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.support, state.xs)
+    mu = mu0 = adaptive_step(state.dx, g - state.g_prev, state.mu, state.dxdx)
     # the counted cost of the gradient (n nnz + 3n), of dx and dg (2n) and
     # of the step size (3n), then of each line-search trial, charged once
     # after the accepted trial; head + trial is a one-trial step's
@@ -301,11 +365,12 @@ def pg_step(state: PgState) -> PgState:
     while True:
         x_next = shrink(x - mu * g, mu * lam)
         support = x_next.nonzero()[0]
-        _, y_next, f_next = quotient(a_rows, b, x_next, support)
+        _, y_next, f_next, xs = support_quotient(a_rows, b, x_next, support)
         step = x_next - x
+        dxdx = float(step.dot(step))
         trial = 6 * n + m * support.size + 2 * m
         madds += trial
-        if line_search_ok(f_next, state.f, step, g, mu):
+        if line_search_ok(f_next, state.f, step, g, mu, dxdx):
             break
         if not np.count_nonzero(step):
             # x came back: every later step repeats this one with no
@@ -318,14 +383,15 @@ def pg_step(state: PgState) -> PgState:
             # gradient and f disagree; if they are, x is a fixed point to
             # rounding, kept and replayed (see the module docstring)
             tol = (m + n + 4) * 2.0**-52 * state.f
-            predicted = float(step.dot(g)) + float(step.dot(step)) / (2.0 * mu)
+            predicted = float(step.dot(g)) + dxdx / (2.0 * mu)
             if abs(f_next - state.f) > tol or abs(predicted) > tol:
                 raise BacktrackingError(
                     f"line search failed {backtracks + 1} halvings at iteration {state.n} "
                     f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
                     "gradient and cost are inconsistent"
                 )
-            x_next, support, y_next, f_next, step, mu = x, state.support, state.y, state.f, np.zeros(n), mu0
+            x_next, support, xs, y_next, f_next = x, state.support, state.xs, state.y, state.f
+            step, dxdx, mu = np.zeros(n), 0.0, mu0
             state.replay_madds, state.replay_backtracks = madds, backtracks
             break
         mu *= 0.5
@@ -333,9 +399,11 @@ def pg_step(state: PgState) -> PgState:
 
     state.flops += madds
     state.dx = step
+    state.dxdx = dxdx
     state.g_prev = g
     state.x = x_next
     state.support = support
+    state.xs = xs
     state.y = y_next
     state.f = f_next
     state.mu = mu

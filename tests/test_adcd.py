@@ -135,6 +135,27 @@ class TestCoordinateUpdate:
         assert state.x[1] == pytest.approx(expected, abs=1e-15)
 
 
+class TestRightFactor:
+    """Each e update sets v to the iterate array itself, with no copy, so
+    no step or coordinate update may write that array."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_v_keeps_its_bytes(self, make_instance, scenario):
+        inst = make_instance(scenario, seed=3, trial=1)
+        state = adcd_init(inst.a, inst.b, 0.02)
+        for _ in range(6):
+            adcd_step(state)
+            v, kept = state.v, state.v.tobytes()
+            assert v is state.x
+            for i in (0, 3, 7, 3):
+                adcd_coordinate_update(state, i)
+                assert state.v is v and state.x is not v
+            assert v.tobytes() == kept
+            adcd_step(state)
+            assert v.tobytes() == kept
+            assert state.v is state.x and state.x is not v
+
+
 def reference_step(state, a, b, lam):
     """One outer iteration through the public per-coordinate update, then
     the closed-form e update charged as adcd_step documents it."""
@@ -203,8 +224,8 @@ class TestStep:
         fast, ref = adcd_init(a, b, 0.02), adcd_init(a, b, 0.02)
         lockstep(fast, ref, a, b, 0.02, 3)
         assert fast.e_mat.any()
-        fast.x[:] = 0.0
-        ref.x[:] = 0.0
+        # a new zero array: the state's v is the array x was
+        fast.x, ref.x = np.zeros_like(fast.x), np.zeros_like(ref.x)
         lockstep(fast, ref, a, b, 0.02, 1)
         assert np.count_nonzero(fast.x) > 1
 
@@ -615,7 +636,7 @@ class TestBitParityWithDenseSweep:
         fast, ref = state_pair(a, b, 0.02, *zero_point(*a.shape))
         bit_lockstep(fast, ref, a, b, 0.02, 3)
         assert fast.v.any()
-        fast.x[:] = 0.0
+        fast.x = np.zeros_like(fast.x)  # v is the array x was
         tolerance_lockstep(fast, ref, a, b, 0.02, 3)
         assert np.count_nonzero(fast.x) > 1
 
@@ -629,6 +650,7 @@ class TestBitParityWithDenseSweep:
         bit_lockstep(fast, ref, a, b, 0.02, 3)
         s = fast.x.nonzero()[0]
         for outside in (s[:1], s[:3], s[2:5], s[6:8], s[:0]):
+            fast.x = fast.x.copy()  # v is the array x was
             fast.x[outside] = 0.0
             assert np.array_equal(((fast.v != 0.0) & (fast.x == 0.0)).nonzero()[0], outside)
             tolerance_lockstep(fast, ref, a, b, 0.02, 1)

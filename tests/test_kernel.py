@@ -269,6 +269,35 @@ class TestRowDots:
         self.check(rows, inst.b, f"{scenario} a^T")
 
 
+class TestSupportProduct:
+    """support_matvec and support_quotient form rows[s].T @ x[s] as
+    x[s].dot(rows[s]), and their bit parity with the matmul rests on this:
+    on this numpy and BLAS both make the same gemv call, so the bytes
+    agree.  One exception is known: a single product (one support entry
+    and a one-entry row) that is a zero keeps its sign in dot, where
+    matmul gives +0.0.  A solve meets it only on a one-row system (or,
+    through a^T a, a one-column one), where the product is zero only by
+    underflow, since a zero column never leaves zero, and a zero of
+    either sign gives the same y, f and iterate."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("m", [1, 2, 7, 20, 80, 127, 200])
+    def test_blocks_of_instance_values(self, make_instance, scenario, m):
+        inst = make_instance(scenario, seed=12, trial=1)
+        values = np.ascontiguousarray(inst.a.T).ravel()
+        rng = RngStream(31)
+        for k in (1, 2, 3, 8, 9, 40, 64, 65, 200):
+            block = np.resize(values, (k, m))
+            xs = rng.normal_block(k)
+            for label, b, x in (("values", block, xs), ("negative x", block, -np.abs(xs)),
+                                ("zero rows", np.where(np.arange(k)[:, None] % 2, block, 0.0), xs),
+                                ("zero columns", np.where(np.arange(m) % 3, block, 0.0), -xs)):
+                got, want = x.dot(b), b.T @ x
+                if k == m == 1 and want[0] == 0.0:
+                    continue
+                assert got.tobytes() == want.tobytes(), f"{scenario}, k = {k}, m = {m}, {label}"
+
+
 class TestShrink:
     def test_componentwise_values(self):
         out = shrink(np.array([0.5, -0.1, -0.9]), 0.2)

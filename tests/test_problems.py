@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +307,14 @@ def test_load_rejects_unparsable_value(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 5"):
         load_instance(path)
+
+
+def test_import_leaves_hashlib_out():
+    # only instance_digest, which tests call, hashes; it imports hashlib
+    # itself, so importing the package does not
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, sparsetls; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

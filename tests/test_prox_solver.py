@@ -18,7 +18,8 @@ from sparsetls import (
     pg_step,
     squared_error,
 )
-from sparsetls.kernel import shrink
+from sparsetls import prox_solver
+from sparsetls.kernel import gradient, quotient, shrink
 from sparsetls.prox_solver import MAX_BACKTRACKS
 
 
@@ -81,20 +82,43 @@ class TestInit:
 
     def test_support_invariant_and_row_copies(self, s1_instance):
         a, b = s1_instance.a, s1_instance.b
-        state = pg_init(a, b, lam=0.02)
-        # the gradient gathers rows of ata as its columns
-        ata = state.ata_rows.rows
-        assert np.array_equal(ata, ata.T)
-        assert np.array_equal(ata, a.T @ a)
-        assert state.a_rows.rows.flags.c_contiguous
-        assert np.array_equal(state.a_rows.rows, a.T)
-        for _ in range(30):
-            assert np.array_equal(state.support, np.flatnonzero(state.x))
-            pg_step(state)
-            # each kept block is its matrix's rows at the support of its key
-            for held in (state.ata_rows, state.a_rows):
-                support = np.frombuffer(held.key, dtype=np.intp)
-                assert held.block.tobytes() == held.rows[support].tobytes()
+        # at 0.5 a step returns x itself after 39 steps, so the steps
+        # replayed after it are checked too
+        for lam in (0.02, 0.5):
+            state = pg_init(a, b, lam)
+            # the gradient gathers rows of ata as its columns
+            ata = state.ata_rows.rows
+            assert np.array_equal(ata, ata.T)
+            assert np.array_equal(ata, a.T @ a)
+            assert state.a_rows.rows.flags.c_contiguous
+            assert np.array_equal(state.a_rows.rows, a.T)
+            check_carried(state, a, b, np.zeros_like(state.x))
+            for _ in range(60):
+                x, y, f, support = state.x, state.y, state.f, state.support
+                pg_step(state)
+                # each kept block is its matrix's rows at the support of its key
+                for held in (state.ata_rows, state.a_rows):
+                    key = np.frombuffer(held.key, dtype=np.intp)
+                    assert held.block.tobytes() == held.rows[key].tobytes()
+                check_carried(state, a, b, x)
+                g = gradient(a.T @ a, a.T @ b, x, y, f, support)
+                assert state.g_prev.tobytes() == g.tobytes()
+            assert bool(state.replay_madds) == (lam == 0.5)
+
+
+def check_carried(state, a, b, x_prev):
+    """Each value pg_step carries to the next step has the bytes of
+    computing it again from the state's x and x_prev."""
+    x = state.x
+    support = x.nonzero()[0]
+    assert state.support.tobytes() == support.tobytes()
+    assert state.xs.tobytes() == x[support].tobytes()
+    _, y, f = quotient(a.T, b, x, support)
+    assert np.float64(state.y).tobytes() == np.float64(y).tobytes()
+    assert np.float64(state.f).tobytes() == np.float64(f).tobytes()
+    dx = x - x_prev
+    assert state.dx.tobytes() == dx.tobytes()
+    assert np.float64(state.dxdx).tobytes() == np.float64(dx.dot(dx)).tobytes()
 
 
 class TestBoundSystem:
@@ -121,6 +145,103 @@ class TestBoundSystem:
         states = [pg_init(inst.a, inst.b, lam) for inst, lam in systems]
         turns = [[record(pg_step(state)) for state in states] for _ in range(80)]
         assert [list(run) for run in zip(*turns)] == alone
+
+    def test_alternating_solves_match_cold_solves(self, make_instance):
+        # each init replaces the other system's kept a^T a
+        systems = [make_instance("s2", trial=0), make_instance("s2", trial=3)]
+        cold = [columns(cold_solve(inst.a, inst.b, 0.1, 120)) for inst in systems]
+        for _ in range(2):
+            assert [columns(pg_solve(inst.a, inst.b, 0.1, 120)) for inst in systems] == cold
+
+
+def columns(res):
+    """Every column of a SolveResult, with x as bytes."""
+    return (res.x.tobytes(), res.cost, res.f, res.mu, res.backtracks, res.flops, res.sq_error)
+
+
+def cold_solve(a, b, lam, iterations, truth=None):
+    """pg_solve with no kept a^T a: the record is emptied first."""
+    prox_solver._last = None
+    return pg_solve(a, b, lam, iterations, ground_truth=truth)
+
+
+class TestProductsRecord:
+    """pg_init reuses the last matrix's a^T a and a^T only for a matrix of
+    the same shape, strides and bytes, and a reused pair gives every bit
+    of a cold solve."""
+
+    def test_equal_bytes_in_a_new_array_are_a_hit(self, s1_instance):
+        a, b = s1_instance.a, s1_instance.b
+        first = pg_init(a, b, 0.02)
+        again = pg_init(a.copy(), b, 0.1)
+        assert again.ata_rows.rows is first.ata_rows.rows
+        assert again.a_rows.rows is first.a_rows.rows
+        # the states share the matrices, not their kept blocks
+        assert again.ata_rows is not first.ata_rows and again.a_rows is not first.a_rows
+
+    def test_write_in_place_is_a_miss(self, s1_instance):
+        a, b = s1_instance.a.copy(), s1_instance.b
+        first = pg_init(a, b, 0.02)
+        held = first.ata_rows.rows
+        a[0, 0] += 0.25
+        warm = pg_init(a, b, 0.02)
+        assert warm.ata_rows.rows is not held
+        assert warm.ata_rows.rows.tobytes() == (a.T @ a).tobytes()
+        assert warm.a_rows.rows.tobytes() == np.ascontiguousarray(a.T).tobytes()
+        assert first.ata_rows.rows.tobytes() == (s1_instance.a.T @ s1_instance.a).tobytes()
+        warm_res = pg_solve(a, b, 0.02, 200)
+        assert columns(warm_res) == columns(cold_solve(a, b, 0.02, 200))
+
+    def test_a_signed_zero_is_a_miss(self):
+        # -0.0 == 0.0, but the bytes differ, and so may a^T a's
+        a, b = np.eye(3), np.array([1.0, 0.5, 0.0])
+        first = pg_init(a, b, 0.1)
+        flipped = a.copy()
+        flipped[0, 1] = -0.0
+        assert pg_init(flipped, b, 0.1).ata_rows.rows is not first.ata_rows.rows
+
+    def test_same_bytes_reshaped_are_a_miss(self, s1_instance):
+        a = s1_instance.a
+        m, n = a.shape
+        first = pg_init(a, s1_instance.b, 0.02)
+        for shape in ((n, m), (m // 2, 2 * n)):
+            other = a.reshape(shape)
+            state = pg_init(other, np.ones(shape[0]), 0.02)
+            assert state.ata_rows.rows is not first.ata_rows.rows
+            assert state.ata_rows.rows.tobytes() == (other.T @ other).tobytes()
+        # and the transpose: the bytes of a.T's memory, other strides
+        state = pg_init(a.T, np.ones(n), 0.02)
+        assert state.ata_rows.rows.tobytes() == (a @ a.T).tobytes()
+
+    def test_other_layout_is_a_miss(self, s1_instance):
+        # equal values in another memory layout may take another BLAS path
+        a, b = s1_instance.a, s1_instance.b
+        first = pg_init(a, b, 0.02)
+        for other in (np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
+            assert np.array_equal(other, a)
+            state = pg_init(other, b, 0.02)
+            assert state.ata_rows.rows is not first.ata_rows.rows
+            assert state.ata_rows.rows.tobytes() == (other.T @ other).tobytes()
+
+    def test_lambda_sweep_warm_and_cold(self, make_instance):
+        # the shape of a lambda sweep: one instance, one solve per lambda
+        for scenario in ("s1", "s2"):
+            inst = make_instance(scenario, seed=5, trial=1)
+            grid = [5e-4, 0.02, 0.1, 0.5]
+            iters = {lam: min(iteration_schedule(lam, scenario), 300) for lam in grid}
+            prox_solver._last = None
+            warm = [columns(pg_solve(inst.a, inst.b, lam, iters[lam], ground_truth=inst.x_true))
+                    for lam in grid]
+            cold = [columns(cold_solve(inst.a, inst.b, lam, iters[lam], inst.x_true))
+                    for lam in grid]
+            assert warm == cold, scenario
+
+    def test_record_is_dropped_with_its_matrix(self, s1_instance):
+        a = s1_instance.a.copy()
+        pg_init(a, s1_instance.b, 0.02)
+        assert prox_solver._last is not None
+        del a
+        assert prox_solver._last is None
 
 
 class TestAdaptiveStep:
