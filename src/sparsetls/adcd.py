@@ -14,7 +14,7 @@ are deliberate: they are what the per-iteration cost comparison against
 the proximal-gradient solver is about, and each step charges every
 rebuild and the m * n of forming e to the state's flops.
 
-adcd_init(a, b, lam) binds the system to the state it returns, and
+adcd_init(a, b, lam, mat) binds the system to the state it returns, and
 adcd_step(state) reads everything from the state.  adcd_coordinate_update
 is the from-scratch update, one coordinate per call, kept as the
 reference the sweep is tested against.  The sweep executes the same
@@ -30,9 +30,10 @@ algorithm more cheaply:
   at the last e update.  The column c_i = a_i + v_i u is a_i itself where
   v_i = 0, so the sweep reads a's own columns there and adds v_i u only on
   P = supp(x) + supp(v), which in a solve is the support;
-- with what depends on a alone made once a solve, by adcd_init: a
-  C-contiguous copy of a^T, held as a kernel.SupportRows, and its squared
-  row norms a_i . a_i, from one np.vecdot.  A sweep forms the columns of
+- with what depends on a alone read from a kernel.Matrix, made once per
+  instance and shared by its solves: a C-contiguous copy of a^T, which
+  the state holds as a kernel.SupportRows of its own, and its squared row
+  norms a_i . a_i, from one np.vecdot.  A sweep forms the columns of
   P as one block, from a^T[P], and reads a^T and its norms themselves
   everywhere else.  It is one pass over P: each coordinate of P once,
   then the run of zero coordinates that follows it (the run ahead of P's
@@ -71,8 +72,8 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .kernel import (SupportRows, require_budget, require_system, support_block, support_matvec,
-                     support_quotient)
+from .kernel import (Matrix, SupportRows, matrix_of, require_budget, require_system, support_block,
+                     support_matvec, support_quotient)
 from .prox_solver import SolveResult
 
 
@@ -87,10 +88,11 @@ class AdcdState:
     the steps do, rather than writing x in place.  e_mat builds the dense
     m x n matrix on demand, with the bits of the np.outer(u, v) a dense e
     update would have stored.  What the sweep and the e update read of a
-    alone, rows and sq_norms, is made once by adcd_init; a must not be
-    written while a state holds them.  The sweep's layout (a^T[P] and its
-    runs of zero coordinates) depends only on P = supp(x) + supp(v), rows
-    and sq_norms, and is kept keyed by the bytes of P.
+    alone, rows and sq_norms, comes from the kernel.Matrix adcd_init
+    read; a must not be written while a state holds them.  The sweep's
+    layout (a^T[P] and its runs of zero coordinates) depends only on
+    P = supp(x) + supp(v), rows and sq_norms, and is kept keyed by the
+    bytes of P.
     """
 
     x: np.ndarray       # current iterate, length n
@@ -115,16 +117,20 @@ class AdcdState:
         return np.outer(self.u, self.v)
 
 
-def adcd_init(a: np.ndarray, b: np.ndarray, lam: float) -> AdcdState:
-    """All-zero starting state of the system (a, b, lam).  A NaN or
-    infinity in a or b, or a lam that is not positive and finite, raises
-    ValueError here, before the first sweep."""
+def adcd_init(
+    a: np.ndarray, b: np.ndarray, lam: float, mat: Optional[Matrix] = None
+) -> AdcdState:
+    """All-zero starting state of the system (a, b, lam), reading a^T and
+    its squared row norms from mat, a kernel.Matrix made from a itself
+    (another raises ValueError), or from a new one when mat is None.  A
+    NaN or infinity in a or b, or a lam that is not positive and finite,
+    raises ValueError here, before the first sweep."""
     require_system(a, b, lam)
     m, n = a.shape
-    rows = np.ascontiguousarray(a.T)
+    mat = matrix_of(a, mat)
     return AdcdState(
         x=np.zeros(n), u=np.zeros(m), v=np.zeros(n), b=b, lam=lam,
-        rows=SupportRows(rows), sq_norms=np.vecdot(rows, rows),
+        rows=SupportRows(mat.a_t), sq_norms=mat.sq_norms,
     )
 
 
@@ -191,7 +197,7 @@ def _sweep(state: AdcdState) -> None:
     after it the run of zero coordinates that follows it, if any; the run
     ahead of P's first coordinate is the loop's first entry.  So the zero
     runs are made of unperturbed columns and read a^T and its squared row
-    norms as adcd_init made them.  In a solve P is the support (each e
+    norms of the Matrix adcd_init read.  In a solve P is the support (each e
     update sets v = x), so this costs nothing there.  The runs, each as
     (its index among rho0's cuts, lo, hi, its largest ||a_i||), depend on
     P alone and are made when P changes.  Each
@@ -375,8 +381,10 @@ def adcd_solve(
     lam: float,
     iterations: int,
     ground_truth: Optional[np.ndarray] = None,
+    mat: Optional[Matrix] = None,
 ) -> SolveResult:
-    """Run `iterations` outer steps from the zero state.
+    """Run `iterations` outer steps from the zero state; mat, when given,
+    is a's kernel.Matrix (see adcd_init).
 
     The result has the proximal-gradient solver's columns (its mu and
     backtracks entries are zero) so per-iteration outputs line up; the
@@ -384,7 +392,7 @@ def adcd_solve(
     finite, or a NaN or infinity in a or b, raises ValueError before the
     first sweep.
     """
-    state = adcd_init(a, b, lam)
+    state = adcd_init(a, b, lam, mat)
     require_budget(iterations, ground_truth, a.shape[1])
     steps = (adcd_step(state) for _ in range(iterations))
     return SolveResult.from_states(steps, ground_truth)

@@ -4,8 +4,10 @@ One cell runner, `cells`, does every solve.  It loops over xi in the
 config's xi_grid, then trial in ascending order, then lambda in its
 lambda_grid, then algorithm.  Each (xi, trial) instance is drawn once,
 from the trial's derive_stream, and shared by every lambda and algorithm
-(the paired design).  Each solve yields one Cell: trial, lambda, xi,
-algorithm, iteration budget, instance, SolveResult and wall ns.
+(the paired design), and so is the kernel.Matrix of its a, which makes
+what the solvers read of a alone once per instance.  Each solve yields
+one Cell: trial, lambda, xi, algorithm, iteration budget, instance,
+SolveResult and wall ns.
 
 The four CSVs are reductions over the cells, each a mean over trials:
 
@@ -41,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .adcd import adcd_solve
-from .kernel import require_iterations, require_lambda
+from .kernel import Matrix, require_iterations, require_lambda
 from .metrics import squared_error, support_errors
 from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance, require_xi
 from .prox_solver import BacktrackingError, SolveResult, pg_solve
@@ -150,13 +152,15 @@ def solve_instance(
     lam: float,
     iterations: int,
     with_truth: bool = True,
+    mat: Optional[Matrix] = None,
 ) -> SolveResult:
-    """Run one solver on one instance by algorithm name ("pg" or "adcd")."""
+    """Run one solver on one instance by algorithm name ("pg" or "adcd");
+    mat, when given, is the kernel.Matrix of inst.a."""
     truth = inst.x_true if with_truth else None
     if algo == "pg":
-        return pg_solve(inst.a, inst.b, lam, iterations, ground_truth=truth)
+        return pg_solve(inst.a, inst.b, lam, iterations, ground_truth=truth, mat=mat)
     if algo == "adcd":
-        return adcd_solve(inst.a, inst.b, lam, iterations, ground_truth=truth)
+        return adcd_solve(inst.a, inst.b, lam, iterations, ground_truth=truth, mat=mat)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -186,12 +190,13 @@ def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iter
         scen = replace(cfg.scenario, xi=xi)
         for trial in range(cfg.trials):
             inst = generate_instance(scen, derive_stream(cfg.master_seed, tag, trial))
+            mat = Matrix(inst.a)
             for lam in cfg.lambda_grid:
                 iters = iteration_budget(cfg.kind, lam, cfg.iters)
                 for algo in algos:
                     t0 = time.perf_counter_ns()
                     try:
-                        res = solve_instance(algo, inst, lam, iters, with_truth)
+                        res = solve_instance(algo, inst, lam, iters, with_truth, mat)
                     except (BacktrackingError, ValueError) as exc:
                         iters_flag = "" if cfg.iters is None else f" --iters {cfg.iters}"
                         raise type(exc)(

@@ -8,13 +8,21 @@ the total-least-squares residual expressed through x alone.  The gradient
 uses the cached products a^T a and a^T b, and exact zeros in x are skipped
 (support_matvec) so the matrix-vector work scales with the support size.
 
+What depends on a alone is made once per instance, by a Matrix: a
+C-contiguous a^T for both solvers, and a^T a (PG) and the squared row
+norms (AD-CD) when first read, so a solver that never reads one never
+makes it.  The experiment cell runner makes one per instance and passes
+it to every solve of that instance, at every lambda and by both
+algorithms; a solve given none makes its own through the same
+constructor.
+
 A support gather is rows[s].  A SupportRows holds a matrix with the last
 block gathered from it, keyed by the bytes of s, which compare its length
 and every index for far less than a gather costs, and gathers again only
 when s changes.  A hit runs the same BLAS call on the same bytes, so every
 bit is that of a fresh gather, as long as nothing writes the matrix: each
-solver's init binds one per matrix of its system into the state, and
-nothing writes them.  support_block gathers through a SupportRows, and
+solver's init wraps the Matrix's arrays in SupportRows of its own state,
+and nothing writes them.  support_block gathers through a SupportRows, and
 support_quotient, the quotient both solvers evaluate at every iterate,
 makes the same key check inline, with the product, in one call.
 """
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,7 +50,7 @@ def eval_cost(a: np.ndarray, b: np.ndarray, x: np.ndarray, lam: float) -> CostEv
     require_lambda(lam)
     if a.shape[0] != b.shape[0] or a.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}, x {x.shape}")
-    _, y, f = quotient(a.T, b, x, np.arange(x.shape[0]))
+    _, y, f, _ = support_quotient(SupportRows(a.T), b, x, np.arange(x.shape[0]))
     penalty = lam * float(np.abs(x).sum())
     return CostEval(f=f, y=y, penalty=penalty, total=f + penalty)
 
@@ -63,6 +72,39 @@ class SupportRows:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.rows.shape
+
+
+class Matrix:
+    """A matrix a with what the solvers read of a alone: a_t, a
+    C-contiguous copy of a.T, and, each made when first read, ata = a^T a
+    (PG's gradient) and sq_norms, the squared row norms a_i . a_i of a_t
+    (AD-CD's sweep).  One is made per instance and passed to every solve
+    of it; a solve given none makes its own (see matrix_of).  Nothing
+    writes a or these arrays while they are held, so each has the bytes of
+    computing it again: a state wraps them in SupportRows of its own."""
+
+    def __init__(self, a: np.ndarray) -> None:
+        self.a = a
+        self.a_t = a.T.copy()
+
+    @cached_property
+    def ata(self) -> np.ndarray:
+        return self.a.T @ self.a
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        return np.vecdot(self.a_t, self.a_t)
+
+
+def matrix_of(a: np.ndarray, mat: Optional[Matrix]) -> Matrix:
+    """mat, which must have been made from the array a itself, or a new
+    Matrix(a) when mat is None; an object made from any other array, even
+    one with a's bytes, raises ValueError."""
+    if mat is None:
+        return Matrix(a)
+    if mat.a is not a:
+        raise ValueError("mat was made from another array than a")
+    return mat
 
 
 def support_block(rows: np.ndarray | SupportRows, support: np.ndarray) -> np.ndarray:
@@ -118,15 +160,6 @@ def support_quotient(
     resid = ax - b
     y = 1.0 / (float(x.dot(x)) + 1.0)
     return resid, y, y * float(resid.dot(resid)), xs
-
-
-def quotient(
-    rows: np.ndarray | SupportRows, b: np.ndarray, x: np.ndarray, support: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """(a x - b, y, f) of support_quotient, for rows a.T, a C-contiguous
-    copy or a SupportRows over either."""
-    held = rows if type(rows) is SupportRows else SupportRows(rows)
-    return support_quotient(held, b, x, support)[:3]
 
 
 def gradient(

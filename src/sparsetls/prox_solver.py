@@ -18,14 +18,14 @@ step size.  A backtracking line search halves mu_n until
 holds, which (with the prox optimality of shrink) forces the composite
 cost to be non-increasing over accepted iterations.
 
-pg_init(a, b, lam) binds the system to the state it returns, and
+pg_init(a, b, lam, mat) binds the system to the state it returns, and
 pg_step(state) reads everything from the state: b, lam, a^T b and the
 two matrices below.  a^T b is made once per solve.  a^T a and a
-C-contiguous copy of a^T depend on a alone, and a lambda sweep starts
-one solve per lambda from the same a, so pg_init keeps the last
-matrix's pair and reuses it for an a of the same shape, strides and
-bytes (see _products); a hit gives the arrays a cold computation would,
-bit for bit, and is charged the same multiply-adds.
+C-contiguous copy of a^T depend on a alone, so they are read from a
+kernel.Matrix, which a lambda sweep makes once per instance and passes
+to the solve at every lambda (a solve given none makes its own).  A
+shared one gives the arrays a new one would, bit for bit, and each solve
+is charged the same multiply-adds for a^T a.
 
 Exact zeros are skipped in both matrix-vector products, a^T a x in the
 gradient and a x in each line-search trial.  The state carries the
@@ -89,7 +89,6 @@ from the columns only when `trace` is first read.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -97,8 +96,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .kernel import (SupportRows, gradient, require_budget, require_system, shrink,
-                     support_quotient)
+from .kernel import (Matrix, SupportRows, gradient, matrix_of, require_budget, require_system,
+                     shrink, support_quotient)
 
 START_STEP = 0.2
 MAX_BACKTRACKS = 60
@@ -125,8 +124,8 @@ class PgState:
     dxdx = float(dx.dot(dx)) (the accepted line-search trial's, kept so
     the next step does not recompute them).  b, lam and atb = a^T b are
     the system's; ata_rows holds a^T a and a_rows a C-contiguous copy of
-    a.T, from pg_init, each with its last support block (see the module
-    docstring).
+    a.T, both the kernel.Matrix's pg_init read, each with its last support
+    block (see the module docstring).
     flops is the running total of counted multiply-adds, which pg_init
     and each pg_step charge for their own work.  replay_madds is 0 until
     a step returns x itself; from then on it is the counted cost of each
@@ -229,60 +228,24 @@ class SolveResult:
         ]
 
 
-# a weak reference to the last matrix a, its C-contiguous a^T, the
-# strides of a and its a^T a (see _products), or None
-_last: Optional[tuple[weakref.ref, np.ndarray, tuple[int, ...], np.ndarray]] = None
-
-
-def _products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a^T a, a C-contiguous copy of a^T), the last call's when a has the
-    shape, strides and bytes of the matrix they were made from.
-
-    A hit is the same BLAS call on the same bytes, so its a^T a has the
-    bits of computing it again, and a matrix written in place since is a
-    miss.  The record holds no array a solve does not hold: the bytes of a
-    are compared against the kept a^T, and the pair is dropped before a
-    miss makes the new one and once the matrix it was made from is freed.
-    Nothing writes either array: each state wraps them in SupportRows of
-    its own.
-    """
-    global _last
-    if _last is not None:
-        _, a_t, strides, ata = _last
-        if (a.shape == a_t.shape[::-1] and a.strides == strides
-                and a.dtype == a_t.dtype == np.float64
-                and np.array_equal(a.view(np.uint64), a_t.T.view(np.uint64))):
-            return ata, a_t
-    _last = None
-    ata = a.T @ a
-    a_t = a.T.copy()
-    _last = weakref.ref(a, _forget), a_t, a.strides, ata
-    return ata, a_t
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Drop the record once the matrix it was made from is freed."""
-    global _last
-    if _last is not None and _last[0] is ref:
-        _last = None
-
-
-def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> PgState:
+def pg_init(a: np.ndarray, b: np.ndarray, lam: float, mat: Optional[Matrix] = None) -> PgState:
     """First iterate from x_0 = 0, with the system and the cached products
     a^T a, a^T b bound to the state.
 
     x_1 = shrink(-mu_0 * g_0, mu_0 * lam) with g_0 = -2 a^T b and the
     fixed start step mu_0 = 0.2.  The cached products make every later
-    gradient an O(n * nnz) operation; a^T a comes from _products, and is
-    charged here whether or not it was computed again.  A NaN or infinity
-    in a or b, or a lam that is not positive and finite, raises ValueError
-    here, before any iteration could turn it into a failed line search.
+    gradient an O(n * nnz) operation.  a^T a and the contiguous a^T are
+    mat's, a kernel.Matrix made from a itself (another raises ValueError),
+    or a new one's when mat is None; a^T a is charged here whether or not
+    an earlier solve of mat made it.  A NaN or infinity in a or b, or a
+    lam that is not positive and finite, raises ValueError here, before
+    any iteration could turn it into a failed line search.
     """
     require_system(a, b, lam)
     m, n = a.shape
-    ata, a_t = _products(a)
+    mat = matrix_of(a, mat)
     atb = a.T @ b
-    a_rows = SupportRows(a_t)
+    a_rows = SupportRows(mat.a_t)
 
     x0 = np.zeros(n)
     g0 = -2.0 * atb
@@ -295,7 +258,7 @@ def pg_init(a: np.ndarray, b: np.ndarray, lam: float) -> PgState:
 
     return PgState(
         x=x1, dx=dx, dxdx=float(dx.dot(dx)), g_prev=g0, mu=START_STEP, y=y1, f=f1, n=1,
-        support=support, xs=xs, b=b, lam=lam, atb=atb, ata_rows=SupportRows(ata),
+        support=support, xs=xs, b=b, lam=lam, atb=atb, ata_rows=SupportRows(mat.ata),
         a_rows=a_rows, flops=flops,
     )
 
@@ -418,14 +381,15 @@ def pg_solve(
     lam: float,
     iterations: int,
     ground_truth: Optional[np.ndarray] = None,
+    mat: Optional[Matrix] = None,
 ) -> SolveResult:
     """Run the solver for a fixed iteration budget.
 
     The budget counts the initialization step that produces x_1, so each
     column has exactly `iterations` entries.  Backtracking retries do not
-    consume budget.
+    consume budget.  mat, when given, is a's kernel.Matrix (see pg_init).
     """
-    state = pg_init(a, b, lam)
+    state = pg_init(a, b, lam, mat)
     require_budget(iterations, ground_truth, state.x.shape[0])
     steps = (pg_step(state) for _ in range(iterations - 1))
     return SolveResult.from_states(chain([state], steps), ground_truth)

@@ -15,7 +15,7 @@ from sparsetls import (
     iteration_schedule,
     squared_error,
 )
-from sparsetls.kernel import quotient, support_matvec
+from sparsetls.kernel import SupportRows, support_matvec, support_quotient
 
 
 def objective(a, e, x, b, lam):
@@ -477,7 +477,7 @@ def dense_step(state, a: np.ndarray, b: np.ndarray, lam: float):
     dense_sweep(state, a, b, lam)
     x = state.x
     support = x.nonzero()[0]
-    resid, y, state.f = quotient(a.T, b, x, support)
+    resid, y, state.f, _ = support_quotient(SupportRows(a.T), b, x, support)
     state.e_mat = np.outer(-y * resid, x)
     state.flops += m * int(support.size) + 2 * m + n + m * n
     state.n += 1

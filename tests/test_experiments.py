@@ -31,6 +31,7 @@ from sparsetls.experiments import (
     trace_rows,
     xi_sweep_rows,
 )
+from sparsetls.kernel import Matrix
 from sparsetls.metrics import squared_error, support_errors
 from sparsetls.problems import SCENARIO_TAGS
 
@@ -176,6 +177,39 @@ class TestPairedDesign:
             fresh = generate_instance(replace(cfg.scenario, xi=xi),
                                       derive_stream(42, SCENARIO_TAGS["s1"], trial))
             assert instance_digest(insts[0]) == instance_digest(fresh)
+
+
+    @pytest.mark.parametrize("algos", [ALGORITHMS, ("pg",), ("adcd",)], ids=["both", "pg", "adcd"])
+    def test_one_matrix_per_instance(self, tmp_path, monkeypatch, algos):
+        # cells() makes one kernel.Matrix per (xi, trial), from that
+        # instance's a, and passes it to every lambda and algorithm; what
+        # only the other solver reads (PG a^T a, AD-CD the row norms) is
+        # never made
+        made, passed = [], []
+
+        class Counting(Matrix):
+            def __init__(self, a):
+                super().__init__(a)
+                made.append(self)
+
+        def recording(algo, inst, lam, iters, with_truth=True, mat=None):
+            passed.append((inst, mat))
+            return solve_instance(algo, inst, lam, iters, with_truth, mat)
+
+        monkeypatch.setattr(experiments, "Matrix", Counting)
+        monkeypatch.setattr(experiments, "solve_instance", recording)
+        cfg = make_cfg(tmp_path, lambda_grid=[0.02, 0.1, 0.5], xi_grid=[0.0, 0.01], trials=2,
+                       iters=3)
+        got = list(cells(cfg, algos, with_truth=False))
+        assert len(made) == cfg.trials * len(cfg.xi_grid) == 4
+        per = len(cfg.lambda_grid) * len(algos)
+        assert len(passed) == len(got) == per * len(made)
+        for k, mat in enumerate(made):
+            group = passed[k * per:(k + 1) * per]
+            assert all(m is mat and inst is group[0][0] and inst.a is mat.a for inst, m in group)
+        filled = {"pg": "ata", "adcd": "sq_norms"}
+        assert all({name for name in filled.values() if name in vars(mat)}
+                   == {filled[algo] for algo in algos} for mat in made)
 
 
 class TestTrace:

@@ -11,15 +11,17 @@ from sparsetls import (
     BacktrackingError,
     TraceRecord,
     adaptive_step,
+    adcd_init,
+    adcd_solve,
     iteration_schedule,
     line_search_ok,
     pg_init,
     pg_solve,
     pg_step,
+    solve_instance,
     squared_error,
 )
-from sparsetls import prox_solver
-from sparsetls.kernel import gradient, quotient, shrink
+from sparsetls.kernel import Matrix, SupportRows, gradient, shrink, support_quotient
 from sparsetls.prox_solver import MAX_BACKTRACKS
 
 
@@ -113,7 +115,7 @@ def check_carried(state, a, b, x_prev):
     support = x.nonzero()[0]
     assert state.support.tobytes() == support.tobytes()
     assert state.xs.tobytes() == x[support].tobytes()
-    _, y, f = quotient(a.T, b, x, support)
+    _, y, f, _ = support_quotient(SupportRows(a.T), b, x, support)
     assert np.float64(state.y).tobytes() == np.float64(y).tobytes()
     assert np.float64(state.f).tobytes() == np.float64(f).tobytes()
     dx = x - x_prev
@@ -147,11 +149,13 @@ class TestBoundSystem:
         assert [list(run) for run in zip(*turns)] == alone
 
     def test_alternating_solves_match_cold_solves(self, make_instance):
-        # each init replaces the other system's kept a^T a
+        # each solve given its system's shared Matrix, the two in turn
         systems = [make_instance("s2", trial=0), make_instance("s2", trial=3)]
-        cold = [columns(cold_solve(inst.a, inst.b, 0.1, 120)) for inst in systems]
+        cold = [columns(pg_solve(inst.a, inst.b, 0.1, 120)) for inst in systems]
+        mats = [Matrix(inst.a) for inst in systems]
         for _ in range(2):
-            assert [columns(pg_solve(inst.a, inst.b, 0.1, 120)) for inst in systems] == cold
+            assert [columns(pg_solve(inst.a, inst.b, 0.1, 120, mat=mat))
+                    for inst, mat in zip(systems, mats)] == cold
 
 
 def columns(res):
@@ -159,89 +163,71 @@ def columns(res):
     return (res.x.tobytes(), res.cost, res.f, res.mu, res.backtracks, res.flops, res.sq_error)
 
 
-def cold_solve(a, b, lam, iterations, truth=None):
-    """pg_solve with no kept a^T a: the record is emptied first."""
-    prox_solver._last = None
-    return pg_solve(a, b, lam, iterations, ground_truth=truth)
+class TestMatrix:
+    """A kernel.Matrix shared by the solves of one instance gives every bit
+    of solves that make their own, and is taken only with the array it was
+    made from."""
 
-
-class TestProductsRecord:
-    """pg_init reuses the last matrix's a^T a and a^T only for a matrix of
-    the same shape, strides and bytes, and a reused pair gives every bit
-    of a cold solve."""
-
-    def test_equal_bytes_in_a_new_array_are_a_hit(self, s1_instance):
-        a, b = s1_instance.a, s1_instance.b
-        first = pg_init(a, b, 0.02)
-        again = pg_init(a.copy(), b, 0.1)
-        assert again.ata_rows.rows is first.ata_rows.rows
-        assert again.a_rows.rows is first.a_rows.rows
-        # the states share the matrices, not their kept blocks
-        assert again.ata_rows is not first.ata_rows and again.a_rows is not first.a_rows
-
-    def test_write_in_place_is_a_miss(self, s1_instance):
-        a, b = s1_instance.a.copy(), s1_instance.b
-        first = pg_init(a, b, 0.02)
-        held = first.ata_rows.rows
-        a[0, 0] += 0.25
-        warm = pg_init(a, b, 0.02)
-        assert warm.ata_rows.rows is not held
-        assert warm.ata_rows.rows.tobytes() == (a.T @ a).tobytes()
-        assert warm.a_rows.rows.tobytes() == np.ascontiguousarray(a.T).tobytes()
-        assert first.ata_rows.rows.tobytes() == (s1_instance.a.T @ s1_instance.a).tobytes()
-        warm_res = pg_solve(a, b, 0.02, 200)
-        assert columns(warm_res) == columns(cold_solve(a, b, 0.02, 200))
-
-    def test_a_signed_zero_is_a_miss(self):
-        # -0.0 == 0.0, but the bytes differ, and so may a^T a's
-        a, b = np.eye(3), np.array([1.0, 0.5, 0.0])
-        first = pg_init(a, b, 0.1)
-        flipped = a.copy()
-        flipped[0, 1] = -0.0
-        assert pg_init(flipped, b, 0.1).ata_rows.rows is not first.ata_rows.rows
-
-    def test_same_bytes_reshaped_are_a_miss(self, s1_instance):
-        a = s1_instance.a
-        m, n = a.shape
-        first = pg_init(a, s1_instance.b, 0.02)
-        for shape in ((n, m), (m // 2, 2 * n)):
-            other = a.reshape(shape)
-            state = pg_init(other, np.ones(shape[0]), 0.02)
-            assert state.ata_rows.rows is not first.ata_rows.rows
-            assert state.ata_rows.rows.tobytes() == (other.T @ other).tobytes()
-        # and the transpose: the bytes of a.T's memory, other strides
-        state = pg_init(a.T, np.ones(n), 0.02)
-        assert state.ata_rows.rows.tobytes() == (a @ a.T).tobytes()
-
-    def test_other_layout_is_a_miss(self, s1_instance):
-        # equal values in another memory layout may take another BLAS path
-        a, b = s1_instance.a, s1_instance.b
-        first = pg_init(a, b, 0.02)
-        for other in (np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
-            assert np.array_equal(other, a)
-            state = pg_init(other, b, 0.02)
-            assert state.ata_rows.rows is not first.ata_rows.rows
-            assert state.ata_rows.rows.tobytes() == (other.T @ other).tobytes()
-
-    def test_lambda_sweep_warm_and_cold(self, make_instance):
-        # the shape of a lambda sweep: one instance, one solve per lambda
+    def test_lambda_sweep_shared_and_unshared(self, make_instance):
+        # the shape of a lambda sweep: one instance, each lambda solved by
+        # both algorithms in turn, as experiments.cells does
         for scenario in ("s1", "s2"):
             inst = make_instance(scenario, seed=5, trial=1)
-            grid = [5e-4, 0.02, 0.1, 0.5]
-            iters = {lam: min(iteration_schedule(lam, scenario), 300) for lam in grid}
-            prox_solver._last = None
-            warm = [columns(pg_solve(inst.a, inst.b, lam, iters[lam], ground_truth=inst.x_true))
-                    for lam in grid]
-            cold = [columns(cold_solve(inst.a, inst.b, lam, iters[lam], inst.x_true))
-                    for lam in grid]
-            assert warm == cold, scenario
+            mat = Matrix(inst.a)
+            for lam in (5e-4, 0.02, 0.1, 0.5):
+                for solve, cap in ((pg_solve, 300), (adcd_solve, 100)):
+                    iters = min(iteration_schedule(lam, scenario), cap)
+                    shared = solve(inst.a, inst.b, lam, iters, inst.x_true, mat)
+                    alone = solve(inst.a, inst.b, lam, iters, inst.x_true)
+                    assert columns(shared) == columns(alone), (scenario, lam, solve.__name__)
 
-    def test_record_is_dropped_with_its_matrix(self, s1_instance):
-        a = s1_instance.a.copy()
-        pg_init(a, s1_instance.b, 0.02)
-        assert prox_solver._last is not None
-        del a
-        assert prox_solver._last is None
+    def test_states_share_its_arrays_not_their_blocks(self, s1_instance):
+        a, b = s1_instance.a, s1_instance.b
+        mat = Matrix(a)
+        first, again = pg_init(a, b, 0.02, mat), pg_init(a, b, 0.1, mat)
+        cd = adcd_init(a, b, 0.1, mat)
+        assert first.ata_rows.rows is again.ata_rows.rows is mat.ata
+        assert first.a_rows.rows is again.a_rows.rows is cd.rows.rows is mat.a_t
+        assert cd.sq_norms is mat.sq_norms
+        assert len({id(first.ata_rows), id(again.ata_rows), id(first.a_rows), id(again.a_rows),
+                    id(cd.rows)}) == 5
+
+    def test_equal_bytes_in_another_array_raise(self, s1_instance):
+        a, b = s1_instance.a, s1_instance.b
+        for other in (a.copy(), a[:]):
+            mat = Matrix(other)
+            for init in (pg_init, adcd_init):
+                with pytest.raises(ValueError, match="another array"):
+                    init(a, b, 0.02, mat)
+            for solve in (pg_solve, adcd_solve):
+                with pytest.raises(ValueError, match="another array"):
+                    solve(a, b, 0.02, 5, mat=mat)
+            with pytest.raises(ValueError, match="another array"):
+                solve_instance("pg", s1_instance, 0.02, 5, mat=mat)
+
+    def test_same_bytes_reshaped(self, s1_instance):
+        a = s1_instance.a
+        m, n = a.shape
+        for other in (a.reshape(n, m), a.reshape(m // 2, 2 * n), a.T):
+            check_init_products(other, np.ones(other.shape[0]))
+
+    def test_other_layout(self, s1_instance):
+        # equal values in another memory layout may take another BLAS path
+        a, b = s1_instance.a, s1_instance.b
+        for other in (a, np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
+            assert np.array_equal(other, a)
+            check_init_products(other, b)
+
+
+def check_init_products(a, b):
+    """pg_init's a^T a and contiguous a^T, and adcd_init's a^T and its
+    norms, have the bytes of computing them from this a."""
+    state, cd = pg_init(a, b, 0.02), adcd_init(a, b, 0.02)
+    a_t = np.ascontiguousarray(a.T)
+    assert state.ata_rows.rows.tobytes() == (a.T @ a).tobytes()
+    for rows in (state.a_rows.rows, cd.rows.rows):
+        assert rows.flags.c_contiguous and rows.tobytes() == a_t.tobytes()
+    assert cd.sq_norms.tobytes() == np.vecdot(a_t, a_t).tobytes()
 
 
 class TestAdaptiveStep:
