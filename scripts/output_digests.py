@@ -17,7 +17,14 @@ to this script, in a temporary directory, with the BLAS thread variables
 set to 1.  The digests depend on the host's numpy and BLAS, so they are
 compared between two checkouts, never against a stored value.
 
-    python3 scripts/output_digests.py
+    python3 scripts/output_digests.py [OTHER]
+
+With OTHER, the root of a second checkout (say, the parent commit), the
+commands also run there, through that checkout's own copy of this script
+in a child process.  Each line then holds this checkout's digest, the
+other's and the name (a digest only one side prints shows as dashes on
+the other), and the exit status is 1, with a `differs:` line on stderr
+naming each digest that is not the same on both sides.
 """
 
 import os
@@ -25,13 +32,16 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import Callable, Optional  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -75,10 +85,45 @@ def digests() -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()}
 
 
-def main() -> int:
-    for name, digest in digests().items():
-        print(f"{digest}  {name}")
-    return 0
+def parse(text: str) -> dict[str, str]:
+    """The digests in the lines this script prints for one checkout."""
+    return {name: digest for digest, name in (line.split("  ", 1) for line in text.splitlines())}
+
+
+def checkout_digests(root: Path) -> dict[str, str]:
+    """The digests of the checkout at root, from its own copy of this
+    script run in a child process."""
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "output_digests.py")],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{root}: output_digests.py exited with {proc.returncode}\n{proc.stderr}")
+    return parse(proc.stdout)
+
+
+def differing(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
+    """The names whose digests differ, or that one side lacks, in order."""
+    return [name for name in {**ours, **theirs} if ours.get(name) != theirs.get(name)]
+
+
+def main(argv: Optional[list[str]] = None,
+         here: Callable[[], dict[str, str]] = digests,
+         other: Callable[[Path], dict[str, str]] = checkout_digests) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("other", type=Path, nargs="?", help="root of a second checkout to compare with")
+    args = ap.parse_args(argv)
+    ours = here()
+    if args.other is None:
+        for name, digest in ours.items():
+            print(f"{digest}  {name}")
+        return 0
+    theirs = other(args.other)
+    none = "-" * 64
+    for name in {**ours, **theirs}:
+        print(f"{ours.get(name, none)}  {theirs.get(name, none)}  {name}")
+    bad = differing(ours, theirs)
+    for name in bad:
+        print(f"differs: {name}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -35,13 +35,16 @@ algorithm more cheaply:
   the state holds as a kernel.SupportRows of its own, and its squared row
   norms a_i . a_i, from one np.vecdot.  A sweep forms the columns of
   P as one block, from a^T[P], and reads a^T and its norms themselves
-  everywhere else.  It is one pass over P: each coordinate of P once,
-  then the run of zero coordinates that follows it (the run ahead of P's
-  first coordinate comes first), so every run is made of columns with
-  v_i = 0, c_i = a_i.  a^T[P] and the layout of the runs, with the
-  largest ||a_i|| of each, are made only when P changes, keyed by the
-  bytes of P, as a SupportRows keys its block.  So the set-up outside the
-  coordinate loop and the screen is O(|P| m), not O(n m);
+  everywhere else; every product with a^T or the block is a .dot, the
+  gemv of the matmul form with less of numpy's per-call overhead.  It is
+  one pass over P: each coordinate of P once, then the run of zero
+  coordinates that follows it (the run ahead of P's first coordinate
+  comes first), so every run is made of columns with v_i = 0, c_i = a_i.
+  a^T[P] and the layout of the runs, with the largest ||a_i|| of each,
+  are made only when P changes, keyed by the bytes of P, as a SupportRows
+  keys its block.  In a solve, P and x[P] come from the e update before
+  it, which finds supp(x) and gathers x[s] anyway.  So the set-up outside
+  the coordinate loop and the screen is O(|P| m), not O(n m);
 - checking a run of zero coordinates exactly only where a bound cannot
   prove that none of them leaves zero (a screen in the manner of the
   strong rules of Tibshirani et al., JRSS-B 2012, but safe, so no check
@@ -92,7 +95,10 @@ class AdcdState:
     read; a must not be written while a state holds them.  The sweep's
     layout (a^T[P] and its runs of zero coordinates) depends only on
     P = supp(x) + supp(v), rows and sq_norms, and is kept keyed by the
-    bytes of P.
+    bytes of P.  carry keeps what the last e update found of x, its
+    support and x[support], with the array x itself; the next step reads
+    them as P and v[P] only while x and v are both that array, so a caller
+    that binds x or v makes the sweep find P again.
     """
 
     x: np.ndarray       # current iterate, length n
@@ -104,6 +110,7 @@ class AdcdState:
     sq_norms: np.ndarray  # the squared row norms of rows, a_i . a_i
     layout_key: Optional[bytes] = None  # P.tobytes() of layout
     layout: tuple = ()  # (a^T[P], cuts, runs) of the sweep from that P
+    carry: tuple = ()   # (x, supp(x), x[supp(x)]) of the last e update
     n: int = 0          # completed outer iterations
     f: float = math.nan  # quotient residual f(x), set by each e update
     flops: int = 0      # counted multiply-adds, charged by each step
@@ -180,7 +187,7 @@ def _threshold(rho: float, half: float, norm2: float) -> float:
     return 0.0
 
 
-def _sweep(state: AdcdState) -> None:
+def _sweep(state: AdcdState, carry: tuple) -> None:
     """In-order pass over all coordinates, on a running residual.
 
     The values are those of calling adcd_coordinate_update for
@@ -191,7 +198,10 @@ def _sweep(state: AdcdState) -> None:
     that sum is a_i itself (a_ij + 0.0 = a_ij).  P's columns are one
     block, np.multiply.outer(v[P], u) with a^T[P] added in place (the bytes
     of np.outer plus the block of a SupportRows, kept with the layout),
-    whose rows P's coordinates read in place.
+    whose rows P's coordinates read in place.  P and x[P] are carry, when
+    adcd_step passes the e update's (x is then a copy of v, so they are
+    supp(v) and v[P] too), and np.logical_or(x, v).nonzero()[0] and x[P]
+    otherwise.
 
     The pass visits each coordinate of P once, even one with x_i = 0, and
     after it the run of zero coordinates that follows it, if any; the run
@@ -204,8 +214,13 @@ def _sweep(state: AdcdState) -> None:
     norm2 = c_i . c_i the sweep reads is a row of np.vecdot: of the block
     on P, and the solve's squared row norms elsewhere.  A row of np.vecdot
     has the bytes of c_i.dot(c_i) (tests/test_kernel.py::TestRowDots pins
-    this).  The full residual r = b - c x is built once, from the block,
-    at the start of the sweep and then kept current:
+    this).  Every product is a .dot: x[P].dot(block), a_t.dot(r) and
+    a_t[i:hi].dot(r) make the gemv call of their matmul forms with less of
+    numpy's per-call overhead, and have their bytes
+    (tests/test_kernel.py::TestSupportProduct and TestRunProduct pin this)
+    but for a lone zero product at m = 1, whose sign the sweep never
+    reads.  The full residual r = b - x[P].dot(block) is built once, at the
+    start of the sweep, and then kept current:
 
     - a coordinate of P gets rho = c_i . r + x_i norm2, which is
       c_i . resid for the partial residual that excludes i; after the
@@ -216,9 +231,10 @@ def _sweep(state: AdcdState) -> None:
       assignment at the end;
     - a zero coordinate's partial residual is r itself, so the rhos of a
       run of zero coordinates come from one product with the contiguous
-      block of their rows.  The first rho outside +-lam / 2 ends the run:
-      that coordinate leaves zero (and writes its own entry of x), r
-      changes, and the rest of the run is recomputed from the new r.
+      block of their rows, a_t[i:hi].dot(r).  The first rho outside
+      +-lam / 2 ends the run: that coordinate leaves zero (and writes its
+      own entry of x), r changes, and the rest of the run is recomputed
+      from the new r.
 
     The charges are _update_madds over the nnz other nonzero entries (a
     zero coordinate's) and over nnz - 1 (a nonzero coordinate of P's);
@@ -226,7 +242,7 @@ def _sweep(state: AdcdState) -> None:
 
     That product is skipped while a bound proves that no rho of the run
     can leave [-lam / 2, lam / 2].  With r0 the residual at the start of
-    the sweep, rho0_i = |c_i . r0| (one product with a^T per sweep, whose
+    the sweep, rho0_i = |c_i . r0| (one a_t.dot(r0) per sweep, whose
     outputs on the rows of P are never read) and drift = sum |d_t| ||c_t||
     over the updates r -= d_t c_t made so far, the run is quiet when
 
@@ -272,10 +288,16 @@ def _sweep(state: AdcdState) -> None:
     x, v, u = state.x, state.v, state.u
     a_t, sq_norms = state.rows.rows, state.sq_norms
     half = 0.5 * state.lam
-    p_mask = np.logical_or(x, v)
-    p = p_mask.nonzero()[0]
+    if carry:
+        # x is a copy of v, so P = supp(v) and x[P] = v[P]: the e update's
+        p, xs = carry
+        vp = xs
+    else:
+        p = np.logical_or(x, v).nonzero()[0]
+        xs, vp = x[p], v[p]
     key = p.tobytes()
     if key != state.layout_key:
+        p_mask = np.logical_or(x, v)
         # from the P the sweep starts with (the entries ahead of the sweep
         # position have not changed): the cuts start each coordinate of P
         # and each zero run, as segments of rho0's reduceat; then per loop
@@ -292,11 +314,10 @@ def _sweep(state: AdcdState) -> None:
                 runs[-1] = (s, lo, hi, norm_max[s])
         state.layout_key, state.layout = key, (support_block(state.rows, p), cuts, runs)
     a_p, cuts, runs = state.layout
-    block = np.multiply.outer(v[p], u)
+    block = np.multiply.outer(vp, u)
     block += a_p
-    xs = x[p]
-    r = state.b - block.T @ xs
-    rho0_max = np.maximum.reduceat(np.abs(a_t @ r), cuts).tolist()
+    r = state.b - xs.dot(block)
+    rho0_max = np.maximum.reduceat(np.abs(a_t.dot(r)), cuts).tolist()
     r0_norm = math.sqrt(float(r.dot(r)))
     tol = (m + n + 4) * 2.0**-50
     drift = 0.0
@@ -330,7 +351,7 @@ def _sweep(state: AdcdState) -> None:
                     nnz += 1 if new else -1
                     zero_madds, in_madds = _update_madds(m, nnz), _update_madds(m, nnz - 1)
         while i < hi and not rho0_max[s] + norm_hi * screen < half:
-            rhos = a_t[i:hi] @ r
+            rhos = a_t[i:hi].dot(r)
             leave = (np.abs(rhos) > half).nonzero()[0]
             if not leave.size:
                 break
@@ -356,20 +377,25 @@ def adcd_step(state: AdcdState) -> AdcdState:
     """One outer iteration: full in-order sweep, then the e update.
 
     The sweep writes x in place, so the step first binds a copy of it: an
-    iterate a step has returned is never written.  The e update keeps e's
-    factors, u = -y (a x - b) and v = x, the array itself, which no step
-    writes after this one returns it; its residual also gives state.f.
-    It is charged m * nnz(x) + 2m + n + m * n multiply-adds, the m * n for
-    forming e as the algorithm does.
+    iterate a step has returned is never written.  While x and v are both
+    the array of the last e update's carry, the sweep takes P and v[P]
+    from it.  The e update keeps e's factors, u = -y (a x - b) and v = x,
+    the array itself, which no step writes after this one returns it; its
+    residual also gives state.f, and its support and x[support] are the
+    next step's carry.  It is charged m * nnz(x) + 2m + n + m * n
+    multiply-adds, the m * n for forming e as the algorithm does.
     """
-    state.x = state.x.copy()
-    _sweep(state)
+    x, held = state.x, state.carry
+    carry = held[1:] if held and held[0] is x is state.v else ()
+    state.x = x.copy()
+    _sweep(state, carry)
     x = state.x
     n, m = state.rows.shape
     support = x.nonzero()[0]
-    resid, y, state.f, _ = support_quotient(state.rows, state.b, x, support)
+    resid, y, state.f, xs = support_quotient(state.rows, state.b, x, support)
     state.u = -y * resid
     state.v = x
+    state.carry = (x, support, xs)
     state.flops += m * int(support.size) + 2 * m + n + m * n
     state.n += 1
     return state

@@ -335,7 +335,10 @@ def pg_step(state: PgState) -> PgState:
         madds += trial
         if line_search_ok(f_next, state.f, step, g, mu, dxdx):
             break
-        if not np.count_nonzero(step):
+        # a nonzero dxdx proves step has a nonzero entry, and a NaN fails
+        # dxdx == 0.0 as count_nonzero counts it: the same decision, with
+        # count_nonzero kept for a nonzero step whose squares underflow
+        if dxdx == 0.0 and not np.count_nonzero(step):
             # x came back: every later step repeats this one with no
             # halving, at this charge (see the module docstring)
             state.replay_madds = head + trial

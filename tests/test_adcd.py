@@ -156,6 +156,86 @@ class TestRightFactor:
             assert state.v is state.x and state.x is not v
 
 
+class TestCarry:
+    """Each e update keeps supp(x) and x[supp(x)] with the array x they
+    came from, and the next sweep takes P and v[P] from them only while x
+    and v are both that array; any other state makes P from
+    np.logical_or(x, v)."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The carry each sweep is given, in order."""
+        carries, sweep = [], adcd._sweep
+
+        def spied(state, carry):
+            carries.append(carry)
+            sweep(state, carry)
+
+        monkeypatch.setattr(adcd, "_sweep", spied)
+        return carries
+
+    @staticmethod
+    def assert_same(state, ref):
+        assert state.x.tobytes() == ref.x.tobytes()
+        assert state.u.tobytes() == ref.u.tobytes()
+        assert (state.f, state.flops, state.layout_key) == (ref.f, ref.flops, ref.layout_key)
+
+    @pytest.mark.parametrize("scenario, seed, trial, lam", [
+        ("s1", 14, 1, 0.02), ("s1", 14, 1, 0.5), ("s2", 14, 1, 0.02), ("s2", 14, 1, 0.5),
+        ("s2", 17008008, 11, 0.02),  # PG's line-search stall instance
+    ])
+    def test_solves_match_with_the_carry_cleared(self, make_instance, monkeypatch,
+                                                 scenario, seed, trial, lam):
+        inst = make_instance(scenario, seed=seed, trial=trial)
+        kept, cleared = adcd_init(inst.a, inst.b, lam), adcd_init(inst.a, inst.b, lam)
+        carries = self.spy(monkeypatch)
+        steps = iteration_schedule(lam, scenario)
+        for _ in range(steps):
+            cleared.carry = ()
+            adcd_step(kept)
+            adcd_step(cleared)
+            self.assert_same(kept, cleared)
+        # every sweep of kept but the first took the carry, none of cleared's
+        assert [bool(c) for c in carries] == [False, False] + [True, False] * (steps - 1)
+
+    def rebind_x(state):
+        state.x = np.zeros_like(state.x)
+
+    def rebind_x_with_fewer_entries(state):
+        x = state.x.copy()
+        x[x.nonzero()[0][:2]] = 0.0
+        state.x = x
+
+    def rebind_all(state):
+        state.x, state.u, state.v = state.x.copy(), state.u.copy(), state.v.copy()
+
+    def rebind_v(state):
+        state.v = state.v.copy()
+
+    def coordinate_update(state):
+        adcd_coordinate_update(state, int(state.x.nonzero()[0][0]))
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("change", [rebind_x, rebind_x_with_fewer_entries, rebind_all, rebind_v,
+                                        coordinate_update])
+    def test_changed_state_makes_p_from_x_and_v(self, make_instance, monkeypatch, scenario, change):
+        inst = make_instance(scenario, seed=8, trial=1)
+        state = adcd_init(inst.a, inst.b, 0.02)
+        for _ in range(3):
+            adcd_step(state)
+        held = state.carry
+        change(state)
+        assert state.carry is held
+        ref = replace(state, carry=())
+        p = np.logical_or(state.x, state.v).nonzero()[0]
+        carries = self.spy(monkeypatch)
+        adcd_step(state)
+        adcd_step(ref)
+        assert carries == [(), ()]
+        assert state.layout_key == p.tobytes()
+        self.assert_same(state, ref)
+
+
 def reference_step(state, a, b, lam):
     """One outer iteration through the public per-coordinate update, then
     the closed-form e update charged as adcd_step documents it."""

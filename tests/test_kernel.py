@@ -298,6 +298,55 @@ class TestSupportProduct:
                 assert got.tobytes() == want.tobytes(), f"{scenario}, k = {k}, m = {m}, {label}"
 
 
+class TestRunProduct:
+    """AD-CD's sweep forms rho0 as a_t.dot(r) and a zero run's rhos as
+    a_t[i:hi].dot(r), where a_t is a C-contiguous a^T, and its bit parity
+    with the matmul forms a_t @ r and a_t[i:hi] @ r rests on this: on this
+    numpy and BLAS both make the same gemv call, so the bytes agree for
+    row slices of every length.  One exception is known and pinned: one
+    row of length 1 whose product is a zero keeps its sign in dot, where
+    matmul gives +0.0.  The sweep cannot see it: rho0 and a run's rhos are
+    read only through abs and a strict |rho| > lam / 2, and a leaver's rho
+    is never a zero."""
+
+    @staticmethod
+    def check(rows, r, label):
+        n, m = rows.shape
+        for length in range(1, n + 1):
+            for i in sorted({0, (n - length) // 2, n - length}):
+                got, want = rows[i:i + length].dot(r), rows[i:i + length] @ r
+                if length == m == 1 and want[0] == 0.0:
+                    assert np.abs(got).tobytes() == np.abs(want).tobytes()
+                    continue
+                assert got.tobytes() == want.tobytes(), f"{label}, rows {i}:{i + length}"
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_a_t_of_instances(self, make_instance, scenario):
+        inst = make_instance(scenario, seed=12, trial=1)
+        a_t = np.ascontiguousarray(inst.a.T)
+        r = RngStream(37).normal_block(a_t.shape[1])
+        for label, vec in (("b", inst.b), ("normal", r), ("negative", -np.abs(r))):
+            self.check(a_t, vec, f"{scenario} a^T against {label}")
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("m", [1, 2, 7, 20, 33, 127, 200])
+    def test_blocks_of_instance_values(self, make_instance, scenario, m):
+        inst = make_instance(scenario, seed=12, trial=1)
+        values = np.ascontiguousarray(inst.a.T).ravel()
+        k = min(60, values.size // m - 1)
+        rows = values[: k * m].reshape(k, m).copy()
+        rows[1] = 0.0
+        r = values[-m:].copy()
+        for label, vec in (("values", r), ("negative", -np.abs(r)), ("zeros", np.where(r > 0, r, 0.0))):
+            self.check(rows, vec, f"{scenario}, m = {m}, {label}")
+
+    def test_single_zero_product_keeps_its_sign(self):
+        row, r = np.zeros((1, 1)), np.array([-2.0])
+        assert row.dot(r).tobytes() == np.float64(-0.0).tobytes()
+        assert (row @ r).tobytes() == np.float64(0.0).tobytes()
+        assert np.abs(row.dot(r)).tobytes() == np.abs(row @ r).tobytes()
+
+
 class TestShrink:
     def test_componentwise_values(self):
         out = shrink(np.array([0.5, -0.1, -0.9]), 0.2)
