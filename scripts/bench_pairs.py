@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N \\
         --seed0 S --seconds T
+    python3 scripts/bench_pairs.py PARENT CHANGE --command "ARGS" --pairs N
 
 PARENT and CHANGE are the roots of two checkouts (the parent commit and
 the change) on the same host.  Pair k runs
@@ -22,18 +23,51 @@ is 1 if any run is not correct or gives no result line.
 Nothing is written here: each run leaves its record in its checkout's
 `.perfbench/results/`, and scripts/bench_record.py folds the two
 directories into a BENCH_<pr>.json.
+
+With --command, each run is instead one `sparsetls ARGS` command (say
+"sweep-lambda --scenario s2 --trials 1 --algo pg"), in the same
+alternating plan, seeds counting pairs.  A fresh child process per run
+pins itself to one CPU, imports the package from the checkout's src/ and
+that checkout's own perfbench/hostspeed.py (read only, no bytecode is
+written), and calls cli_main(ARGS) through hostspeed's Speed.timed, in an
+empty temporary directory that takes the command's output.  Its result
+line holds the exit status, the wall seconds less the probes, the
+slowdown, the scaled seconds (wall / slowdown) and the child's peak RSS
+(ru_maxrss) in MB.  After the last run come each side's median scaled
+seconds and peak RSS, and the pairs in which the change is the lower.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shlex
+import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
 STDERR_TAIL = 20
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# run in the checkout's child process: argv[1] is the checkout, argv[2:]
+# the command
+TIMED_COMMAND = """
+import contextlib, io, json, resource, sys
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import hostspeed
+from sparsetls import cli_main
+hostspeed.pin_to_one_cpu()
+with contextlib.redirect_stdout(io.StringIO()):
+    code, wall, slowdown = hostspeed.Speed().timed(lambda: cli_main(sys.argv[2:]))
+print(json.dumps({"correct": code == 0, "failed": int(code != 0), "exit": code, "wall_s": wall,
+                  "slowdown": slowdown, "scaled_s": wall / slowdown,
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
 
 
 def plan(pairs: int, seed0: int) -> list[tuple[str, int]]:
@@ -55,6 +89,39 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[O
     return (lines[-1] if lines else None), proc.stderr
 
 
+def run_command(checkout: Path, command: list[str]) -> tuple[Optional[str], str]:
+    """The result line of one host-scaled sparsetls command run in a
+    fresh process on checkout's own code (None when it printed none), and
+    the run's stderr."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{var: "1" for var in THREAD_VARS})
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run([sys.executable, "-c", TIMED_COMMAND, str(Path(checkout).resolve()),
+                               *command], cwd=out, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return (lines[-1] if lines else None), proc.stderr
+
+
+def command_summary(lines: dict[tuple[str, int], Optional[str]]) -> list[str]:
+    """Per side, the median scaled seconds and peak RSS over its correct
+    runs, then the pairs of correct runs in which the change is the lower."""
+    runs = {}
+    for (side, seed), line in lines.items():
+        if outcome(line, "")[0]:
+            runs[side, seed] = json.loads(line)
+    paired = [seed for side, seed in runs if side == "parent" and ("change", seed) in runs]
+    out = []
+    for key in ("scaled_s", "maxrss_mb"):
+        medians = {}
+        for side in ("parent", "change"):
+            values = [r[key] for (s, _), r in runs.items() if s == side]
+            medians[side] = statistics.median(values) if values else float("nan")
+        lower = sum(runs["change", seed][key] < runs["parent", seed][key] for seed in paired)
+        out.append(f"{key}: parent {medians['parent']:.4g} change {medians['change']:.4g} "
+                   f"change/parent {medians['change'] / medians['parent']:.4f} "
+                   f"change lower in {lower}/{len(paired)}")
+    return out
+
+
 def outcome(line: Optional[str], stderr: str) -> tuple[bool, list[str]]:
     """Whether a run is correct, and what to print under its result line:
     nothing for a correct run with no failed cells; else its `error:` and
@@ -74,26 +141,41 @@ def outcome(line: Optional[str], stderr: str) -> tuple[bool, list[str]]:
 
 
 def main(argv: Optional[list[str]] = None,
-         runner: Callable[[Path, str, int, float], tuple[Optional[str], str]] = run_one) -> int:
+         runner: Callable[[Path, str, int, float], tuple[Optional[str], str]] = run_one,
+         command_runner: Callable[[Path, list[str]], tuple[Optional[str], str]] = run_command) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--command", type=shlex.split, help="sparsetls arguments, as one string")
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seed0", type=int, required=True)
+    ap.add_argument("--seed0", type=int)
     ap.add_argument("--seconds", type=float, default=45.0)
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seed0 < 0 or args.seconds <= 0:
+    if args.workload and args.seed0 is None:
+        ap.error("--workload needs --seed0")
+    if args.command is not None and not args.command:
+        ap.error("--command needs arguments")
+    seed0 = args.seed0 or 0
+    if args.pairs < 1 or seed0 < 0 or args.seconds <= 0:
         ap.error("--pairs must be >= 1, --seed0 >= 0 and --seconds > 0")
     checkouts = {"parent": args.parent, "change": args.change}
-    ok = True
-    for side, seed in plan(args.pairs, args.seed0):
-        line, stderr = runner(checkouts[side], args.workload, seed, args.seconds)
+    ok, lines = True, {}
+    for side, seed in plan(args.pairs, seed0):
+        if args.command:
+            line, stderr = command_runner(checkouts[side], args.command)
+        else:
+            line, stderr = runner(checkouts[side], args.workload, seed, args.seconds)
+        lines[side, seed] = line
         print(f"{side} seed={seed} {line}", flush=True)
         correct, shown = outcome(line, stderr)
         for text in shown:
             print(f"    {text}", flush=True)
         ok = ok and correct
+    if args.command:
+        for text in command_summary(lines):
+            print(text, flush=True)
     return 0 if ok else 1
 
 

@@ -101,6 +101,8 @@ from .kernel import (Matrix, SupportRows, gradient, matrix_of, require_budget, r
 
 START_STEP = 0.2
 MAX_BACKTRACKS = 60
+# distinct iterates SolveResult.from_states stacks and reduces at a time
+_BLOCK = 128
 
 
 class BacktrackingError(RuntimeError):
@@ -190,30 +192,34 @@ class SolveResult:
         """One entry per PgState or AdcdState yielded: cost = f + lam *
         ||x||_1, with the state's lam, and, with a ground truth,
         sq_error = ||x - ground_truth||^2.  No step writes an iterate it
-        has returned, so each state's x is kept as it is, and the norms
-        and errors of all of them are reduced after the loop, each row
-        with the bytes of float(np.abs(x).sum()) and d.dot(d).  A state
-        whose x is the previous state's array (pg_step keeps x once it
-        replays, and then for every later step, so these states are a
-        suffix) repeats the last computed cost and sq_error entries."""
-        f, mu, backtracks, flops, rows = [], [], [], [], []
+        has returned, so each state's x is kept as it is until _BLOCK of
+        them are stacked and reduced, each row with the bytes of
+        float(np.abs(x).sum()) and d.dot(d) however many rows share the
+        stack; then the block is dropped.  A state whose x is the previous
+        state's array (pg_step keeps x once it replays, and then for every
+        later step, so these states are a suffix) repeats the last
+        computed cost and sq_error entries."""
+        f, mu, backtracks, flops, rows, l1 = [], [], [], [], [], []
+        sq_error = None if ground_truth is None else []
+        x = None
         for state in states:
-            if not rows or state.x is not rows[-1]:
-                rows.append(state.x)
+            if state.x is not x:
+                x = state.x
+                rows.append(x)
+                if len(rows) == _BLOCK:
+                    _reduce(rows, ground_truth, l1, sq_error)
             f.append(state.f)
             mu.append(state.mu)
             backtracks.append(state.backtracks_last)
             flops.append(state.flops)
-        lam, xs, replayed = state.lam, np.array(rows), len(f) - len(rows)
-        l1 = np.add.reduce(np.abs(xs), axis=1).tolist()
+        if rows:
+            _reduce(rows, ground_truth, l1, sq_error)
+        lam, replayed = state.lam, len(f) - len(l1)
         cost = [fk + lam * nk for fk, nk in zip(f, l1)]
         cost += cost[-1:] * replayed
-        sq_error = None
-        if ground_truth is not None:
-            d = xs - ground_truth
-            sq_error = np.vecdot(d, d).tolist()
+        if sq_error is not None:
             sq_error += sq_error[-1:] * replayed
-        return cls(rows[-1], cost, f, mu, backtracks, flops, sq_error)
+        return cls(x, cost, f, mu, backtracks, flops, sq_error)
 
     @cached_property
     def trace(self) -> list[TraceRecord]:
@@ -226,6 +232,18 @@ class SolveResult:
                 zip(self.cost, self.f, self.mu, self.backtracks, self.flops, errs), 1
             )
         ]
+
+
+def _reduce(rows: list, ground_truth: Optional[np.ndarray], l1: list,
+            sq_error: Optional[list]) -> None:
+    """Append the l1 norms of the iterates in rows, and their squared
+    errors when ground_truth is given, then empty rows."""
+    xs = np.array(rows)
+    rows.clear()
+    if ground_truth is not None:
+        d = xs - ground_truth
+        sq_error += np.vecdot(d, d).tolist()
+    l1 += np.add.reduce(np.abs(xs, out=xs), axis=1).tolist()
 
 
 def pg_init(a: np.ndarray, b: np.ndarray, lam: float, mat: Optional[Matrix] = None) -> PgState:

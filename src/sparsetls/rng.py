@@ -43,11 +43,17 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_block(z: np.ndarray) -> np.ndarray:
-    """Vectorized avalanche finalizer; uint64 arithmetic wraps mod 2^64."""
-    z = (z ^ (z >> _U(30))) * _U(_MIX1)
-    z = (z ^ (z >> _U(27))) * _U(_MIX2)
-    return z ^ (z >> _U(31))
+def _mix64_block(z: np.ndarray) -> None:
+    """Vectorized avalanche finalizer, in place on z with one work
+    array; uint64 arithmetic wraps mod 2^64."""
+    t = np.right_shift(z, _U(30))
+    z ^= t
+    z *= _U(_MIX1)
+    np.right_shift(z, _U(27), out=t)
+    z ^= t
+    z *= _U(_MIX2)
+    np.right_shift(z, _U(31), out=t)
+    z ^= t
 
 
 class RngStream:
@@ -82,9 +88,12 @@ class RngStream:
         """Next n words as a uint64 array."""
         if n < 0:
             raise ValueError("block length must be non-negative")
-        ks = _U(self._state) + _U(_WEYL) * np.arange(1, n + 1, dtype=np.uint64)
+        ks = np.arange(1, n + 1, dtype=np.uint64)
+        ks *= _U(_WEYL)
+        ks += _U(self._state)
         self._state = (self._state + n * _WEYL) & _MASK64
-        return _mix64_block(ks)
+        _mix64_block(ks)
+        return ks
 
     def uniform_block(self, n: int) -> np.ndarray:
         """n uniforms in (0, 1]; 53-bit mantissas, never exactly zero.
@@ -95,7 +104,9 @@ class RngStream:
         if 0 <= n < _SMALL_BLOCK:
             return np.array([((w >> 11) + 1) * 2.0**-53 for w in self._small_words(n)])
         w = self.u64_block(n)
-        return ((w >> _U(11)) + _U(1)) * 2.0**-53
+        w >>= _U(11)
+        w += _U(1)
+        return w * 2.0**-53
 
     def normal_block(self, n: int) -> np.ndarray:
         """n standard normals via the Box-Muller transform.
@@ -106,11 +117,14 @@ class RngStream:
         """
         half = (n + 1) // 2
         u = self.uniform_block(2 * half)
-        radius = np.sqrt(-2.0 * np.log(u[:half]))
-        theta = (2.0 * np.pi) * u[half:]
+        radius, theta = u[:half], u[half:]
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta *= 2.0 * np.pi
         out = np.empty(2 * half)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
+        np.multiply(radius, np.cos(theta), out=out[0::2])
+        np.multiply(radius, np.sin(theta, out=theta), out=out[1::2])
         return out[:n]
 
     def below(self, bound: int) -> int:

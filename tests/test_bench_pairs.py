@@ -93,3 +93,82 @@ def test_rejects_bad_arguments(flag, value):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(argv, runner=Stub())
     assert exc.value.code == 2
+
+
+COMMAND_ARGV = ["P", "C", "--command", "sweep-lambda --scenario s2 --trials 1 --algo pg", "--pairs", "3"]
+
+
+class CommandStub:
+    """Records each command run and answers with a result line whose
+    scaled seconds and peak RSS are given per (checkout, pair)."""
+
+    def __init__(self, values, bad=None):
+        self.calls, self.values, self.bad, self.count = [], values, bad or {}, {}
+
+    def __call__(self, checkout, command):
+        checkout = str(checkout)
+        pair = self.count.get(checkout, 0)
+        self.count[checkout] = pair + 1
+        self.calls.append((checkout, command))
+        if (checkout, pair) in self.bad:
+            return self.bad[checkout, pair], STDERR
+        seconds, rss = self.values[checkout, pair]
+        return json.dumps({"correct": True, "failed": 0, "exit": 0, "wall_s": seconds, "slowdown": 1.0,
+                           "scaled_s": seconds, "maxrss_mb": rss}), ""
+
+
+def command_values():
+    return {("P", 0): (10.0, 40.0), ("P", 1): (12.0, 41.0), ("P", 2): (11.0, 40.5),
+            ("C", 0): (9.0, 39.0), ("C", 1): (12.5, 39.5), ("C", 2): (10.0, 39.0)}
+
+
+def test_command_runs_in_plan_order_and_summarizes(capsys):
+    stub = CommandStub(command_values())
+    assert bench_pairs.main(COMMAND_ARGV, runner=Stub(), command_runner=stub) == 0
+    command = ["sweep-lambda", "--scenario", "s2", "--trials", "1", "--algo", "pg"]
+    assert stub.calls == [(side, command) for side in ("P", "C", "C", "P", "P", "C")]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" {")[0] for line in out[:6]] == [
+        "parent seed=0", "change seed=0", "change seed=1", "parent seed=1", "parent seed=2", "change seed=2"]
+    assert out[6:] == [
+        "scaled_s: parent 11 change 10 change/parent 0.9091 change lower in 2/3",
+        "maxrss_mb: parent 40.5 change 39 change/parent 0.9630 change lower in 3/3",
+    ]
+
+
+def test_failed_command_exits_1_after_every_run(capsys):
+    bad = json.dumps({"correct": False, "failed": 1, "exit": 1, "wall_s": 1.0, "slowdown": 1.0,
+                      "scaled_s": 1.0, "maxrss_mb": 30.0})
+    stub = CommandStub(command_values(), bad={("C", 1): bad, ("P", 2): None})
+    assert bench_pairs.main(COMMAND_ARGV, command_runner=stub) == 1
+    assert len(stub.calls) == 6
+    out = capsys.readouterr().out.splitlines()
+    assert "    error: cell solve --algo pg --scenario s2 --seed 7: line search failed" in out
+    # the failed run and the one with no result line drop out of the
+    # medians and the pairs
+    assert out[-2:] == [
+        "scaled_s: parent 11 change 9.5 change/parent 0.8636 change lower in 1/1",
+        "maxrss_mb: parent 40.5 change 39 change/parent 0.9630 change lower in 1/1",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["P", "C", "--pairs", "2", "--seed0", "1"],
+    ["P", "C", "--workload", "s1-trace", "--command", "trace", "--pairs", "2", "--seed0", "1"],
+    ["P", "C", "--workload", "s1-trace", "--pairs", "2"],
+    ["P", "C", "--command", "", "--pairs", "2"],
+])
+def test_needs_one_of_workload_and_command(argv):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv, runner=Stub(), command_runner=CommandStub({}))
+    assert exc.value.code == 2
+
+
+def test_command_runs_through_the_checkouts_own_hostspeed():
+    root = SCRIPT.parents[1]
+    line, stderr = bench_pairs.run_command(root, ["solve", "--scenario", "s1", "--lambda", "0.5",
+                                                  "--iters", "3", "--algo", "pg"])
+    result = json.loads(line)
+    assert result["correct"] and result["exit"] == 0, stderr
+    assert result["scaled_s"] == pytest.approx(result["wall_s"] / result["slowdown"])
+    assert 0 < result["wall_s"] < 60 and 10 < result["maxrss_mb"] < 1000

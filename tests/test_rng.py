@@ -131,3 +131,53 @@ def test_below_is_roughly_uniform():
     s = RngStream(3)
     counts = np.bincount([s.below(8) for _ in range(80_000)], minlength=8)
     assert counts.min() > 9_000  # expected 10_000 per bucket
+
+
+class TestInPlaceBlocks:
+    """u64_block, uniform_block and normal_block fill their blocks in place.
+    Each must give, bit for bit, what the expressions that made a new array
+    at every operation gave, copied here verbatim, and leave the stream in
+    the same state."""
+
+    LENGTHS = [16, 17, 800, 16000, 16001]
+
+    @staticmethod
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    @classmethod
+    def u64(cls, stream, n):
+        state = stream._state
+        ks = np.uint64(state) + np.uint64(0x9E3779B97F4A7C15) * np.arange(1, n + 1, dtype=np.uint64)
+        stream._state = (state + n * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+        return cls.mix(ks)
+
+    @classmethod
+    def uniform(cls, stream, n):
+        w = cls.u64(stream, n)
+        return ((w >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+    @classmethod
+    def normal(cls, stream, n):
+        half = (n + 1) // 2
+        u = cls.uniform(stream, 2 * half)
+        radius = np.sqrt(-2.0 * np.log(u[:half]))
+        theta = (2.0 * np.pi) * u[half:]
+        out = np.empty(2 * half)
+        out[0::2] = radius * np.cos(theta)
+        out[1::2] = radius * np.sin(theta)
+        return out[:n]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("kind", ["u64", "uniform", "normal"])
+    def test_same_bits_and_state_as_new_arrays(self, kind, n):
+        for state in (0, 2024, 2**64 - 1, derive_stream(7, 2, 3)._state):
+            got_stream, want_stream = RngStream(state), RngStream(state)
+            block = getattr(got_stream, f"{kind}_block")
+            for length in (n, n + 1, n):
+                got, want = block(length), getattr(self, kind)(want_stream, length)
+                assert got.dtype == want.dtype and got.shape == (length,)
+                assert got.tobytes() == want.tobytes(), (kind, n, state)
+                assert got_stream._state == want_stream._state
