@@ -20,6 +20,14 @@ the `sparsetls solve` flags that reproduce it), or, when it printed no
 result line, the last STDERR_TAIL lines of its stderr.  The exit status
 is 1 if any run is not correct or gives no result line.
 
+After the last run comes one line per end-to-end metric of BENCHMARK.json
+that the correct runs report: each side's median [Q1, Q3] over its correct
+runs (scripts/bench_record.py's summary), change/parent of the medians,
+the pairs of correct runs the change won in the metric's better direction,
+and whether a claimed gain in it would hold: the change won at least 9 in
+10 of those pairs, and its median is beyond the parent's by more than the
+parent's Q3 - Q1.
+
 Nothing is written here: each run leaves its record in its checkout's
 `.perfbench/results/`, and scripts/bench_record.py folds the two
 directories into a BENCH_<pr>.json.
@@ -43,13 +51,16 @@ import argparse
 import json
 import os
 import shlex
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_record import summary  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
 STDERR_TAIL = 20
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -101,24 +112,52 @@ def run_command(checkout: Path, command: list[str]) -> tuple[Optional[str], str]
     return (lines[-1] if lines else None), proc.stderr
 
 
+def correct_runs(lines: dict[tuple[str, int], Optional[str]]) -> dict[tuple[str, int], dict]:
+    """The parsed result line of each correct run, by (side, seed)."""
+    return {key: json.loads(line) for key, line in lines.items() if outcome(line, "")[0]}
+
+
 def command_summary(lines: dict[tuple[str, int], Optional[str]]) -> list[str]:
     """Per side, the median scaled seconds and peak RSS over its correct
     runs, then the pairs of correct runs in which the change is the lower."""
-    runs = {}
-    for (side, seed), line in lines.items():
-        if outcome(line, "")[0]:
-            runs[side, seed] = json.loads(line)
+    runs = correct_runs(lines)
     paired = [seed for side, seed in runs if side == "parent" and ("change", seed) in runs]
     out = []
     for key in ("scaled_s", "maxrss_mb"):
         medians = {}
         for side in ("parent", "change"):
             values = [r[key] for (s, _), r in runs.items() if s == side]
-            medians[side] = statistics.median(values) if values else float("nan")
+            medians[side] = summary(values)["median"] if values else float("nan")
         lower = sum(runs["change", seed][key] < runs["parent", seed][key] for seed in paired)
         out.append(f"{key}: parent {medians['parent']:.4g} change {medians['change']:.4g} "
                    f"change/parent {medians['change'] / medians['parent']:.4f} "
                    f"change lower in {lower}/{len(paired)}")
+    return out
+
+
+def workload_summary(lines: dict[tuple[str, int], Optional[str]], end_to_end: list[dict]) -> list[str]:
+    """Per end-to-end metric that the correct runs report: each side's
+    median [Q1, Q3], change/parent, the pairs the change won and whether a
+    claimed gain would hold (9 in 10 pairs won, medians apart by more than
+    the parent's Q3 - Q1)."""
+    runs = correct_runs(lines)
+    out = []
+    for metric in end_to_end:
+        key, higher = metric["name"], metric["better"] == "higher"
+        values = {run: r["metrics"][key]["value"] for run, r in runs.items() if key in r["metrics"]}
+        sides = {side: [v for (s, _), v in values.items() if s == side] for side in ("parent", "change")}
+        if not all(sides.values()):
+            continue
+        par, chg = summary(sides["parent"]), summary(sides["change"])
+        paired = [seed for side, seed in values if side == "parent" and ("change", seed) in values]
+        won = sum((values["change", seed] > values["parent", seed]) if higher
+                  else (values["change", seed] < values["parent", seed]) for seed in paired)
+        beyond = (chg["median"] - par["median"]) * (1 if higher else -1) > par["q3"] - par["q1"]
+        claim = "holds" if paired and won >= 0.9 * len(paired) and beyond else "fails"
+        out.append(f"{key}: parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}] "
+                   f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}] "
+                   f"change/parent {chg['median'] / par['median']:.4f} "
+                   f"change better ({metric['better']}) in {won}/{len(paired)}, claim {claim}")
     return out
 
 
@@ -174,8 +213,11 @@ def main(argv: Optional[list[str]] = None,
             print(f"    {text}", flush=True)
         ok = ok and correct
     if args.command:
-        for text in command_summary(lines):
-            print(text, flush=True)
+        summed = command_summary(lines)
+    else:
+        summed = workload_summary(lines, json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"])
+    for text in summed:
+        print(text, flush=True)
     return 0 if ok else 1
 
 

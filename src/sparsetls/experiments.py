@@ -184,7 +184,8 @@ def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iter
     A BacktrackingError or ValueError of a solve is raised again as the
     same type, its message led by `cell solve FLAGS:`, the flags with
     which `sparsetls solve` derives the cell's stream, instance and
-    iteration budget again."""
+    iteration budget again (a custom scenario's --n, --m, --k and
+    --ensemble among them)."""
     tag = SCENARIO_TAGS[cfg.kind]
     for xi in cfg.xi_grid:
         scen = replace(cfg.scenario, xi=xi)
@@ -198,10 +199,12 @@ def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iter
                     try:
                         res = solve_instance(algo, inst, lam, iters, with_truth, mat)
                     except (BacktrackingError, ValueError) as exc:
-                        iters_flag = "" if cfg.iters is None else f" --iters {cfg.iters}"
+                        more = "" if cfg.iters is None else f" --iters {cfg.iters}"
+                        if cfg.kind == "custom":
+                            more += f" --n {scen.n} --m {scen.m} --k {scen.k} --ensemble {scen.ensemble.value}"
                         raise type(exc)(
                             f"cell solve --algo {algo} --scenario {cfg.kind} --seed {cfg.master_seed} "
-                            f"--trial {trial} --lambda {lam} --xi {xi}{iters_flag}: {exc}"
+                            f"--trial {trial} --lambda {lam} --xi {xi}{more}: {exc}"
                         ) from exc
                     wall_ns = time.perf_counter_ns() - t0
                     yield Cell(trial, lam, xi, algo, iters, inst, res, wall_ns)

@@ -16,15 +16,17 @@ it to every solve of that instance, at every lambda and by both
 algorithms; a solve given none makes its own through the same
 constructor.
 
-A support gather is rows[s].  A SupportRows holds a matrix with the last
-block gathered from it, keyed by the bytes of s, which compare its length
-and every index for far less than a gather costs, and gathers again only
-when s changes.  A hit runs the same BLAS call on the same bytes, so every
-bit is that of a fresh gather, as long as nothing writes the matrix: each
-solver's init wraps the Matrix's arrays in SupportRows of its own state,
-and nothing writes them.  support_block gathers through a SupportRows, and
-support_quotient, the quotient both solvers evaluate at every iterate,
-makes the same key check inline, with the product, in one call.
+A support gather is rows.take(s, axis=0), which has the bytes, shape and
+strides of rows[s] with less of numpy's per-call cost, and support_block
+is the only place that makes one.  A SupportRows holds a matrix with the
+last block gathered from it, keyed by the bytes of s, which compare its
+length and every index for far less than a gather costs, and gathers
+again only when s changes.  A hit runs the same BLAS call on the same
+bytes, so every bit is that of a fresh gather, as long as nothing writes
+the matrix: each solver's init wraps the Matrix's arrays in SupportRows
+of its own state, and nothing writes them.  support_quotient, the
+quotient both solvers evaluate at every iterate, takes its block from
+support_block.
 """
 
 from __future__ import annotations
@@ -110,12 +112,14 @@ def matrix_of(a: np.ndarray, mat: Optional[Matrix]) -> Matrix:
 def support_block(rows: np.ndarray | SupportRows, support: np.ndarray) -> np.ndarray:
     """rows[support], kept in rows for the next call with the same
     support when rows is a SupportRows; support is an index array from
-    nonzero(), so equal supports have equal bytes.  Callers must not
-    write the block."""
+    nonzero(), so equal supports have equal bytes.  The gather is the
+    method take (the function np.take costs what indexing does), into a
+    new array each time, since a caller may keep a block past the next
+    gather (AD-CD's layout does).  Callers must not write the block."""
     held = rows if type(rows) is SupportRows else SupportRows(rows)
     key = support.tobytes()
     if key != held.key:
-        held.block = held.rows[support]
+        held.block = held.rows.take(support, axis=0)
         held.key = key
     return held.block
 
@@ -149,14 +153,11 @@ def support_quotient(
     """(a x - b, y, f, x[s]) with y = 1/(||x||^2+1), f = y ||a x - b||^2
     and s = support, which must hold every nonzero of x; held keeps a.T
     (or a C-contiguous copy) and its last block.  The gather and the
-    product of support_matvec, with support_block's key check, in one
-    call: each line-search trial makes one."""
-    key = support.tobytes()
-    if key != held.key:
-        held.block = held.rows[support]
-        held.key = key
+    product of support_matvec in one call: each line-search trial makes
+    one."""
+    block = support_block(held, support)
     xs = x[support]
-    ax = xs.dot(held.block) if support.size else np.zeros(b.shape[0])
+    ax = xs.dot(block) if support.size else np.zeros(b.shape[0])
     resid = ax - b
     y = 1.0 / (float(x.dot(x)) + 1.0)
     return resid, y, y * float(resid.dot(resid)), xs

@@ -156,7 +156,7 @@ class PgState:
     replay_backtracks: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One accepted iteration; rejected line-search trials only show up in
     the flop and backtrack counts."""

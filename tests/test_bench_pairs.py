@@ -172,3 +172,55 @@ def test_command_runs_through_the_checkouts_own_hostspeed():
     assert result["correct"] and result["exit"] == 0, stderr
     assert result["scaled_s"] == pytest.approx(result["wall_s"] / result["slowdown"])
     assert 0 < result["wall_s"] < 60 and 10 < result["maxrss_mb"] < 1000
+
+
+class MetricStub(Stub):
+    """Answers each run with the metrics values(checkout, seed) gives."""
+
+    def __init__(self, values, bad=None):
+        super().__init__(bad)
+        self.values = values
+
+    def __call__(self, checkout, workload, seed, seconds):
+        line, stderr = super().__call__(checkout, workload, seed, seconds)
+        if (str(checkout), seed) in self.bad:
+            return line, stderr
+        metrics = {k: {"value": v, "unit": "u"} for k, v in self.values(str(checkout), seed).items()}
+        return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}), stderr
+
+
+def ten_pairs(checkout, seed):
+    # pg_iter_per_s: the change is 10 higher in every pair; peak_rss_mb:
+    # the change is 0.05 lower in all pairs but the first, which is too
+    # little against the parent's spread; setup_s and the rest unreported
+    k = seed - 201
+    if checkout == "P":
+        return {"pg_iter_per_s": 100.0 + k, "peak_rss_mb": 40.0 + k / 10}
+    return {"pg_iter_per_s": 110.0 + k, "peak_rss_mb": 40.1 if k == 0 else 40.0 + k / 10 - 0.05}
+
+
+TEN_PAIRS = ["P", "C", "--workload", "s2-lambda-sweep", "--pairs", "10", "--seed0", "201"]
+
+
+def test_workload_ends_with_a_summary_per_reported_metric(capsys):
+    assert bench_pairs.main(TEN_PAIRS, runner=MetricStub(ten_pairs)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 22
+    assert out[20:] == [
+        "pg_iter_per_s: parent 104.5 [102.25, 106.75] change 114.5 [112.25, 116.75] "
+        "change/parent 1.0957 change better (higher) in 10/10, claim holds",
+        "peak_rss_mb: parent 40.45 [40.225, 40.675] change 40.4 [40.175, 40.625] "
+        "change/parent 0.9988 change better (lower) in 9/10, claim fails",
+    ]
+
+
+def test_incorrect_run_drops_out_of_the_workload_summary(capsys):
+    bad = json.dumps({"correct": False, "attempted": 3, "failed": 0, "metrics": {}})
+    stub = MetricStub(ten_pairs, bad={("C", 210): bad, ("P", 209): None})
+    assert bench_pairs.main(TEN_PAIRS, runner=stub) == 1
+    out = capsys.readouterr().out
+    # the change's run of seed 210 and the parent's of 209 drop out of the
+    # medians, and their pairs with them: 7 wins in the 8 pairs left are
+    # under 9 in 10
+    assert "change better (higher) in 8/8, claim holds" in out
+    assert "change better (lower) in 7/8, claim fails" in out

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from sparsetls import (ExperimentConfig, cli, cli_main, experiments, instance_digest, load_instance,
-                       scenario_config)
+from sparsetls import (Ensemble, ExperimentConfig, ScenarioConfig, cli, cli_main, experiments,
+                       instance_digest, load_instance, scenario_config)
 from sparsetls.prox_solver import BacktrackingError
 from sparsetls.cli import _CONFIG_KEYS, _read_config, build_parser
 
@@ -498,10 +498,23 @@ def test_run_all_experiments_script_runs_from_a_checkout(tmp_path):
     assert "usage" in proc.stdout
 
 
-@pytest.mark.parametrize("error", [BacktrackingError, ValueError])
-def test_failed_cell_names_the_solve_that_reproduces_it(error, tmp_path, monkeypatch, capsys):
+# a sweep's scenario config, and the flags beyond --scenario that name it
+# (on the sweep's command line and after a failed cell's --iters)
+FAILED_CELL_SCENARIOS = {
+    "s1": (scenario_config("s1", seed=7), ""),
+    "custom": (ScenarioConfig(n=30, m=12, k=3, ensemble=Ensemble.RADEMACHER, xi=0.01, seed=7),
+               " --n 30 --m 12 --k 3 --ensemble rademacher"),
+}
+
+
+@pytest.mark.parametrize("error, kind", [
+    pytest.param(error, kind, id=error.__name__ + ("" if kind == "s1" else f"-{kind}"))
+    for kind in FAILED_CELL_SCENARIOS for error in (BacktrackingError, ValueError)])
+def test_failed_cell_names_the_solve_that_reproduces_it(error, kind, tmp_path, monkeypatch, capsys):
     # the sixth cell of the sweep (trial 1, lambda 0.1, adcd) fails; the
-    # error keeps its type and leads with that cell's `solve` flags
+    # error keeps its type and leads with that cell's `solve` flags, which
+    # for a custom scenario include its dimensions and ensemble
+    scenario, more = FAILED_CELL_SCENARIOS[kind]
     real, seen = experiments.solve_instance, []
 
     def recorded(calls, fail_at=None):
@@ -513,15 +526,15 @@ def test_failed_cell_names_the_solve_that_reproduces_it(error, tmp_path, monkeyp
         return solve_instance
 
     monkeypatch.setattr(experiments, "solve_instance", recorded(seen, fail_at=6))
-    argv = ["sweep-lambda", "--scenario", "s1", "--seed", "7", "--trials", "2", "--grid", "0.1,0.5",
-            "--iters", "3", "--out", str(tmp_path)]
+    argv = ["sweep-lambda", "--scenario", kind, *more.split(), "--seed", "7", "--trials", "2",
+            "--grid", "0.1,0.5", "--iters", "3", "--out", str(tmp_path)]
     assert cli_main(argv) == 1
-    flags = "--algo adcd --scenario s1 --seed 7 --trial 1 --lambda 0.1 --xi 0.01 --iters 3"
+    flags = f"--algo adcd --scenario {kind} --seed 7 --trial 1 --lambda 0.1 --xi 0.01 --iters 3{more}"
     assert capsys.readouterr().err == f"error: cell solve {flags}: line search failed 61 halvings\n"
     assert not any(tmp_path.iterdir())
     monkeypatch.setattr(experiments, "solve_instance", recorded([], fail_at=6))
     cfg = ExperimentConfig(
-        scenario=scenario_config("s1", seed=7), kind="s1", lambda_grid=[0.1, 0.5],
+        scenario=scenario, kind=kind, lambda_grid=[0.1, 0.5],
         xi_grid=[0.01], trials=2, master_seed=7, out_dir=tmp_path, iters=3)
     with pytest.raises(error, match=f"^cell solve {flags}: line search failed") as raised:
         list(experiments.cells(cfg, ("pg", "adcd"), with_truth=False))

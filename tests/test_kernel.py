@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsetls import eval_cost, gradient, shrink
-from sparsetls.kernel import SupportRows, require_lambda, support_block, support_matvec
+from sparsetls.kernel import (Matrix, SupportRows, require_lambda, support_block, support_matvec,
+                              support_quotient)
 from sparsetls.rng import RngStream
 
 
@@ -138,7 +139,8 @@ class TestGradient:
 
 class TestSupportGather:
     """support_matvec through a SupportRows against a fresh rows[s].T @ x[s],
-    byte for byte, wherever the kept block could be stale."""
+    byte for byte, wherever the kept block could be stale; support_block's
+    gather against the index rows[s], in bytes and layout."""
 
     @staticmethod
     def rows_and_x(n=30, m=12):
@@ -189,6 +191,42 @@ class TestSupportGather:
         held = SupportRows(rows)
         for s in (np.array([3]), np.array([3, 4]), np.array([3])):
             assert support_matvec(rows, x, s).tobytes() == support_matvec(held, x, s).tobytes()
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("kind", ["at", "ata", "fortran", "strided"])
+    @pytest.mark.parametrize("pick", ["empty", "one", "every_third", "all"])
+    def test_block_has_the_layout_of_the_advanced_index(self, make_instance, scenario, kind, pick):
+        # support_block gathers through take; every BLAS call sees the
+        # operands rows[s] would give it, from a^T, a^T a, the F-ordered
+        # a.T that eval_cost reads and a strided view of a^T's rows
+        mat = Matrix(make_instance(scenario, seed=24).a)
+        rows = {"at": mat.a_t, "ata": mat.ata, "fortran": mat.a.T, "strided": mat.a_t[::2]}[kind]
+        k = rows.shape[0]
+        s = {"empty": np.zeros(k).nonzero()[0], "one": np.array([k // 2]),
+             "every_third": np.arange(1, k, 3), "all": np.arange(k)}[pick]
+        expected = rows[s]
+        for held in (rows, SupportRows(rows)):
+            block = support_block(held, s)
+            assert block.tobytes() == expected.tobytes()
+            assert (block.shape, block.strides, block.dtype) == (expected.shape, expected.strides,
+                                                                 expected.dtype)
+            assert block.flags.c_contiguous == expected.flags.c_contiguous
+
+    @pytest.mark.parametrize("support", [[], [4], [0, 7, 13, 29]])
+    def test_quotient_keeps_its_block_for_support_block(self, support):
+        # support_quotient gathers through support_block, so the block it
+        # gathered is what the next support_block call on the same support
+        # returns, with no second gather; an empty support is held too
+        rows, x = self.rows_and_x()
+        s = np.array(support, dtype=np.intp)
+        z = np.zeros_like(x)
+        z[s] = x[s]
+        held = SupportRows(rows)
+        support_quotient(held, np.ones(rows.shape[1]), z, s)
+        block = held.block
+        assert held.key == s.tobytes() and block.shape == (len(s), rows.shape[1])
+        assert support_block(held, s) is block
+        assert block.tobytes() == rows[s].tobytes()
 
     def test_gradient_through_held_ata_is_bit_identical(self):
         rng = RngStream(78)
