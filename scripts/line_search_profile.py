@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Print how PG's line-search trials fall over the steps of a sweep.
+
+    python3 scripts/line_search_profile.py --scenario s2 --grid 0.02,0.1,0.5 \\
+        --seed 77 --trials 12
+
+Each (trial, lambda) instance is drawn as `sparsetls sweep-lambda` draws
+it (xi 0.01, the master seed's stream for the scenario and trial) and
+solved with pg_init and pg_step over its scheduled budget.  Only the
+states are read: a step taken while state.replay_madds is set replays the
+step before it (no trial runs); any other step is executed and runs
+1 + state.backtracks_last trials.  Printed: the solves, executed and
+replayed steps, trials, the trials past each step's first
+prox_solver._STACK_FROM (those the line search evaluates as stacks of
+halvings) with the steps that run them, the stacks run and how many of
+them had rows that differ in support (multiplied row by row), and a
+histogram of trials per executed step.  A stack's supports are found
+again from the state the step started from: the same gradient, step
+size and shrink of each of its halvings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from sparsetls import derive_stream, generate_instance, iteration_schedule, pg_init, pg_step  # noqa: E402
+from sparsetls.kernel import gradient, shrink  # noqa: E402
+from sparsetls.problems import SCENARIO_TAGS, scenario_config  # noqa: E402
+from sparsetls.prox_solver import _STACK_FROM, _STACK_ROWS, MAX_BACKTRACKS, adaptive_step  # noqa: E402
+
+# the fields of a state its next step reads to form its trials
+_BEFORE = ("x", "y", "f", "support", "xs", "dx", "g_prev", "mu", "dxdx")
+
+
+def stacks_differing(state, before: dict, trials: int) -> list[bool]:
+    """For each stack of halvings a step of `trials` trials ran, whether
+    its rows differ in support; `before` holds the fields _BEFORE of the
+    state the step started from."""
+    g = gradient(state.ata_rows, state.atb, before["x"], before["y"], before["f"],
+                 before["support"], before["xs"])
+    mu = adaptive_step(before["dx"], g - before["g_prev"], before["mu"], before["dxdx"])
+    differ = []
+    for lo in range(_STACK_FROM, trials, _STACK_ROWS):
+        mus = mu * 0.5 ** np.arange(lo, min(lo + _STACK_ROWS, MAX_BACKTRACKS + 1))
+        nz = shrink(before["x"] - np.multiply.outer(mus, g), (mus * state.lam)[:, None]) != 0.0
+        differ.append(not (nz == nz[0]).all())
+    return differ
+
+
+def trials_per_step(kind: str, grid: list[float], seed: int,
+                    trials: int) -> tuple[Counter, int, int, int, int]:
+    """(histogram of trials per executed step, replayed steps, solves,
+    stacks run, stacks whose rows differ in support)."""
+    hist, replayed, solves, stacks, mixed = Counter(), 0, 0, 0, 0
+    scen = scenario_config(kind, xi=0.01, seed=seed)
+    for trial in range(trials):
+        inst = generate_instance(scen, derive_stream(seed, SCENARIO_TAGS[kind], trial))
+        for lam in grid:
+            state = pg_init(inst.a, inst.b, lam)
+            for _ in range(iteration_schedule(lam, kind) - 1):
+                replays = state.replay_madds
+                before = {name: getattr(state, name) for name in _BEFORE}
+                pg_step(state)
+                if replays:
+                    replayed += 1
+                    continue
+                hist[1 + state.backtracks_last] += 1
+                if state.backtracks_last >= _STACK_FROM:
+                    differ = stacks_differing(state, before, 1 + state.backtracks_last)
+                    stacks += len(differ)
+                    mixed += sum(differ)
+            solves += 1
+    return hist, replayed, solves, stacks, mixed
+
+
+def report(hist: Counter, replayed: int, solves: int, stacks: int, mixed: int) -> list[str]:
+    steps = sum(hist.values())
+    total = sum(t * c for t, c in hist.items())
+    past = sum((t - _STACK_FROM) * c for t, c in hist.items() if t > _STACK_FROM)
+    long = sum(c for t, c in hist.items() if t > _STACK_FROM)
+    lines = [
+        f"solves {solves}",
+        f"executed steps {steps}, replayed steps {replayed}",
+        f"trials {total} ({total / max(steps, 1):.3f} per executed step)",
+        f"trials past the {_STACK_FROM}th of their step {past} ({100 * past / max(total, 1):.1f}%), "
+        f"in {long} steps ({long / max(solves, 1):.2f} per solve)",
+        f"stacks {stacks}, {mixed} with rows that differ in support",
+        "trials steps",
+    ]
+    lines += [f"{t:6d} {hist[t]:5d}" for t in sorted(hist)]
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--scenario", choices=["s1", "s2"], default="s2")
+    ap.add_argument("--grid", default="0.02,0.1,0.5", help="comma-separated lambda values")
+    ap.add_argument("--seed", type=int, default=0, help="master seed")
+    ap.add_argument("--trials", type=int, default=12)
+    args = ap.parse_args(argv)
+    grid = [float(v) for v in args.grid.split(",")]
+    print("\n".join(report(*trials_per_step(args.scenario, grid, args.seed, args.trials))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

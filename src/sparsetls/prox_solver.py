@@ -44,6 +44,31 @@ x[s] and |dx|^2 (which its sufficient-decrease test computed) are kept
 in the state, and the next step passes them to the gradient and the
 step-size rule instead of computing them again.
 
+The line search runs its first _STACK_FROM (8) trials one at a time, as
+above; most steps need one or two.  The trials past a step's 8th fall in
+a few long searches (the descent of about 30 halvings into a fixed point,
+below, and searches where rounding decides the test), and they are 16.5%
+of all trials on the benchmark's s2 sweep (seed 77;
+scripts/line_search_profile.py counts them).  So from trial _STACK_FROM
+on, _stacked_trials evaluates the next _STACK_ROWS (32) halvings
+mu / 2^j as one stack of rows: one shrink with a column of thresholds,
+one support check, one gather and one np.vecmat against the kept a^T[s]
+block, and np.vecdot for |x|^2, |a x - b|^2, |dx|^2 and dx . g of every
+row, in place of about 14 numpy calls per trial.  It then walks the rows
+in order with the per-trial decisions (accept, a zero step, the halving
+cap) and charges each trial up to the chosen one, so the rows past it
+are work done and dropped.  The bits hold: a row's elementwise
+operations are its trial's, the step sizes are halved one at a time
+(np.multiply.accumulate), and a row of np.vecmat (numpy 2.2 or later,
+the package's floor) has the bytes of the trial's own gemv and a row of
+np.vecdot those of its own dot; the single gemm rounds apart in most
+rows, so it is not used.  That parity was measured on numpy 2.4 with
+OpenBLAS; on any other numpy or BLAS, tests/test_kernel.py::
+TestStackedTrials is what guards it.  A stack whose rows differ in
+support is multiplied row by row, each row with its own block, and the
+held a^T[s] block is then gathered for the last row walked, as the
+per-trial loop leaves it.
+
 Once a step returns x itself, the rest of the schedule is bookkeeping.
 The line search accepts a trial with a zero displacement (it can never
 pass the strict test, so it exits there, typically after about 30
@@ -97,10 +122,15 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .kernel import (Matrix, SupportRows, gradient, matrix_of, require_budget, require_system,
-                     shrink, support_quotient)
+                     shrink, support_block, support_quotient)
 
 START_STEP = 0.2
 MAX_BACKTRACKS = 60
+# pg_step's line search runs its first _STACK_FROM trials one at a time
+# and the rest as stacks of _STACK_ROWS halvings (see the module
+# docstring); _STACK_FROM < MAX_BACKTRACKS, so the cap falls in a stack
+_STACK_FROM = 8
+_STACK_ROWS = 32
 # distinct iterates SolveResult.from_states stacks and reduces at a time
 _BLOCK = 128
 
@@ -326,6 +356,8 @@ def pg_step(state: PgState) -> PgState:
     is replayed from state.replay_madds without executing it (see the
     module docstring); x and the state's other fields are not written.
     So is a step that runs out of halvings at a fixed point to rounding.
+    The trials past the first _STACK_FROM are evaluated in stacks, by
+    _stacked_trials, with the same decisions and bits.
     """
     if state.replay_madds:
         state.flops += state.replay_madds
@@ -361,25 +393,12 @@ def pg_step(state: PgState) -> PgState:
             # halving, at this charge (see the module docstring)
             state.replay_madds = head + trial
             break
-        if backtracks == MAX_BACKTRACKS:
-            # out of halvings: unless the last trial's change in f and its
-            # predicted change are both within the quotient's rounding, the
-            # gradient and f disagree; if they are, x is a fixed point to
-            # rounding, kept and replayed (see the module docstring)
-            tol = (m + n + 4) * 2.0**-52 * state.f
-            predicted = float(step.dot(g)) + dxdx / (2.0 * mu)
-            if abs(f_next - state.f) > tol or abs(predicted) > tol:
-                raise BacktrackingError(
-                    f"line search failed {backtracks + 1} halvings at iteration {state.n} "
-                    f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
-                    "gradient and cost are inconsistent"
-                )
-            x_next, support, xs, y_next, f_next = x, state.support, state.xs, state.y, state.f
-            step, dxdx, mu = np.zeros(n), 0.0, mu0
-            state.replay_madds, state.replay_backtracks = madds, backtracks
-            break
         mu *= 0.5
         backtracks += 1
+        if backtracks == _STACK_FROM:
+            x_next, support, xs, y_next, f_next, step, dxdx, mu, backtracks, madds = (
+                _stacked_trials(state, g, mu, mu0, head, madds))
+            break
 
     state.flops += madds
     state.dx = step
@@ -394,6 +413,88 @@ def pg_step(state: PgState) -> PgState:
     state.n += 1
     state.backtracks_last = backtracks
     return state
+
+
+def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: int,
+                    madds: int) -> tuple:
+    """pg_step's line search from trial _STACK_FROM on, at step size mu:
+    the next _STACK_ROWS halvings (fewer before the cap) are evaluated as
+    one stack, whose rows are walked in order with the decisions of the
+    per-trial loop: the first row that passes the test, or returns x
+    (which sets the replay charge), is accepted; if none does by
+    MAX_BACKTRACKS halvings, x is kept as a fixed point to rounding or
+    BacktrackingError is raised.  Each row up to and including the chosen
+    one is charged the trial cost of its own support.  Returns (x_next,
+    support, xs, y_next, f_next, step, dxdx, mu, backtracks, madds) as the
+    per-trial loop would have left them, with the same bits (see the
+    module docstring)."""
+    x, b, lam, a_rows = state.x, state.b, state.lam, state.a_rows
+    m, n = b.shape[0], x.shape[0]
+    backtracks = _STACK_FROM
+    while True:
+        rows = min(_STACK_ROWS, MAX_BACKTRACKS + 1 - backtracks)
+        mus = np.full(rows, 0.5)
+        mus[0] = mu
+        np.multiply.accumulate(mus, out=mus)
+        xn = shrink(x - np.multiply.outer(mus, g), (mus * lam)[:, None])
+        nz = xn != 0.0
+        one_support = bool((nz == nz[0]).all())
+        if one_support:
+            support = nz[0].nonzero()[0]
+            supports = [support] * rows
+            ax = np.vecmat(xn.take(support, axis=1), support_block(a_rows, support))
+        else:
+            supports = [row.nonzero()[0] for row in nz]
+            ax = np.array([xr[s].dot(support_block(a_rows, s)) if s.size else np.zeros(m)
+                           for xr, s in zip(xn, supports)])
+        resid = ax - b
+        y = 1.0 / (np.vecdot(xn, xn) + 1.0)
+        f = y * np.vecdot(resid, resid)
+        steps = xn - x
+        dxdx = np.vecdot(steps, steps)
+        dxg = np.vecdot(steps, g)
+        passed = f < state.f + dxg + dxdx / (2.0 * mus)
+        chosen = None
+        for j in (passed | (dxdx == 0.0)).nonzero()[0].tolist():
+            if passed[j] or not np.count_nonzero(steps[j]):
+                chosen = j
+                break
+        last = rows - 1 if chosen is None else chosen
+        if not one_support:
+            # rows past the last walked were gathered too: hold the block
+            # the per-trial loop ends with
+            support_block(a_rows, supports[last])
+        madds += (last + 1) * (6 * n + 2 * m) + m * sum(s.size for s in supports[:last + 1])
+        if chosen is not None:
+            if not passed[chosen]:
+                # x came back: replayed from here on, as in pg_step
+                state.replay_madds = head + 6 * n + m * supports[chosen].size + 2 * m
+            x_next = xn[chosen].copy()
+            support = supports[chosen]
+            return (x_next, support, x_next[support], float(y[chosen]), float(f[chosen]),
+                    steps[chosen].copy(), float(dxdx[chosen]), float(mus[chosen]),
+                    backtracks + chosen, madds)
+        backtracks += last
+        mu = float(mus[last])
+        if backtracks == MAX_BACKTRACKS:
+            # out of halvings: unless the last trial's change in f and its
+            # predicted change are both within the quotient's rounding, the
+            # gradient and f disagree; if they are, x is a fixed point to
+            # rounding, kept and replayed (see the module docstring)
+            tol = (m + n + 4) * 2.0**-52 * state.f
+            predicted = float(dxg[last]) + float(dxdx[last]) / (2.0 * mu)
+            f_last = float(f[last])
+            if abs(f_last - state.f) > tol or abs(predicted) > tol:
+                raise BacktrackingError(
+                    f"line search failed {backtracks + 1} halvings at iteration {state.n} "
+                    f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_last:.6e}); "
+                    "gradient and cost are inconsistent"
+                )
+            state.replay_madds, state.replay_backtracks = madds, backtracks
+            return (x, state.support, state.xs, state.y, state.f, np.zeros(n), 0.0, mu0,
+                    backtracks, madds)
+        mu *= 0.5
+        backtracks += 1
 
 
 def pg_solve(

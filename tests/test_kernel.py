@@ -385,6 +385,72 @@ class TestRunProduct:
         assert np.abs(row.dot(r)).tobytes() == np.abs(row @ r).tobytes()
 
 
+class TestStackedTrials:
+    """PG's line search evaluates its trials past the first
+    prox_solver._STACK_FROM as one stack (prox_solver._stacked_trials),
+    and its bit parity with evaluating them one at a time rests on this:
+    on this numpy and BLAS, each row of np.vecmat(X.take(s, axis=1),
+    rows[s]) has the bytes of the trial's own X[k][s].dot(rows[s]) (an
+    empty support gives +0.0 zeros, as the trial's np.zeros), and each
+    row of np.vecdot(S, g), np.vecdot(S, S) and np.vecdot(X, X) for rows
+    of length n, and of np.vecdot(R, R) for rows of length m, has the
+    bytes of the row's own dot.  The single gemm
+    X.take(s, axis=1).dot(rows[s]) is not used: it rounds apart from the
+    gemv in most rows.  The length-1 exception of TestRowDots holds here
+    too (dot keeps the sign of a zero product, vecmat gives +0.0), and a
+    solve cannot see it: such a zero enters f only through
+    (ax - b)^2, which is the same for either sign."""
+
+    @staticmethod
+    def stack(x, g, rows):
+        """rows trials x - mu g at halving step sizes, sparse as trials
+        are: a third of the entries zero."""
+        mus = 0.3 * 0.5 ** np.arange(rows)
+        xn = x - np.multiply.outer(mus, g)
+        xn[:, ::3] = 0.0
+        return xn
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_rows_have_the_bytes_of_their_trials(self, make_instance, scenario):
+        inst = make_instance(scenario, seed=12, trial=1)
+        a_t, b = np.ascontiguousarray(inst.a.T), inst.b
+        n, m = a_t.shape
+        rng = RngStream(41)
+        x, g = rng.normal_block(n), rng.normal_block(n)
+        for rows in (1, 2, 21, 32):
+            xn = self.stack(x, g, rows)
+            xn[1::2] *= -1.0
+            for label, s in (("empty", np.arange(0)), ("one", np.array([1])),
+                             ("some", xn[0].nonzero()[0]), ("all", np.arange(n))):
+                case = f"{scenario}, {rows} rows, {label} support"
+                block = a_t.take(s, axis=0)
+                got = np.vecmat(xn.take(s, axis=1), block)
+                for k, row in enumerate(xn):
+                    want = row[s].dot(block) if s.size else np.zeros(m)
+                    if s.size == 1:
+                        want = np.where(want == 0.0, 0.0, want)
+                    assert got[k].tobytes() == want.tobytes(), (case, k)
+                resid = got - b
+                steps = xn - x
+                for name, stacked, pairs in (
+                    ("vecdot(R, R)", np.vecdot(resid, resid), [(r, r) for r in resid]),
+                    ("vecdot(X, X)", np.vecdot(xn, xn), [(r, r) for r in xn]),
+                    ("vecdot(S, S)", np.vecdot(steps, steps), [(r, r) for r in steps]),
+                    ("vecdot(S, g)", np.vecdot(steps, g), [(r, g) for r in steps]),
+                ):
+                    bad = [k for k, (u, v) in enumerate(pairs)
+                           if stacked[k].tobytes() != np.float64(u.dot(v)).tobytes()]
+                    assert not bad, f"{case}: rows {bad} of {name} differ from the row's dot"
+
+    def test_one_zero_product_differs_only_in_sign(self):
+        row, block = np.array([[-1e-300]]), np.array([[1e-300, 2.0]])
+        got, want = np.vecmat(row, block)[0], row[0].dot(block)
+        assert want[0].tobytes() == np.float64(-0.0).tobytes()
+        assert got[0].tobytes() == np.float64(0.0).tobytes()
+        b = np.array([0.0, 1.0])
+        assert np.vecdot(got - b, got - b) == (want - b).dot(want - b)
+
+
 class TestShrink:
     def test_componentwise_values(self):
         out = shrink(np.array([0.5, -0.1, -0.9]), 0.2)

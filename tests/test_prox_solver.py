@@ -22,7 +22,7 @@ from sparsetls import (
     squared_error,
 )
 from sparsetls.kernel import Matrix, SupportRows, gradient, shrink, support_quotient
-from sparsetls.prox_solver import MAX_BACKTRACKS
+from sparsetls.prox_solver import _STACK_FROM, _STACK_ROWS, MAX_BACKTRACKS, PgState
 
 
 class TestInit:
@@ -805,3 +805,183 @@ class TestSolve:
             assert spent >= n * nnz
             retries = 1 + state.backtracks_last
             assert spent <= (2 * n * n + 16 * n + 4 * m) * retries
+
+
+# pg_step as it was when the line search evaluated every trial one at a
+# time, copied verbatim (renamed only), as the bit-for-bit reference for
+# the search that evaluates its trials past the first _STACK_FROM as
+# stacks of halvings: stacking changes execution only.
+
+
+def per_trial_pg_step(state: PgState) -> PgState:
+    """Advance the state by one accepted iteration (in place).
+
+    The prox output is also accepted when it equals the current iterate
+    exactly: threshold fixed points are step-size independent, so the
+    strict decrease test can never pass there and halving cannot change
+    the outcome.  Every step after that one is the same step again, so it
+    is replayed from state.replay_madds without executing it (see the
+    module docstring); x and the state's other fields are not written.
+    So is a step that runs out of halvings at a fixed point to rounding.
+    """
+    if state.replay_madds:
+        state.flops += state.replay_madds
+        state.n += 1
+        state.backtracks_last = state.replay_backtracks
+        return state
+    x, b, lam = state.x, state.b, state.lam
+    m, n = b.shape[0], x.shape[0]
+    g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.support, state.xs)
+    mu = mu0 = adaptive_step(state.dx, g - state.g_prev, state.mu, state.dxdx)
+    # the counted cost of the gradient (n nnz + 3n), of dx and dg (2n) and
+    # of the step size (3n), then of each line-search trial, charged once
+    # after the accepted trial; head + trial is a one-trial step's
+    madds = head = n * int(state.support.size) + 8 * n
+
+    a_rows = state.a_rows
+    backtracks = 0
+    while True:
+        x_next = shrink(x - mu * g, mu * lam)
+        support = x_next.nonzero()[0]
+        _, y_next, f_next, xs = support_quotient(a_rows, b, x_next, support)
+        step = x_next - x
+        dxdx = float(step.dot(step))
+        trial = 6 * n + m * support.size + 2 * m
+        madds += trial
+        if line_search_ok(f_next, state.f, step, g, mu, dxdx):
+            break
+        # a nonzero dxdx proves step has a nonzero entry, and a NaN fails
+        # dxdx == 0.0 as count_nonzero counts it: the same decision, with
+        # count_nonzero kept for a nonzero step whose squares underflow
+        if dxdx == 0.0 and not np.count_nonzero(step):
+            # x came back: every later step repeats this one with no
+            # halving, at this charge (see the module docstring)
+            state.replay_madds = head + trial
+            break
+        if backtracks == MAX_BACKTRACKS:
+            # out of halvings: unless the last trial's change in f and its
+            # predicted change are both within the quotient's rounding, the
+            # gradient and f disagree; if they are, x is a fixed point to
+            # rounding, kept and replayed (see the module docstring)
+            tol = (m + n + 4) * 2.0**-52 * state.f
+            predicted = float(step.dot(g)) + dxdx / (2.0 * mu)
+            if abs(f_next - state.f) > tol or abs(predicted) > tol:
+                raise BacktrackingError(
+                    f"line search failed {backtracks + 1} halvings at iteration {state.n} "
+                    f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
+                    "gradient and cost are inconsistent"
+                )
+            x_next, support, xs, y_next, f_next = x, state.support, state.xs, state.y, state.f
+            step, dxdx, mu = np.zeros(n), 0.0, mu0
+            state.replay_madds, state.replay_backtracks = madds, backtracks
+            break
+        mu *= 0.5
+        backtracks += 1
+
+    state.flops += madds
+    state.dx = step
+    state.dxdx = dxdx
+    state.g_prev = g
+    state.x = x_next
+    state.support = support
+    state.xs = xs
+    state.y = y_next
+    state.f = f_next
+    state.mu = mu
+    state.n += 1
+    state.backtracks_last = backtracks
+    return state
+
+
+def state_fields(state):
+    """Every field a step writes: arrays as their bytes and floats as
+    float.hex, which tells every bit apart (the sign of a zero too)."""
+    return (state.x.tobytes(), state.dx.tobytes(), state.dxdx.hex(), state.g_prev.tobytes(),
+            state.mu.hex(), state.y.hex(), state.f.hex(), state.n, state.support.tobytes(),
+            state.xs.tobytes(), state.flops, state.backtracks_last, state.replay_madds,
+            state.replay_backtracks)
+
+
+def trial_supports(state, trials):
+    """The supports of the given line-search trials of the state's next
+    step (trial j at step size mu / 2^j), as bytes."""
+    g = gradient(state.ata_rows, state.atb, state.x, state.y, state.f, state.support, state.xs)
+    mu = adaptive_step(state.dx, g - state.g_prev, state.mu, state.dxdx)
+    return [shrink(state.x - mu * 0.5**j * g, mu * 0.5**j * state.lam).nonzero()[0].tobytes()
+            for j in trials]
+
+
+class TestStackedHalvings:
+    """pg_step, whose line search evaluates its trials past the first
+    _STACK_FROM as stacks of _STACK_ROWS halvings, against the copy above,
+    which evaluates them one at a time: after every step each field has
+    the same bytes, and the line search's held block is that of the same
+    support."""
+
+    @staticmethod
+    def lockstep(a, b, lam, steps, prepare=None):
+        """Step both from pg_init(a, b, lam) (each state first given to
+        prepare, if any); return the backtracks of each step."""
+        state, ref = pg_init(a, b, lam), pg_init(a, b, lam)
+        if prepare is not None:
+            prepare(state)
+            prepare(ref)
+        backtracks = []
+        for it in range(steps):
+            pg_step(state)
+            per_trial_pg_step(ref)
+            assert state_fields(state) == state_fields(ref), (lam, it)
+            # the held a^T[s] block: the next step's first trial finds the
+            # same one whichever search ran
+            assert state.a_rows.key == ref.a_rows.key, (lam, it)
+            backtracks.append(state.backtracks_last)
+        return backtracks
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_whole_schedules(self, make_instance, scenario):
+        stacked = 0
+        for lam in (5e-4, 0.02, 0.1, 0.5, 1.0):
+            for trial in (0, 1):
+                inst = make_instance(scenario, seed=9, trial=trial)
+                backtracks = self.lockstep(inst.a, inst.b, lam, iteration_schedule(lam, scenario) - 1)
+                stacked += sum(k >= _STACK_FROM for k in backtracks)
+        assert stacked > 0, "no step reached a stack, so the lockstep shows nothing"
+
+    def test_halving_cap(self, make_instance):
+        # the cell of TestStep::test_stall_at_the_halving_cap_is_a_fixed_point:
+        # its stalled step runs the last, shorter stack to the cap
+        inst = make_instance("s2", seed=17008008, trial=11)
+        lam = 0.02
+        backtracks = self.lockstep(inst.a, inst.b, lam, iteration_schedule(lam, "s2") - 1)
+        assert backtracks[115] == MAX_BACKTRACKS
+
+    @pytest.mark.parametrize("scenario, first, last", [("s1", 20, 17), ("s2", 40, 41)])
+    def test_stack_rows_differing_in_support(self, make_instance, scenario, first, last):
+        # 20 steps in, the step size is made 2^first times larger and the
+        # last displacement zero, so that adaptive_step keeps it: the
+        # search halves down to the scale where the support grows, inside
+        # a stack, and is accepted after `last` halvings
+        inst = make_instance(scenario, seed=9, trial=0)
+
+        def prepare(state):
+            for _ in range(20):
+                pg_step(state)
+            state.dx, state.dxdx, state.mu = np.zeros_like(state.x), 0.0, state.mu * 2.0**first
+
+        state = pg_init(inst.a, inst.b, 0.02)
+        prepare(state)
+        stack_start = _STACK_FROM + (last - _STACK_FROM) // _STACK_ROWS * _STACK_ROWS
+        assert len(set(trial_supports(state, range(stack_start, last + 1)))) > 1
+        assert self.lockstep(inst.a, inst.b, 0.02, 5, prepare)[0] == last
+
+    def test_inconsistent_state_raises_the_same_error(self):
+        # the state of TestStep::test_inconsistent_state_hits_backtrack_cap
+        a, b = np.eye(2), np.array([1.0, 0.2])
+        messages = []
+        for step in (pg_step, per_trial_pg_step):
+            state = pg_init(a, b, lam=1.0)
+            state.y = 1e9
+            with pytest.raises(BacktrackingError) as info:
+                step(state)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
