@@ -13,10 +13,11 @@ step before it (no trial runs); any other step is executed and runs
 replayed steps, trials, the trials past each step's first
 prox_solver._STACK_FROM (those the line search evaluates as stacks of
 halvings) with the steps that run them, the stacks run and how many of
-them had rows that differ in support (multiplied row by row), and a
-histogram of trials per executed step.  A stack's supports are found
-again from the state the step started from: the same gradient, step
-size and shrink of each of its halvings.
+them were cut at a support change (a stack ends before its first row
+whose support differs from its first row's, and the next one starts
+there), and a histogram of trials per executed step.  A stack's supports
+are found again from the state the step started from: the same
+gradient, step size and shrink of each of its halvings.
 """
 
 from __future__ import annotations
@@ -39,26 +40,30 @@ from sparsetls.prox_solver import _STACK_FROM, _STACK_ROWS, MAX_BACKTRACKS, adap
 _BEFORE = ("x", "y", "f", "support", "xs", "dx", "g_prev", "mu", "dxdx")
 
 
-def stacks_differing(state, before: dict, trials: int) -> list[bool]:
+def stacks_cut(state, before: dict, trials: int) -> list[bool]:
     """For each stack of halvings a step of `trials` trials ran, whether
-    its rows differ in support; `before` holds the fields _BEFORE of the
-    state the step started from."""
+    it was cut at a support change (ended before its first row whose
+    support differs from its first row's, where the next stack starts);
+    `before` holds the fields _BEFORE of the state the step started
+    from."""
     g = gradient(state.ata_rows, state.atb, before["x"], before["y"], before["f"],
                  before["support"], before["xs"])
     mu = adaptive_step(before["dx"], g - before["g_prev"], before["mu"], before["dxdx"])
-    differ = []
-    for lo in range(_STACK_FROM, trials, _STACK_ROWS):
+    cut, lo = [], _STACK_FROM
+    while lo < trials:
         mus = mu * 0.5 ** np.arange(lo, min(lo + _STACK_ROWS, MAX_BACKTRACKS + 1))
         nz = shrink(before["x"] - np.multiply.outer(mus, g), (mus * state.lam)[:, None]) != 0.0
-        differ.append(not (nz == nz[0]).all())
-    return differ
+        rows = int((nz != nz[0]).any(axis=1).argmax())
+        cut.append(rows > 0)
+        lo += rows or mus.size
+    return cut
 
 
 def trials_per_step(kind: str, grid: list[float], seed: int,
                     trials: int) -> tuple[Counter, int, int, int, int]:
     """(histogram of trials per executed step, replayed steps, solves,
-    stacks run, stacks whose rows differ in support)."""
-    hist, replayed, solves, stacks, mixed = Counter(), 0, 0, 0, 0
+    stacks run, stacks cut at a support change)."""
+    hist, replayed, solves, stacks, cuts = Counter(), 0, 0, 0, 0
     scen = scenario_config(kind, xi=0.01, seed=seed)
     for trial in range(trials):
         inst = generate_instance(scen, derive_stream(seed, SCENARIO_TAGS[kind], trial))
@@ -73,14 +78,14 @@ def trials_per_step(kind: str, grid: list[float], seed: int,
                     continue
                 hist[1 + state.backtracks_last] += 1
                 if state.backtracks_last >= _STACK_FROM:
-                    differ = stacks_differing(state, before, 1 + state.backtracks_last)
-                    stacks += len(differ)
-                    mixed += sum(differ)
+                    cut = stacks_cut(state, before, 1 + state.backtracks_last)
+                    stacks += len(cut)
+                    cuts += sum(cut)
             solves += 1
-    return hist, replayed, solves, stacks, mixed
+    return hist, replayed, solves, stacks, cuts
 
 
-def report(hist: Counter, replayed: int, solves: int, stacks: int, mixed: int) -> list[str]:
+def report(hist: Counter, replayed: int, solves: int, stacks: int, cuts: int) -> list[str]:
     steps = sum(hist.values())
     total = sum(t * c for t, c in hist.items())
     past = sum((t - _STACK_FROM) * c for t, c in hist.items() if t > _STACK_FROM)
@@ -91,7 +96,7 @@ def report(hist: Counter, replayed: int, solves: int, stacks: int, mixed: int) -
         f"trials {total} ({total / max(steps, 1):.3f} per executed step)",
         f"trials past the {_STACK_FROM}th of their step {past} ({100 * past / max(total, 1):.1f}%), "
         f"in {long} steps ({long / max(solves, 1):.2f} per solve)",
-        f"stacks {stacks}, {mixed} with rows that differ in support",
+        f"stacks {stacks}, {cuts} cut at a support change",
         "trials steps",
     ]
     lines += [f"{t:6d} {hist[t]:5d}" for t in sorted(hist)]

@@ -54,20 +54,20 @@ on, _stacked_trials evaluates the next _STACK_ROWS (32) halvings
 mu / 2^j as one stack of rows: one shrink with a column of thresholds,
 one support check, one gather and one np.vecmat against the kept a^T[s]
 block, and np.vecdot for |x|^2, |a x - b|^2, |dx|^2 and dx . g of every
-row, in place of about 14 numpy calls per trial.  It then walks the rows
-in order with the per-trial decisions (accept, a zero step, the halving
-cap) and charges each trial up to the chosen one, so the rows past it
-are work done and dropped.  The bits hold: a row's elementwise
-operations are its trial's, the step sizes are halved one at a time
-(np.multiply.accumulate), and a row of np.vecmat (numpy 2.2 or later,
-the package's floor) has the bytes of the trial's own gemv and a row of
-np.vecdot those of its own dot; the single gemm rounds apart in most
-rows, so it is not used.  That parity was measured on numpy 2.4 with
-OpenBLAS; on any other numpy or BLAS, tests/test_kernel.py::
-TestStackedTrials is what guards it.  A stack whose rows differ in
-support is multiplied row by row, each row with its own block, and the
-held a^T[s] block is then gathered for the last row walked, as the
-per-trial loop leaves it.
+row, in place of about 14 numpy calls per trial.  A stack ends before
+its first row whose support differs from its first row's, and the next
+stack starts at that row, so each stack has one support, and the held
+block is the last trial's, as the per-trial loop leaves it.  The rows
+are walked in order with the per-trial decisions (accept, a zero step,
+the halving cap) and each trial up to the chosen one is charged, so the
+rows past it are work done and dropped.  The bits hold: a row's
+elementwise operations are its trial's, the step sizes are halved one at
+a time (np.multiply.accumulate), and a row of np.vecmat (numpy 2.2 or
+later, the package's floor) has the bytes of the trial's own gemv and a
+row of np.vecdot those of its own dot; the single gemm rounds apart in
+most rows, so it is not used.  That parity was measured on numpy 2.4
+with OpenBLAS; on any other numpy or BLAS, tests/test_kernel.py::
+TestStackedTrials is what guards it.
 
 Once a step returns x itself, the rest of the schedule is bookkeeping.
 The line search accepts a trial with a zero displacement (it can never
@@ -423,11 +423,12 @@ def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: 
     per-trial loop: the first row that passes the test, or returns x
     (which sets the replay charge), is accepted; if none does by
     MAX_BACKTRACKS halvings, x is kept as a fixed point to rounding or
-    BacktrackingError is raised.  Each row up to and including the chosen
-    one is charged the trial cost of its own support.  Returns (x_next,
-    support, xs, y_next, f_next, step, dxdx, mu, backtracks, madds) as the
-    per-trial loop would have left them, with the same bits (see the
-    module docstring)."""
+    BacktrackingError is raised.  A stack ends before its first row whose
+    support differs from row 0's, so its rows share one support, and each
+    row up to and including the chosen one is charged its trial cost.
+    Returns (x_next, support, xs, y_next, f_next, step, dxdx, mu,
+    backtracks, madds) as the per-trial loop would have left them, with
+    the same bits (see the module docstring)."""
     x, b, lam, a_rows = state.x, state.b, state.lam, state.a_rows
     m, n = b.shape[0], x.shape[0]
     backtracks = _STACK_FROM
@@ -438,15 +439,12 @@ def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: 
         np.multiply.accumulate(mus, out=mus)
         xn = shrink(x - np.multiply.outer(mus, g), (mus * lam)[:, None])
         nz = xn != 0.0
-        one_support = bool((nz == nz[0]).all())
-        if one_support:
-            support = nz[0].nonzero()[0]
-            supports = [support] * rows
-            ax = np.vecmat(xn.take(support, axis=1), support_block(a_rows, support))
-        else:
-            supports = [row.nonzero()[0] for row in nz]
-            ax = np.array([xr[s].dot(support_block(a_rows, s)) if s.size else np.zeros(m)
-                           for xr, s in zip(xn, supports)])
+        # the stack ends before the first row whose support differs from
+        # row 0's (argmax is 0 when none does); the next stack starts there
+        rows = int((nz != nz[0]).any(axis=1).argmax()) or rows
+        xn, mus = xn[:rows], mus[:rows]
+        support = nz[0].nonzero()[0]
+        ax = np.vecmat(xn.take(support, axis=1), support_block(a_rows, support))
         resid = ax - b
         y = 1.0 / (np.vecdot(xn, xn) + 1.0)
         f = y * np.vecdot(resid, resid)
@@ -460,17 +458,13 @@ def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: 
                 chosen = j
                 break
         last = rows - 1 if chosen is None else chosen
-        if not one_support:
-            # rows past the last walked were gathered too: hold the block
-            # the per-trial loop ends with
-            support_block(a_rows, supports[last])
-        madds += (last + 1) * (6 * n + 2 * m) + m * sum(s.size for s in supports[:last + 1])
+        trial = 6 * n + m * support.size + 2 * m
+        madds += (last + 1) * trial
         if chosen is not None:
             if not passed[chosen]:
                 # x came back: replayed from here on, as in pg_step
-                state.replay_madds = head + 6 * n + m * supports[chosen].size + 2 * m
+                state.replay_madds = head + trial
             x_next = xn[chosen].copy()
-            support = supports[chosen]
             return (x_next, support, x_next[support], float(y[chosen]), float(f[chosen]),
                     steps[chosen].copy(), float(dxdx[chosen]), float(mus[chosen]),
                     backtracks + chosen, madds)

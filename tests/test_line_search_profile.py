@@ -1,4 +1,4 @@
-"""scripts/line_search_profile.py on a small s1 sweep."""
+"""scripts/line_search_profile.py on a small s1 sweep and one s2 solve."""
 
 import importlib.util
 from pathlib import Path
@@ -14,7 +14,7 @@ spec.loader.exec_module(line_search_profile)
 
 def test_counts_add_up_over_a_small_sweep(capsys):
     grid = [0.1, 0.5]
-    hist, replayed, solves, stacks, mixed = line_search_profile.trials_per_step("s1", grid, 0, 1)
+    hist, replayed, solves, stacks, cuts = line_search_profile.trials_per_step("s1", grid, 0, 1)
     steps = sum(hist.values())
     assert solves == 2
     assert steps + replayed == sum(iteration_schedule(lam, "s1") - 1 for lam in grid)
@@ -23,7 +23,7 @@ def test_counts_add_up_over_a_small_sweep(capsys):
     # one stack per _STACK_ROWS trials (or fewer) past the _STACK_FROM-th
     assert stacks == sum(-(-(t - _STACK_FROM) // _STACK_ROWS) * c
                          for t, c in hist.items() if t > _STACK_FROM)
-    assert 0 <= mixed <= stacks
+    assert 0 <= cuts <= stacks
     assert line_search_profile.main(["--scenario", "s1", "--grid", "0.1,0.5", "--trials", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     total = sum(t * c for t, c in hist.items())
@@ -31,12 +31,12 @@ def test_counts_add_up_over_a_small_sweep(capsys):
     assert lines[:3] == ["solves 2", f"executed steps {steps}, replayed steps {replayed}",
                          f"trials {total} ({total / steps:.3f} per executed step)"]
     assert lines[3].startswith(f"trials past the {_STACK_FROM}th of their step {past} ")
-    assert lines[4] == f"stacks {stacks}, {mixed} with rows that differ in support"
+    assert lines[4] == f"stacks {stacks}, {cuts} cut at a support change"
     assert [tuple(map(int, row.split())) for row in lines[6:]] == sorted(hist.items())
 
 
-def test_finds_stacks_whose_rows_differ_in_support():
-    # at lambda 5e-4 a few of the stacks (6 of 171 here) have rows whose
-    # supports differ; the benchmark's lambdas, 0.02 to 0.5, run none
-    _, _, _, stacks, mixed = line_search_profile.trials_per_step("s2", [5e-4], 9, 1)
-    assert 0 < mixed < stacks
+def test_finds_stacks_cut_at_a_support_change():
+    # at lambda 5e-4 a few of the stacks (7 of 176 here) are cut at a
+    # support change; the benchmark's lambdas, 0.02 to 0.5, cut none
+    _, _, _, stacks, cuts = line_search_profile.trials_per_step("s2", [5e-4], 9, 1)
+    assert 0 < cuts < stacks

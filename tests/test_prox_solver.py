@@ -1,6 +1,3 @@
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,7 +19,7 @@ from sparsetls import (
     squared_error,
 )
 from sparsetls.kernel import Matrix, SupportRows, gradient, shrink, support_quotient
-from sparsetls.prox_solver import _STACK_FROM, _STACK_ROWS, MAX_BACKTRACKS, PgState
+from sparsetls.prox_solver import _STACK_FROM, _STACK_ROWS, MAX_BACKTRACKS
 
 
 class TestInit:
@@ -404,11 +401,17 @@ def reference_init(a, b, lam):
     resid = ax1 - b
     f1 = y1 * float(resid @ resid)
     madds = n * n * m + n * m + 4 * n + m * int(support.size) + 2 * m
-    return dict(x_prev=x0, x=x1, g_prev=g0, mu=0.2, y=y1, f=f1, backtracks=0, madds=madds)
+    return dict(x_prev=x0, x=x1, g_prev=g0, mu=0.2, y=y1, f=f1, backtracks=0, madds=madds,
+                trial_support=support)
 
 
 def reference_step(st, ata, atb, a, b, lam):
-    """One pg_step written the plain way, on a dict state (in place)."""
+    """One pg_step written the plain way, on a dict state (in place): every
+    step executed and every trial evaluated alone.  When the last trial
+    at MAX_BACKTRACKS halvings fails, its change in f and its predicted
+    change both within (m + n + 4) 2^-52 f keep x, y and f and the step
+    size the search started from; otherwise BacktrackingError is raised.
+    st["trial_support"] is the support of the last trial evaluated."""
     m, n = a.shape
     x, y, f = st["x"], st["y"], st["f"]
     support = np.flatnonzero(x)
@@ -427,6 +430,7 @@ def reference_step(st, ata, atb, a, b, lam):
             cand = mu_sd - 0.5 * mu_mr
         if cand > 0.0 and np.isfinite(cand):
             mu = cand
+    mu0 = mu
     backtracks = 0
     while True:
         x_next = shrink(x - mu * g, mu * lam)
@@ -439,10 +443,54 @@ def reference_step(st, ata, atb, a, b, lam):
         madds += 6 * n + m * int(support.size) + 2 * m
         if f_next < f + float(step @ g) + float(step @ step) / (2.0 * mu) or not np.any(step):
             break
+        if backtracks == MAX_BACKTRACKS:
+            tol = (m + n + 4) * 2.0**-52 * f
+            predicted = float(step @ g) + float(step @ step) / (2.0 * mu)
+            if abs(f_next - f) > tol or abs(predicted) > tol:
+                raise BacktrackingError("the line search ran out of halvings")
+            x_next, y_next, f_next, mu = x, y, f, mu0
+            break
         mu *= 0.5
         backtracks += 1
-    st.update(x_prev=x, x=x_next, g_prev=g, mu=mu, y=y_next, f=f_next, backtracks=backtracks)
+    st.update(x_prev=x, x=x_next, g_prev=g, mu=mu, y=y_next, f=f_next, backtracks=backtracks,
+              trial_support=support)
     st["madds"] += madds
+
+
+def state_fields(state):
+    """Every field of a PgState a step writes, and the key of its held
+    a^T[s] block: arrays as their bytes and floats as float.hex, which
+    tells every bit apart (the sign of a zero too)."""
+    return (state.x.tobytes(), state.dx.tobytes(), state.dxdx.hex(), state.g_prev.tobytes(),
+            state.mu.hex(), state.y.hex(), state.f.hex(), state.n, state.support.tobytes(),
+            state.xs.tobytes(), state.flops, state.backtracks_last, state.a_rows.key)
+
+
+def reference_fields(ref, n):
+    """state_fields of the reference's dict state after n - 1 steps."""
+    x, dx = ref["x"], ref["x"] - ref["x_prev"]
+    support = np.flatnonzero(x)
+    return (x.tobytes(), dx.tobytes(), float(dx @ dx).hex(), ref["g_prev"].tobytes(),
+            float(ref["mu"]).hex(), ref["y"].hex(), ref["f"].hex(), n, support.tobytes(),
+            x[support].tobytes(), ref["madds"], ref["backtracks"],
+            ref["trial_support"].tobytes())
+
+
+def lockstep(a, b, lam, steps):
+    """pg_init and `steps` pg_steps side by side with reference_init and
+    reference_step.  After init and after each step, every field is
+    compared bit for bit, and the held a^T[s] block must be that of the
+    reference's last trial (the accepted one, or the last at the halving
+    cap); then (state, ref) is yielded, so a caller may read both, or set
+    a field of both, before the next step."""
+    state, ref = pg_init(a, b, lam), reference_init(a, b, lam)
+    ata, atb = a.T @ a, a.T @ b
+    for it in range(steps + 1):
+        if it:
+            pg_step(state)
+            reference_step(ref, ata, atb, a, b, lam)
+        assert state_fields(state) == reference_fields(ref, it + 1), (lam, it)
+        yield state, ref
 
 
 class TestBitParity:
@@ -452,190 +500,51 @@ class TestBitParity:
     @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.5])
     def test_lockstep_with_reference(self, make_instance, scenario, lam):
         inst = make_instance(scenario, seed=11, trial=2)
-        a, b = inst.a, inst.b
-        state = pg_init(a, b, lam)
-        ref = reference_init(a, b, lam)
-        ata, atb = a.T @ a, a.T @ b
-        assert np.array_equal(state.x, ref["x"])
-        assert (state.y, state.f, state.flops) == (ref["y"], ref["f"], ref["madds"])
-        for it in range(150):
-            pg_step(state)
-            reference_step(ref, ata, atb, a, b, lam)
-            assert np.array_equal(state.x, ref["x"]), it
-            assert state.y == ref["y"] and state.f == ref["f"] and state.mu == ref["mu"], it
-            assert state.backtracks_last == ref["backtracks"], it
-            assert state.flops == ref["madds"], it
-
-
-# pg_step with the gradient and quotient it called before the support
-# blocks were kept, copied verbatim with the gather they call (renamed
-# only), as the bit-for-bit reference: keeping a block changes execution
-# only.  The state is pg_init's, with a_rows the plain contiguous copy.
-# The multiply-adds are counted on an int: the gradient's charge
-# (n nnz + 3n) is added where the gradient is called.
-
-
-@dataclass
-class GatherState:
-    x_prev: np.ndarray
-    x: np.ndarray
-    dx: np.ndarray
-    g_prev: np.ndarray
-    mu: float
-    y: float
-    f: float
-    n: int
-    support: np.ndarray
-    a_rows: np.ndarray
-    flops: int = 0
-    backtracks_last: int = 0
-
-
-def gather_support_matvec(rows: np.ndarray, x: np.ndarray, support: np.ndarray) -> np.ndarray:
-    if support.size:
-        return rows[support].T @ x[support]
-    return np.zeros(rows.shape[1])
-
-
-def gather_quotient(
-    rows: np.ndarray, b: np.ndarray, x: np.ndarray, support: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    resid = gather_support_matvec(rows, x, support) - b
-    y = 1.0 / (float(x.dot(x)) + 1.0)
-    return resid, y, y * float(resid.dot(resid))
-
-
-def gather_gradient(
-    ata: np.ndarray,
-    atb: np.ndarray,
-    x: np.ndarray,
-    y: float,
-    f: float,
-    support: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    n = x.shape[0]
-    if ata.shape != (n, n) or atb.shape != (n,):
-        raise ValueError(f"dimension mismatch: ata {ata.shape}, atb {atb.shape}, x {x.shape}")
-    if support is None:
-        support = x.nonzero()[0]
-    atax = gather_support_matvec(ata, x, support)
-    return (2.0 * y) * (atax - atb - f * x)
-
-
-def gather_pg_step(
-    state: GatherState,
-    ata: np.ndarray,
-    atb: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-) -> GatherState:
-    m, n = a.shape
-    x = state.x
-    g = gather_gradient(ata, atb, x, state.y, state.f, state.support)
-    state.flops += n * int(state.support.size) + 3 * n  # the gradient's
-    mu = adaptive_step(state.dx, g - state.g_prev, state.mu)
-    # the counted cost of dx and dg (2n) and of the step size (3n), then of
-    # each line-search trial, charged once after the accepted trial
-    madds = 5 * n
-
-    a_rows = state.a_rows
-    backtracks = 0
-    while True:
-        x_next = shrink(x - mu * g, mu * lam)
-        support = x_next.nonzero()[0]
-        _, y_next, f_next = gather_quotient(a_rows, b, x_next, support)
-        step = x_next - x
-        madds += 6 * n + m * support.size + 2 * m
-        if line_search_ok(f_next, state.f, step, g, mu) or not step.any():
-            break
-        mu *= 0.5
-        backtracks += 1
-        if backtracks > MAX_BACKTRACKS:
-            raise BacktrackingError(
-                f"line search failed {backtracks} halvings at iteration {state.n} "
-                f"(mu={mu:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
-                "gradient and cost are inconsistent"
-            )
-
-    state.flops += madds
-    state.x_prev = x
-    state.dx = step
-    state.g_prev = g
-    state.x = x_next
-    state.support = support
-    state.y = y_next
-    state.f = f_next
-    state.mu = mu
-    state.n += 1
-    state.backtracks_last = backtracks
-    return state
+        for _ in lockstep(inst.a, inst.b, lam, 150):
+            pass
 
 
 class TestBitParityWithGatherEveryCall:
-    """pg_step, which keeps its support blocks, against the copy above,
-    which gathers on every call."""
+    """pg_step, which keeps its support blocks, against the plain
+    reference, which gathers its columns on every call."""
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.1, 0.5, 1.0])
     def test_lockstep(self, make_instance, scenario, lam):
         for trial in (0, 1):
             inst = make_instance(scenario, seed=9, trial=trial)
-            a, b = inst.a, inst.b
-            state = pg_init(a, b, lam)
-            ata, atb = a.T @ a, a.T @ b
-            ref = GatherState(
-                x_prev=np.zeros_like(state.x), x=state.x.copy(), dx=state.dx.copy(),
-                g_prev=state.g_prev.copy(), mu=state.mu, y=state.y, f=state.f, n=state.n,
-                support=state.support.copy(), a_rows=state.a_rows.rows.copy(),
-                flops=state.flops,
-            )
-            for it in range(300):
-                pg_step(state)
-                gather_pg_step(ref, ata, atb, a, b, lam)
-                assert state.x.tobytes() == ref.x.tobytes(), it
-                cost = state.f + lam * float(np.abs(state.x).sum())
-                ref_cost = ref.f + lam * float(np.abs(ref.x).sum())
-                assert (cost, state.f, state.mu) == (ref_cost, ref.f, ref.mu), it
-                assert state.backtracks_last == ref.backtracks_last, it
-                assert state.flops == ref.flops, it
+            for _ in lockstep(inst.a, inst.b, lam, 300):
+                pass
+
+
+def whole_schedules(make_instance, scenario):
+    """lockstep over each seed-9 case's whole scheduled budget: trials 0
+    and 1 at lambda 5e-4, 0.02, 0.1, 0.5 and 1.0.  Returns (replayed,
+    stacked), the number of steps that were replayed and the number that
+    reached a stack."""
+    replayed = stacked = 0
+    for lam in (5e-4, 0.02, 0.1, 0.5, 1.0):
+        for trial in (0, 1):
+            inst = make_instance(scenario, seed=9, trial=trial)
+            steps = iteration_schedule(lam, scenario) - 1
+            x = None
+            for state, _ in lockstep(inst.a, inst.b, lam, steps):
+                # an executed step binds a new x; a replayed one writes
+                # no field of the state
+                replayed += state.x is x
+                stacked += state.backtracks_last >= _STACK_FROM
+                x = state.x
+    return replayed, stacked
 
 
 class TestFixedPointReplay:
     """pg_step, which replays a step that returned x itself instead of
-    executing it, against the gather copy above, which executes every
-    step, over each case's whole scheduled budget."""
+    executing it, against the plain reference, which executes every step,
+    over each case's whole scheduled budget (see whole_schedules)."""
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_lockstep_over_full_schedule(self, make_instance, scenario):
-        replayed = 0
-        for lam in (5e-4, 0.02, 0.1, 0.5, 1.0):
-            for trial in (0, 1):
-                inst = make_instance(scenario, seed=9, trial=trial)
-                a, b = inst.a, inst.b
-                state = pg_init(a, b, lam)
-                ata, atb = a.T @ a, a.T @ b
-                ref = GatherState(
-                    x_prev=np.zeros_like(state.x), x=state.x.copy(), dx=state.dx.copy(),
-                    g_prev=state.g_prev.copy(), mu=state.mu, y=state.y, f=state.f, n=state.n,
-                    support=state.support.copy(), a_rows=state.a_rows.rows.copy(),
-                    flops=state.flops,
-                )
-                for it in range(iteration_schedule(lam, scenario) - 1):
-                    x = state.x
-                    pg_step(state)
-                    # an executed step binds a new x; a replayed one
-                    # writes no field of the state
-                    replayed += state.x is x
-                    gather_pg_step(ref, ata, atb, a, b, lam)
-                    case = (lam, trial, it)
-                    assert state.x.tobytes() == ref.x.tobytes(), case
-                    cost = state.f + lam * float(np.abs(state.x).sum())
-                    ref_cost = ref.f + lam * float(np.abs(ref.x).sum())
-                    assert (cost, state.f, state.mu) == (ref_cost, ref.f, ref.mu), case
-                    assert state.backtracks_last == ref.backtracks_last, case
-                    assert state.flops == ref.flops, case
-                    assert state.n == ref.n, case
+        replayed, _ = whole_schedules(make_instance, scenario)
         assert replayed > 0, "no step was replayed, so the lockstep shows nothing"
 
 
@@ -807,101 +716,6 @@ class TestSolve:
             assert spent <= (2 * n * n + 16 * n + 4 * m) * retries
 
 
-# pg_step as it was when the line search evaluated every trial one at a
-# time, copied verbatim (renamed only), as the bit-for-bit reference for
-# the search that evaluates its trials past the first _STACK_FROM as
-# stacks of halvings: stacking changes execution only.
-
-
-def per_trial_pg_step(state: PgState) -> PgState:
-    """Advance the state by one accepted iteration (in place).
-
-    The prox output is also accepted when it equals the current iterate
-    exactly: threshold fixed points are step-size independent, so the
-    strict decrease test can never pass there and halving cannot change
-    the outcome.  Every step after that one is the same step again, so it
-    is replayed from state.replay_madds without executing it (see the
-    module docstring); x and the state's other fields are not written.
-    So is a step that runs out of halvings at a fixed point to rounding.
-    """
-    if state.replay_madds:
-        state.flops += state.replay_madds
-        state.n += 1
-        state.backtracks_last = state.replay_backtracks
-        return state
-    x, b, lam = state.x, state.b, state.lam
-    m, n = b.shape[0], x.shape[0]
-    g = gradient(state.ata_rows, state.atb, x, state.y, state.f, state.support, state.xs)
-    mu = mu0 = adaptive_step(state.dx, g - state.g_prev, state.mu, state.dxdx)
-    # the counted cost of the gradient (n nnz + 3n), of dx and dg (2n) and
-    # of the step size (3n), then of each line-search trial, charged once
-    # after the accepted trial; head + trial is a one-trial step's
-    madds = head = n * int(state.support.size) + 8 * n
-
-    a_rows = state.a_rows
-    backtracks = 0
-    while True:
-        x_next = shrink(x - mu * g, mu * lam)
-        support = x_next.nonzero()[0]
-        _, y_next, f_next, xs = support_quotient(a_rows, b, x_next, support)
-        step = x_next - x
-        dxdx = float(step.dot(step))
-        trial = 6 * n + m * support.size + 2 * m
-        madds += trial
-        if line_search_ok(f_next, state.f, step, g, mu, dxdx):
-            break
-        # a nonzero dxdx proves step has a nonzero entry, and a NaN fails
-        # dxdx == 0.0 as count_nonzero counts it: the same decision, with
-        # count_nonzero kept for a nonzero step whose squares underflow
-        if dxdx == 0.0 and not np.count_nonzero(step):
-            # x came back: every later step repeats this one with no
-            # halving, at this charge (see the module docstring)
-            state.replay_madds = head + trial
-            break
-        if backtracks == MAX_BACKTRACKS:
-            # out of halvings: unless the last trial's change in f and its
-            # predicted change are both within the quotient's rounding, the
-            # gradient and f disagree; if they are, x is a fixed point to
-            # rounding, kept and replayed (see the module docstring)
-            tol = (m + n + 4) * 2.0**-52 * state.f
-            predicted = float(step.dot(g)) + dxdx / (2.0 * mu)
-            if abs(f_next - state.f) > tol or abs(predicted) > tol:
-                raise BacktrackingError(
-                    f"line search failed {backtracks + 1} halvings at iteration {state.n} "
-                    f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
-                    "gradient and cost are inconsistent"
-                )
-            x_next, support, xs, y_next, f_next = x, state.support, state.xs, state.y, state.f
-            step, dxdx, mu = np.zeros(n), 0.0, mu0
-            state.replay_madds, state.replay_backtracks = madds, backtracks
-            break
-        mu *= 0.5
-        backtracks += 1
-
-    state.flops += madds
-    state.dx = step
-    state.dxdx = dxdx
-    state.g_prev = g
-    state.x = x_next
-    state.support = support
-    state.xs = xs
-    state.y = y_next
-    state.f = f_next
-    state.mu = mu
-    state.n += 1
-    state.backtracks_last = backtracks
-    return state
-
-
-def state_fields(state):
-    """Every field a step writes: arrays as their bytes and floats as
-    float.hex, which tells every bit apart (the sign of a zero too)."""
-    return (state.x.tobytes(), state.dx.tobytes(), state.dxdx.hex(), state.g_prev.tobytes(),
-            state.mu.hex(), state.y.hex(), state.f.hex(), state.n, state.support.tobytes(),
-            state.xs.tobytes(), state.flops, state.backtracks_last, state.replay_madds,
-            state.replay_backtracks)
-
-
 def trial_supports(state, trials):
     """The supports of the given line-search trials of the state's next
     step (trial j at step size mu / 2^j), as bytes."""
@@ -913,38 +727,13 @@ def trial_supports(state, trials):
 
 class TestStackedHalvings:
     """pg_step, whose line search evaluates its trials past the first
-    _STACK_FROM as stacks of _STACK_ROWS halvings, against the copy above,
-    which evaluates them one at a time: after every step each field has
-    the same bytes, and the line search's held block is that of the same
-    support."""
-
-    @staticmethod
-    def lockstep(a, b, lam, steps, prepare=None):
-        """Step both from pg_init(a, b, lam) (each state first given to
-        prepare, if any); return the backtracks of each step."""
-        state, ref = pg_init(a, b, lam), pg_init(a, b, lam)
-        if prepare is not None:
-            prepare(state)
-            prepare(ref)
-        backtracks = []
-        for it in range(steps):
-            pg_step(state)
-            per_trial_pg_step(ref)
-            assert state_fields(state) == state_fields(ref), (lam, it)
-            # the held a^T[s] block: the next step's first trial finds the
-            # same one whichever search ran
-            assert state.a_rows.key == ref.a_rows.key, (lam, it)
-            backtracks.append(state.backtracks_last)
-        return backtracks
+    _STACK_FROM as stacks of up to _STACK_ROWS halvings, each ended before
+    a row whose support differs, against the plain reference (see
+    lockstep)."""
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_whole_schedules(self, make_instance, scenario):
-        stacked = 0
-        for lam in (5e-4, 0.02, 0.1, 0.5, 1.0):
-            for trial in (0, 1):
-                inst = make_instance(scenario, seed=9, trial=trial)
-                backtracks = self.lockstep(inst.a, inst.b, lam, iteration_schedule(lam, scenario) - 1)
-                stacked += sum(k >= _STACK_FROM for k in backtracks)
+        _, stacked = whole_schedules(make_instance, scenario)
         assert stacked > 0, "no step reached a stack, so the lockstep shows nothing"
 
     def test_halving_cap(self, make_instance):
@@ -952,36 +741,39 @@ class TestStackedHalvings:
         # its stalled step runs the last, shorter stack to the cap
         inst = make_instance("s2", seed=17008008, trial=11)
         lam = 0.02
-        backtracks = self.lockstep(inst.a, inst.b, lam, iteration_schedule(lam, "s2") - 1)
-        assert backtracks[115] == MAX_BACKTRACKS
+        iters = iteration_schedule(lam, "s2")
+        stalled = [state.n for state, _ in lockstep(inst.a, inst.b, lam, iters - 1)
+                   if state.backtracks_last == MAX_BACKTRACKS]
+        assert stalled == list(range(117, iters + 1))
 
     @pytest.mark.parametrize("scenario, first, last", [("s1", 20, 17), ("s2", 40, 41)])
     def test_stack_rows_differing_in_support(self, make_instance, scenario, first, last):
         # 20 steps in, the step size is made 2^first times larger and the
         # last displacement zero, so that adaptive_step keeps it: the
-        # search halves down to the scale where the support grows, inside
-        # a stack, and is accepted after `last` halvings
+        # search halves down to the scale where the support grows, which
+        # cuts a stack, and is accepted after `last` halvings
         inst = make_instance(scenario, seed=9, trial=0)
-
-        def prepare(state):
-            for _ in range(20):
-                pg_step(state)
-            state.dx, state.dxdx, state.mu = np.zeros_like(state.x), 0.0, state.mu * 2.0**first
-
-        state = pg_init(inst.a, inst.b, 0.02)
-        prepare(state)
+        steps = lockstep(inst.a, inst.b, 0.02, 25)
+        for state, ref in steps:
+            if state.n == 21:
+                break
+        state.dx, state.dxdx, state.mu = np.zeros_like(state.x), 0.0, state.mu * 2.0**first
+        ref.update(x_prev=ref["x"], mu=ref["mu"] * 2.0**first)
+        # the trials from where an uncut stack holding `last` would start
+        # up to `last` differ in support, so a stack is cut before `last`
         stack_start = _STACK_FROM + (last - _STACK_FROM) // _STACK_ROWS * _STACK_ROWS
         assert len(set(trial_supports(state, range(stack_start, last + 1)))) > 1
-        assert self.lockstep(inst.a, inst.b, 0.02, 5, prepare)[0] == last
+        assert next(steps)[0].backtracks_last == last
+        for _ in steps:
+            pass
 
     def test_inconsistent_state_raises_the_same_error(self):
         # the state of TestStep::test_inconsistent_state_hits_backtrack_cap
         a, b = np.eye(2), np.array([1.0, 0.2])
-        messages = []
-        for step in (pg_step, per_trial_pg_step):
-            state = pg_init(a, b, lam=1.0)
-            state.y = 1e9
-            with pytest.raises(BacktrackingError) as info:
-                step(state)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        state = pg_init(a, b, lam=1.0)
+        state.y = 1e9
+        with pytest.raises(BacktrackingError) as info:
+            pg_step(state)
+        assert str(info.value) == (
+            "line search failed 61 halvings at iteration 1 (mu=8.674e-20, f=6.538462e-01, "
+            "f_next=6.538462e-01); gradient and cost are inconsistent")
