@@ -11,12 +11,17 @@ SolveResult and wall ns.
 
 The four CSVs are reductions over the cells, each a mean over trials:
 
-    trace_rows         one lambda, one xi; the sq_error and cost columns
-    lambda_sweep_rows  one xi; squared error and support misses of the
+    trace_sums         one lambda, one xi; the sq_error and cost columns
+    lambda_sweep_sums  one xi; squared error and support misses of the
                        final iterate against the instance's x_true
-    xi_sweep_rows      one lambda; squared error of the final iterate
-    bench_rows         one xi; wall ns and final multiply-adds, both per
+    xi_sweep_sums      one lambda; squared error of the final iterate
+    bench_sums         one xi; wall ns and final multiply-adds, both per
                        iteration, always for both algorithms
+
+A reduction consumes the cells of its config one at a time.  One driver,
+`run_pass`, feeds a single cells stream to several reductions, each
+given only the cells of its own config; each CLI command (run_trace and
+its siblings) is a pass with one reduction.
 
 All CSV content except wall-clock columns is reproducible byte for byte
 from (config, master seed) on a given platform.
@@ -55,14 +60,6 @@ ALGORITHMS = ("pg", "adcd")
 _SCHEDULE_ENDPOINTS = {"s1": (2800, 40), "s2": (3500, 50)}
 LAMBDA_MIN = 5e-4
 LAMBDA_MAX = 1.0
-
-TRACE_HEADER = ["scenario", "algorithm", "iteration", "mean_sq_error", "mean_cost"]
-LAMBDA_SWEEP_HEADER = [
-    "scenario", "algorithm", "lambda", "iterations",
-    "mean_sq_error", "mean_fn", "mean_fp", "mean_fn_rate", "mean_fp_rate",
-]
-XI_SWEEP_HEADER = ["scenario", "algorithm", "xi", "mean_sq_error"]
-BENCH_HEADER = ["scenario", "lambda", "algo", "mean_iter_ns", "mean_iter_flops", "ratio_vs_pg"]
 
 
 def default_lambda_grid() -> list[float]:
@@ -177,7 +174,7 @@ class Cell(NamedTuple):
     wall_ns: int
 
 
-def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iterator[Cell]:
+def cells(cfg: ExperimentConfig, with_truth: bool) -> Iterator[Cell]:
     """Every solve of the config, xi outermost, then trial, lambda and
     algorithm; the wall time covers the solve alone.
 
@@ -194,7 +191,7 @@ def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iter
             mat = Matrix(inst.a)
             for lam in cfg.lambda_grid:
                 iters = iteration_budget(cfg.kind, lam, cfg.iters)
-                for algo in algos:
+                for algo in cfg.algos:
                     t0 = time.perf_counter_ns()
                     try:
                         res = solve_instance(algo, inst, lam, iters, with_truth, mat)
@@ -210,6 +207,37 @@ def cells(cfg: ExperimentConfig, algos: Sequence[str], with_truth: bool) -> Iter
                     yield Cell(trial, lam, xi, algo, iters, inst, res, wall_ns)
 
 
+def run_pass(*jobs: tuple[Callable, ExperimentConfig]) -> list[list[list]]:
+    """One stream of cells feeds every (reduction, config) job; the rows
+    of each job, in order.
+
+    A reduction (trace_sums, lambda_sweep_sums, xi_sweep_sums, bench_sums)
+    takes its config and returns (add, rows): add takes one Cell, and
+    rows() gives the CSV rows of the cells added.  The configs must agree
+    on kind, scenario (but for its xi, which is not read), master seed and
+    iters.  The stream covers the union of their grids and algorithms, up
+    to their largest trial count, and each reduction gets only the cells
+    of its own config, in the stream's order, so it adds its sums in the
+    order a pass of its own would.  The solves take the ground truth only
+    when trace_sums, the one reduction that reads sq_error, is a job.
+    """
+    consumers = [(reduction(c), c) for reduction, c in jobs]
+    first = jobs[0][1]
+    if any((c.kind, replace(c.scenario, xi=first.scenario.xi), c.master_seed, c.iters)
+           != (first.kind, first.scenario, first.master_seed, first.iters) for _, c in jobs):
+        raise ValueError("the configs of one pass must agree on kind, scenario, seed and iters")
+    run = replace(first, lambda_grid=sorted({lam for _, c in jobs for lam in c.lambda_grid}),
+                  xi_grid=sorted({xi for _, c in jobs for xi in c.xi_grid}),
+                  trials=max(c.trials for _, c in jobs),
+                  algos=tuple(dict.fromkeys(algo for _, c in jobs for algo in c.algos)))
+    for cell in cells(run, with_truth=any(reduction is trace_sums for reduction, _ in jobs)):
+        for (add, _), c in consumers:
+            if (cell.trial < c.trials and cell.lam in c.lambda_grid and cell.xi in c.xi_grid
+                    and cell.algo in c.algos):
+                add(cell)
+    return [rows() for (_, rows), _ in consumers]
+
+
 def _single(cfg: ExperimentConfig, *grids: str) -> None:
     """Raise ValueError unless each named grid of cfg has exactly one value
     (a reduction whose rows have no column for it)."""
@@ -218,25 +246,29 @@ def _single(cfg: ExperimentConfig, *grids: str) -> None:
             raise ValueError(f"this experiment takes a one-value {name}")
 
 
-def trace_rows(cfg: ExperimentConfig) -> list[list]:
+def trace_sums(cfg: ExperimentConfig):
     """Per-iteration squared error and cost, averaged over paired trials."""
     _single(cfg, "lambda_grid", "xi_grid")
     iters = iteration_budget(cfg.kind, cfg.lambda_grid[0], cfg.iters)
     err_sum = {algo: np.zeros(iters) for algo in cfg.algos}
     cost_sum = {algo: np.zeros(iters) for algo in cfg.algos}
-    for cell in cells(cfg, cfg.algos, with_truth=True):
+
+    def add(cell: Cell) -> None:
         err_sum[cell.algo] += cell.res.sq_error
         cost_sum[cell.algo] += cell.res.cost
-    rows = []
-    for algo in cfg.algos:
-        # one division per column; Python floats print as numpy's would
-        errs = (err_sum[algo] / cfg.trials).tolist()
-        costs = (cost_sum[algo] / cfg.trials).tolist()
-        rows += [[cfg.kind, algo, it, e, c] for it, (e, c) in enumerate(zip(errs, costs), 1)]
-    return rows
+
+    def rows() -> list[list]:
+        out = []
+        for algo in cfg.algos:
+            # one division per column; Python floats print as numpy's would
+            errs = (err_sum[algo] / cfg.trials).tolist()
+            costs = (cost_sum[algo] / cfg.trials).tolist()
+            out += [[cfg.kind, algo, it, e, c] for it, (e, c) in enumerate(zip(errs, costs), 1)]
+        return out
+    return add, rows
 
 
-def lambda_sweep_rows(cfg: ExperimentConfig) -> list[list]:
+def lambda_sweep_sums(cfg: ExperimentConfig):
     """Converged error and support-miss means per lambda, at the one xi.
 
     The solvers record no per-iteration error; the squared error is taken
@@ -244,51 +276,73 @@ def lambda_sweep_rows(cfg: ExperimentConfig) -> list[list]:
     """
     _single(cfg, "xi_grid")
     sums = {(lam, algo): [0.0, 0.0, 0.0] for lam in cfg.lambda_grid for algo in cfg.algos}
-    for cell in cells(cfg, cfg.algos, with_truth=False):
+
+    def add(cell: Cell) -> None:
         acc = sums[cell.lam, cell.algo]
         sup = support_errors(cell.res.x, cell.inst.x_true)
         acc[0] += squared_error(cell.res.x, cell.inst.x_true)
         acc[1] += sup.false_negatives
         acc[2] += sup.false_positives
-    t, k, n = cfg.trials, cfg.scenario.k, cfg.scenario.n
-    return [
-        [cfg.kind, algo, lam, iteration_budget(cfg.kind, lam, cfg.iters),
-         err / t, fn / t, fp / t, fn / t / k, fp / t / (n - k)]
-        for (lam, algo), (err, fn, fp) in sums.items()
-    ]
+
+    def rows() -> list[list]:
+        t, k, n = cfg.trials, cfg.scenario.k, cfg.scenario.n
+        return [
+            [cfg.kind, algo, lam, iteration_budget(cfg.kind, lam, cfg.iters),
+             err / t, fn / t, fp / t, fn / t / k, fp / t / (n - k)]
+            for (lam, algo), (err, fn, fp) in sums.items()
+        ]
+    return add, rows
 
 
-def xi_sweep_rows(cfg: ExperimentConfig) -> list[list]:
+def xi_sweep_sums(cfg: ExperimentConfig):
     """Converged error means per perturbation level, at the one lambda.
 
-    As in lambda_sweep_rows, the error is taken from the final iterate.
+    As in lambda_sweep_sums, the error is taken from the final iterate.
     """
     _single(cfg, "lambda_grid")
     err = {(xi, algo): 0.0 for xi in cfg.xi_grid for algo in cfg.algos}
-    for cell in cells(cfg, cfg.algos, with_truth=False):
+
+    def add(cell: Cell) -> None:
         err[cell.xi, cell.algo] += squared_error(cell.res.x, cell.inst.x_true)
-    return [[cfg.kind, algo, xi, e / cfg.trials] for (xi, algo), e in err.items()]
+
+    return add, lambda: [[cfg.kind, algo, xi, e / cfg.trials] for (xi, algo), e in err.items()]
 
 
-def bench_rows(cfg: ExperimentConfig) -> list[list]:
+def bench_sums(cfg: ExperimentConfig):
     """Mean per-iteration wall time and multiply-add count per algorithm.
 
     Timing covers whole solves divided by the iteration budget, so each
     solver's one-time precomputation is amortized over its schedule;
-    instance generation and CSV output are excluded.  Both algorithms are
-    always measured (pg is the ratio denominator).
+    instance generation and CSV output are excluded.  The config names
+    both algorithms (pg is the ratio denominator).
     """
     _single(cfg, "xi_grid")
+    if cfg.algos != ALGORITHMS:
+        raise ValueError(f"bench measures the algorithms {ALGORITHMS}")
     ns = {(lam, algo): 0.0 for lam in cfg.lambda_grid for algo in ALGORITHMS}
     fl = dict(ns)
-    for cell in cells(cfg, ALGORITHMS, with_truth=False):
+
+    def add(cell: Cell) -> None:
         ns[cell.lam, cell.algo] += cell.wall_ns / cell.iters
         fl[cell.lam, cell.algo] += cell.res.flops[-1] / cell.iters
+
     t = cfg.trials
-    return [
+    return add, lambda: [
         [cfg.kind, lam, algo, ns[lam, algo] / t, fl[lam, algo] / t, ns[lam, algo] / ns[lam, "pg"]]
         for lam, algo in ns
     ]
+
+
+# the file and header of each reduction's CSV
+OUTPUTS = {
+    trace_sums: ("trace.csv", ["scenario", "algorithm", "iteration", "mean_sq_error", "mean_cost"]),
+    lambda_sweep_sums: ("lambda_sweep.csv", [
+        "scenario", "algorithm", "lambda", "iterations",
+        "mean_sq_error", "mean_fn", "mean_fp", "mean_fn_rate", "mean_fp_rate",
+    ]),
+    xi_sweep_sums: ("xi_sweep.csv", ["scenario", "algorithm", "xi", "mean_sq_error"]),
+    bench_sums: ("bench.csv", ["scenario", "lambda", "algo", "mean_iter_ns", "mean_iter_flops", "ratio_vs_pg"]),
+}
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
@@ -300,20 +354,26 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
+def write_rows(reduction: Callable, out_dir: Path, rows: list[list]) -> Path:
+    """The reduction's CSV in out_dir, with its header and the rows."""
+    name, header = OUTPUTS[reduction]
+    return _write_csv(Path(out_dir) / name, header, rows)
+
+
 def run_trace(cfg: ExperimentConfig) -> Path:
-    return _write_csv(cfg.out_dir / "trace.csv", TRACE_HEADER, trace_rows(cfg))
+    return write_rows(trace_sums, cfg.out_dir, run_pass((trace_sums, cfg))[0])
 
 
 def run_lambda_sweep(cfg: ExperimentConfig) -> Path:
-    return _write_csv(cfg.out_dir / "lambda_sweep.csv", LAMBDA_SWEEP_HEADER, lambda_sweep_rows(cfg))
+    return write_rows(lambda_sweep_sums, cfg.out_dir, run_pass((lambda_sweep_sums, cfg))[0])
 
 
 def run_xi_sweep(cfg: ExperimentConfig) -> Path:
-    return _write_csv(cfg.out_dir / "xi_sweep.csv", XI_SWEEP_HEADER, xi_sweep_rows(cfg))
+    return write_rows(xi_sweep_sums, cfg.out_dir, run_pass((xi_sweep_sums, cfg))[0])
 
 
 def run_bench(cfg: ExperimentConfig, *more: ExperimentConfig) -> Path:
     """One bench.csv in cfg.out_dir, with the rows of cfg and then of each
-    further config (one per scenario)."""
-    rows = [row for c in (cfg, *more) for row in bench_rows(c)]
-    return _write_csv(cfg.out_dir / "bench.csv", BENCH_HEADER, rows)
+    further config (one per scenario), each from a pass of its own."""
+    rows = [row for c in (cfg, *more) for row in run_pass((bench_sums, c))[0]]
+    return write_rows(bench_sums, cfg.out_dir, rows)

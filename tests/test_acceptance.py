@@ -26,7 +26,7 @@ from sparsetls import (
     support_errors,
 )
 from sparsetls.adcd import adcd_init, adcd_step
-from sparsetls.experiments import ExperimentConfig, bench_rows
+from sparsetls.experiments import ExperimentConfig, bench_sums, run_pass
 from sparsetls.kernel import eval_cost, gradient
 from sparsetls.rng import RngStream
 
@@ -236,7 +236,7 @@ def test_criterion_07_complexity_ordering():
             master_seed=0,
             out_dir="unused",
         )
-        rows = bench_rows(cfg)
+        rows = run_pass((bench_sums, cfg))[0]
         by_algo = {r[2]: r for r in rows}
         flop_ratio = by_algo["adcd"][4] / by_algo["pg"][4]
         wall_ratio = by_algo["adcd"][3] / by_algo["pg"][3]

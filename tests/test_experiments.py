@@ -20,20 +20,28 @@ from sparsetls import (
 from sparsetls import experiments
 from sparsetls.experiments import (
     ALGORITHMS,
-    bench_rows,
+    bench_sums,
     cells,
-    lambda_sweep_rows,
+    lambda_sweep_sums,
     run_bench,
     run_lambda_sweep,
+    run_pass,
     run_trace,
     run_xi_sweep,
     solve_instance,
-    trace_rows,
-    xi_sweep_rows,
+    trace_sums,
+    write_rows,
+    xi_sweep_sums,
 )
 from sparsetls.kernel import Matrix
 from sparsetls.metrics import squared_error, support_errors
 from sparsetls.problems import SCENARIO_TAGS
+
+
+def alone(reduction, cfg):
+    """The reduction's rows from a pass of its own, as its CLI command
+    runs it."""
+    return run_pass((reduction, cfg))[0]
 
 
 def make_cfg(tmp_path, **kw):
@@ -122,17 +130,17 @@ class TestConfig:
             make_cfg(tmp_path, **grids)
 
     @pytest.mark.parametrize("reduction,grids", [
-        (trace_rows, dict(lambda_grid=[0.02, 0.1])),
-        (trace_rows, dict(xi_grid=[0.0, 0.01])),
-        (lambda_sweep_rows, dict(xi_grid=[0.0, 0.01])),
-        (xi_sweep_rows, dict(lambda_grid=[0.02, 0.1])),
-        (bench_rows, dict(xi_grid=[0.0, 0.01])),
+        (trace_sums, dict(lambda_grid=[0.02, 0.1])),
+        (trace_sums, dict(xi_grid=[0.0, 0.01])),
+        (lambda_sweep_sums, dict(xi_grid=[0.0, 0.01])),
+        (xi_sweep_sums, dict(lambda_grid=[0.02, 0.1])),
+        (bench_sums, dict(xi_grid=[0.0, 0.01])),
     ])
     def test_reduction_needs_one_value_where_its_rows_have_no_column(
             self, tmp_path, monkeypatch, reduction, grids):
         monkeypatch.setattr(experiments, "solve_instance", None)  # nothing may be solved
         with pytest.raises(ValueError, match="one-value"):
-            reduction(make_cfg(tmp_path, **grids))
+            alone(reduction, make_cfg(tmp_path, **grids))
 
     def test_default_grids(self):
         lg = default_lambda_grid()
@@ -159,7 +167,7 @@ class TestPairedDesign:
         monkeypatch.setattr(experiments, "generate_instance", counting)
         cfg = make_cfg(tmp_path, lambda_grid=[0.1, 0.5], xi_grid=[0.0, 0.01], trials=3,
                        master_seed=42, iters=3)
-        got = list(cells(cfg, ALGORITHMS, with_truth=False))
+        got = list(cells(cfg, with_truth=False))
         assert len(drawn) == cfg.trials * len(cfg.xi_grid)
         assert [(c.xi, c.trial, c.lam, c.algo) for c in got] == [
             (xi, trial, lam, algo)
@@ -199,8 +207,8 @@ class TestPairedDesign:
         monkeypatch.setattr(experiments, "Matrix", Counting)
         monkeypatch.setattr(experiments, "solve_instance", recording)
         cfg = make_cfg(tmp_path, lambda_grid=[0.02, 0.1, 0.5], xi_grid=[0.0, 0.01], trials=2,
-                       iters=3)
-        got = list(cells(cfg, algos, with_truth=False))
+                       iters=3, algos=algos)
+        got = list(cells(cfg, with_truth=False))
         assert len(made) == cfg.trials * len(cfg.xi_grid) == 4
         per = len(cfg.lambda_grid) * len(algos)
         assert len(passed) == len(got) == per * len(made)
@@ -215,7 +223,7 @@ class TestPairedDesign:
 class TestTrace:
     def test_row_count_and_layout(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=1, iters=2)
-        rows = trace_rows(cfg)
+        rows = alone(trace_sums, cfg)
         assert len(rows) == 4  # 2 iterations x 2 algorithms
         pg = [r for r in rows if r[1] == "pg"]
         assert [r[2] for r in pg] == [1, 2]
@@ -233,7 +241,7 @@ class TestTrace:
 
     def test_error_decreases_from_start(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=3, iters=120)
-        rows = trace_rows(cfg)
+        rows = alone(trace_sums, cfg)
         pg = [r for r in rows if r[1] == "pg"]
         assert pg[-1][3] < pg[0][3]
 
@@ -241,7 +249,7 @@ class TestTrace:
 class TestLambdaSweep:
     def test_single_point_grid(self, tmp_path):
         cfg = make_cfg(tmp_path, lambda_grid=[1.0], trials=1, iters=5)
-        rows = lambda_sweep_rows(cfg)
+        rows = alone(lambda_sweep_sums, cfg)
         assert len(rows) == 2
         scenario, algo, lam, iters, err, fn, fp, fnr, fpr = rows[0]
         assert (scenario, algo, lam, iters) == ("s1", "pg", 1.0, 5)
@@ -249,14 +257,14 @@ class TestLambdaSweep:
 
     def test_schedule_applies_when_no_override(self, tmp_path):
         cfg = make_cfg(tmp_path, lambda_grid=[1.0], trials=1, iters=None)
-        rows = lambda_sweep_rows(cfg)
+        rows = alone(lambda_sweep_sums, cfg)
         assert rows[0][3] == 40
 
     def test_heavy_regularization_misses_more_support(self, tmp_path):
         cfg = make_cfg(
             tmp_path, lambda_grid=[5e-4, 1.0], trials=5, iters=800,
         )
-        rows = lambda_sweep_rows(cfg)
+        rows = alone(lambda_sweep_sums, cfg)
         fn = {(r[1], r[2]): r[5] for r in rows}
         assert fn[("pg", 1.0)] >= fn[("pg", 5e-4)]
         assert fn[("adcd", 1.0)] >= fn[("adcd", 5e-4)]
@@ -275,7 +283,7 @@ class TestLambdaSweep:
 class TestXiSweep:
     def test_zero_perturbation_is_easiest(self, tmp_path):
         cfg = make_cfg(tmp_path, xi_grid=[0.0, 0.01], trials=15, iters=150)
-        rows = xi_sweep_rows(cfg)
+        rows = alone(xi_sweep_sums, cfg)
         err = {(r[1], r[2]): r[3] for r in rows}
         assert err[("pg", 0.0)] <= err[("pg", 0.01)]
         assert err[("adcd", 0.0)] <= err[("adcd", 0.01)]
@@ -291,7 +299,7 @@ class TestXiSweep:
 class TestBench:
     def test_row_layout_single_lambda(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=1, iters=25)
-        rows = bench_rows(cfg)
+        rows = alone(bench_sums, cfg)
         assert len(rows) == 2
         pg_row = next(r for r in rows if r[2] == "pg")
         ad_row = next(r for r in rows if r[2] == "adcd")
@@ -300,7 +308,7 @@ class TestBench:
 
     def test_flop_ratio_favors_prox_gradient(self, tmp_path):
         cfg = make_cfg(tmp_path, trials=2, iters=None)
-        rows = bench_rows(cfg)
+        rows = alone(bench_sums, cfg)
         fl = {r[2]: r[4] for r in rows}
         assert fl["adcd"] / fl["pg"] > 1.0
 
@@ -312,11 +320,17 @@ class TestBench:
         for kind in ("s1", "s2"):
             cfg = make_cfg(tmp_path, scenario=scenario_config(kind), kind=kind,
                            lambda_grid=grid, trials=1, iters=None)
-            rows = bench_rows(cfg)
+            rows = alone(bench_sums, cfg)
             assert [r[1] for r in rows] == [lam for lam in grid for _ in ALGORITHMS]
             for lam in grid:
                 fl = {r[2]: r[4] for r in rows if r[1] == lam}
                 assert fl["adcd"] / fl["pg"] >= 1.0, (kind, lam)
+
+    @pytest.mark.parametrize("algos", [("pg",), ("adcd",), ("adcd", "pg")])
+    def test_needs_both_algorithms_in_order(self, tmp_path, monkeypatch, algos):
+        monkeypatch.setattr(experiments, "solve_instance", None)  # nothing may be solved
+        with pytest.raises(ValueError, match="bench measures the algorithms"):
+            alone(bench_sums, make_cfg(tmp_path, algos=algos))
 
     def test_run_bench_writes_one_file_for_several_configs(self, tmp_path):
         s1 = make_cfg(tmp_path, trials=1, iters=3)
@@ -439,13 +453,86 @@ class TestParityWithPerDriverLoops:
         base = make_cfg(tmp_path, scenario=scenario_config(kind), kind=kind, iters=iters,
                         lambda_grid=lambdas, master_seed=3)
         xis = [0.0, base.scenario.xi]
-        assert trace_rows(replace(base, lambda_grid=lambdas[:1])) == \
+        assert alone(trace_sums, replace(base, lambda_grid=lambdas[:1])) == \
             reference_trace_rows(base, lambdas[0], base.scenario.xi)
-        assert lambda_sweep_rows(base) == reference_lambda_sweep_rows(base)
+        assert alone(lambda_sweep_sums, base) == reference_lambda_sweep_rows(base)
         xi_cfg = replace(base, lambda_grid=lambdas[:1], xi_grid=xis)
-        assert xi_sweep_rows(xi_cfg) == reference_xi_sweep_rows(xi_cfg, lambdas[0])
+        assert alone(xi_sweep_sums, xi_cfg) == reference_xi_sweep_rows(xi_cfg, lambdas[0])
+        assert untimed(alone(bench_sums, base)) == untimed(reference_bench_rows(base))
 
-        def untimed(rows):  # scenario, lambda, algo, mean_iter_flops
-            return [[r[0], r[1], r[2], r[4]] for r in rows]
 
-        assert untimed(bench_rows(base)) == untimed(reference_bench_rows(base))
+def untimed(bench):
+    """bench rows without their wall-clock columns: scenario, lambda, algo,
+    mean_iter_flops."""
+    return [[r[0], r[1], r[2], r[4]] for r in bench]
+
+
+def recording(solved):
+    """solve_instance, appending (lambda, algorithm, with_truth) of each
+    solve to `solved`."""
+    def solve(algo, inst, lam, iters, with_truth=True, mat=None):
+        solved.append((lam, algo, with_truth))
+        return solve_instance(algo, inst, lam, iters, with_truth, mat)
+    return solve
+
+
+class TestOnePass:
+    """run_pass feeds one cells stream to several reductions; each gets the
+    rows of a pass of its own, and every cell is solved once."""
+
+    @pytest.mark.parametrize("bench_trials", [1, 3])
+    def test_lambda_sweep_with_bench(self, tmp_path, monkeypatch, bench_trials):
+        solved = []
+        monkeypatch.setattr(experiments, "solve_instance", recording(solved))
+        sweep = make_cfg(tmp_path, lambda_grid=[0.1, 0.5], iters=None, master_seed=3)
+        bench = replace(sweep, trials=bench_trials)
+        sweep_rows, bench_cells = run_pass((lambda_sweep_sums, sweep), (bench_sums, bench))
+        assert len(solved) == max(sweep.trials, bench_trials) * 2 * len(ALGORITHMS)
+        assert {truth for *_, truth in solved} == {False}
+        monkeypatch.undo()
+        assert sweep_rows == reference_lambda_sweep_rows(sweep)
+        assert untimed(bench_cells) == untimed(reference_bench_rows(bench))
+
+    @pytest.mark.parametrize("sweep_algos,trace_algos", [(ALGORITHMS, ALGORITHMS), (("adcd",), ("pg",))])
+    def test_xi_sweep_with_trace(self, tmp_path, monkeypatch, sweep_algos, trace_algos):
+        solved = []
+        monkeypatch.setattr(experiments, "solve_instance", recording(solved))
+        sweep = make_cfg(tmp_path, scenario=scenario_config("s2"), kind="s2", xi_grid=[0.0, 0.01, 0.05],
+                         iters=12, master_seed=3, algos=sweep_algos)
+        trace = replace(sweep, xi_grid=[0.01], algos=trace_algos)
+        xi_rows, trace_cells = run_pass((xi_sweep_sums, sweep), (trace_sums, trace))
+        # the trace's cells are the sweep's xi = 0.01 column, and trace
+        # reads sq_error, so every solve takes the truth
+        assert len(solved) == 3 * sweep.trials * len(ALGORITHMS)
+        assert {truth for *_, truth in solved} == {True}
+        monkeypatch.undo()
+        assert xi_rows == reference_xi_sweep_rows(sweep, 0.02)
+        assert trace_cells == reference_trace_rows(trace, 0.02, 0.01)
+
+    def test_xi_sweep_keeps_its_bytes_with_the_truth_on(self, tmp_path):
+        # a truth only adds the sq_error column and never touches x
+        sweep = make_cfg(tmp_path, xi_grid=[1e-4, 0.01, 0.1], trials=3, iters=None)
+        own = write_rows(xi_sweep_sums, tmp_path / "own", alone(xi_sweep_sums, sweep))
+        rows = run_pass((xi_sweep_sums, sweep), (trace_sums, replace(sweep, xi_grid=[0.1])))[0]
+        shared = write_rows(xi_sweep_sums, tmp_path / "shared", rows)
+        assert shared.read_bytes() == own.read_bytes()
+
+    @pytest.mark.parametrize("other", [
+        dict(master_seed=1),
+        dict(kind="custom"),
+        dict(scenario=scenario_config("s2"), kind="s2"),
+        dict(scenario=replace(scenario_config("s1"), seed=4)),
+        dict(iters=16),
+    ], ids=["seed", "kind", "scenario", "scenario-seed", "iters"])
+    def test_configs_that_disagree_raise(self, tmp_path, monkeypatch, other):
+        monkeypatch.setattr(experiments, "solve_instance", None)  # nothing may be solved
+        cfg = make_cfg(tmp_path)
+        with pytest.raises(ValueError, match="must agree on kind, scenario, seed and iters"):
+            run_pass((lambda_sweep_sums, cfg), (bench_sums, replace(cfg, **other)))
+
+    def test_the_scenarios_xi_is_not_compared(self, tmp_path, monkeypatch):
+        solved = []
+        monkeypatch.setattr(experiments, "solve_instance", recording(solved))
+        cfg = make_cfg(tmp_path, iters=3)
+        run_pass((lambda_sweep_sums, cfg), (bench_sums, replace(cfg, scenario=scenario_config("s1", xi=0.5))))
+        assert len(solved) == cfg.trials * len(ALGORITHMS)

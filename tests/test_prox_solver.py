@@ -504,48 +504,58 @@ class TestBitParity:
             pass
 
 
-class TestBitParityWithGatherEveryCall:
-    """pg_step, which keeps its support blocks, against the plain
-    reference, which gathers its columns on every call."""
+LOCKSTEP_LAMS = [5e-4, 0.02, 0.1, 0.5, 1.0]
+_whole_schedules = {}
 
-    @pytest.mark.parametrize("scenario", ["s1", "s2"])
-    @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.1, 0.5, 1.0])
-    def test_lockstep(self, make_instance, scenario, lam):
+
+def whole_schedule(make_instance, scenario, lam):
+    """lockstep over trials 0 and 1 of the seed-9 case at lam, each for its
+    whole scheduled budget and at least 300 steps, so the short schedules'
+    fixed points are replayed many times over.  Returns (replayed, stacked),
+    the number of steps that were replayed and the number that reached a
+    stack.  Kept per (scenario, lam), so each lockstep runs once however
+    many tests read it."""
+    key = (scenario, lam)
+    if key not in _whole_schedules:
+        replayed = stacked = 0
         for trial in (0, 1):
             inst = make_instance(scenario, seed=9, trial=trial)
-            for _ in lockstep(inst.a, inst.b, lam, 300):
-                pass
-
-
-def whole_schedules(make_instance, scenario):
-    """lockstep over each seed-9 case's whole scheduled budget: trials 0
-    and 1 at lambda 5e-4, 0.02, 0.1, 0.5 and 1.0.  Returns (replayed,
-    stacked), the number of steps that were replayed and the number that
-    reached a stack."""
-    replayed = stacked = 0
-    for lam in (5e-4, 0.02, 0.1, 0.5, 1.0):
-        for trial in (0, 1):
-            inst = make_instance(scenario, seed=9, trial=trial)
-            steps = iteration_schedule(lam, scenario) - 1
+            steps = max(300, iteration_schedule(lam, scenario) - 1)
             x = None
             for state, _ in lockstep(inst.a, inst.b, lam, steps):
-                # an executed step binds a new x; a replayed one writes
-                # no field of the state
+                # an executed step binds a new x; a replayed one writes no
+                # field of the state
                 replayed += state.x is x
                 stacked += state.backtracks_last >= _STACK_FROM
                 x = state.x
-    return replayed, stacked
+        _whole_schedules[key] = replayed, stacked
+    return _whole_schedules[key]
+
+
+class TestBitParityWithGatherEveryCall:
+    """pg_step, which keeps its support blocks, against the plain
+    reference, which gathers its columns on every call (see
+    whole_schedule)."""
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("lam", LOCKSTEP_LAMS)
+    def test_lockstep(self, make_instance, scenario, lam):
+        whole_schedule(make_instance, scenario, lam)
 
 
 class TestFixedPointReplay:
     """pg_step, which replays a step that returned x itself instead of
-    executing it, against the plain reference, which executes every step,
-    over each case's whole scheduled budget (see whole_schedules)."""
+    executing it and evaluates long line searches as stacks of halvings,
+    against the plain reference, which executes every step and runs its
+    trials one at a time, over each seed-9 case's whole scheduled budget
+    (see whole_schedule)."""
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_lockstep_over_full_schedule(self, make_instance, scenario):
-        replayed, _ = whole_schedules(make_instance, scenario)
+        counts = [whole_schedule(make_instance, scenario, lam) for lam in LOCKSTEP_LAMS]
+        replayed, stacked = map(sum, zip(*counts))
         assert replayed > 0, "no step was replayed, so the lockstep shows nothing"
+        assert stacked > 0, "no step reached a stack, so the lockstep shows nothing"
 
 
 def first_fixed_point(a, b, lam, iterations):
@@ -733,7 +743,7 @@ class TestStackedHalvings:
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_whole_schedules(self, make_instance, scenario):
-        _, stacked = whole_schedules(make_instance, scenario)
+        stacked = sum(whole_schedule(make_instance, scenario, lam)[1] for lam in LOCKSTEP_LAMS)
         assert stacked > 0, "no step reached a stack, so the lockstep shows nothing"
 
     def test_halving_cap(self, make_instance):
