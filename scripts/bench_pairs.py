@@ -21,12 +21,11 @@ result line, the last STDERR_TAIL lines of its stderr.  The exit status
 is 1 if any run is not correct or gives no result line.
 
 After the last run comes one line per end-to-end metric of BENCHMARK.json
-that the correct runs report: each side's median [Q1, Q3] over its correct
-runs (scripts/bench_record.py's summary), change/parent of the medians,
-the pairs of correct runs the change won in the metric's better direction,
-and whether a claimed gain in it would hold: the change won at least 9 in
-10 of those pairs, and its median is beyond the parent's by more than the
-parent's Q3 - Q1.
+that runs correct on both sides of a pair report: scripts/bench_record.py's
+compare over those pairs, as BENCH_<pr>.json stores it: each side's median
+[Q1, Q3], change/parent, the pairs the change won in the metric's better
+direction, and whether a claimed gain would hold (9 in 10 pairs won, the
+medians apart by more than the parent's Q3 - Q1).
 
 Nothing is written here: each run leaves its record in its checkout's
 `.perfbench/results/`, and scripts/bench_record.py folds the two
@@ -41,8 +40,9 @@ written), and calls cli_main(ARGS) through hostspeed's Speed.timed, in an
 empty temporary directory that takes the command's output.  Its result
 line holds the exit status, the wall seconds less the probes, the
 slowdown, the scaled seconds (wall / slowdown) and the child's peak RSS
-(ru_maxrss) in MB.  After the last run come each side's median scaled
-seconds and peak RSS, and the pairs in which the change is the lower.
+(ru_maxrss) in MB.  After the last run come, by the same compare, each
+side's median scaled seconds and peak RSS, and the pairs in which the
+change is the lower.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_record import summary  # noqa: E402
+from bench_record import compare  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 STDERR_TAIL = 20
@@ -112,52 +112,44 @@ def run_command(checkout: Path, command: list[str]) -> tuple[Optional[str], str]
     return (lines[-1] if lines else None), proc.stderr
 
 
-def correct_runs(lines: dict[tuple[str, int], Optional[str]]) -> dict[tuple[str, int], dict]:
-    """The parsed result line of each correct run, by (side, seed)."""
-    return {key: json.loads(line) for key, line in lines.items() if outcome(line, "")[0]}
+def correct_values(lines: dict[tuple[str, int], Optional[str]],
+                   value: Callable[[dict], Optional[float]]) -> list[dict[int, float]]:
+    """[parent, change]: the value each correct run's parsed result line
+    gives, by seed, leaving out a run whose value is None."""
+    sides = {"parent": {}, "change": {}}
+    for (side, seed), line in lines.items():
+        if outcome(line, "")[0] and (v := value(json.loads(line))) is not None:
+            sides[side][seed] = v
+    return [sides["parent"], sides["change"]]
 
 
 def command_summary(lines: dict[tuple[str, int], Optional[str]]) -> list[str]:
-    """Per side, the median scaled seconds and peak RSS over its correct
-    runs, then the pairs of correct runs in which the change is the lower."""
-    runs = correct_runs(lines)
-    paired = [seed for side, seed in runs if side == "parent" and ("change", seed) in runs]
+    """Per key, compare's medians, change/parent and the pairs in which the
+    change is the lower."""
     out = []
     for key in ("scaled_s", "maxrss_mb"):
-        medians = {}
-        for side in ("parent", "change"):
-            values = [r[key] for (s, _), r in runs.items() if s == side]
-            medians[side] = summary(values)["median"] if values else float("nan")
-        lower = sum(runs["change", seed][key] < runs["parent", seed][key] for seed in paired)
-        out.append(f"{key}: parent {medians['parent']:.4g} change {medians['change']:.4g} "
-                   f"change/parent {medians['change'] / medians['parent']:.4f} "
-                   f"change lower in {lower}/{len(paired)}")
+        if stats := compare(*correct_values(lines, lambda r: r[key]), "lower"):
+            par, chg = stats["parent"]["median"], stats["change"]["median"]
+            out.append(f"{key}: parent {par:.4g} change {chg:.4g} "
+                       f"change/parent {stats['change_over_parent']:.4f} "
+                       f"change lower in {stats['pairs_won']}/{stats['pairs']}")
     return out
 
 
 def workload_summary(lines: dict[tuple[str, int], Optional[str]], end_to_end: list[dict]) -> list[str]:
-    """Per end-to-end metric that the correct runs report: each side's
-    median [Q1, Q3], change/parent, the pairs the change won and whether a
-    claimed gain would hold (9 in 10 pairs won, medians apart by more than
-    the parent's Q3 - Q1)."""
-    runs = correct_runs(lines)
+    """Per end-to-end metric that pairs of correct runs report, compare's
+    medians [Q1, Q3], change/parent, pairs won and claim."""
     out = []
     for metric in end_to_end:
-        key, higher = metric["name"], metric["better"] == "higher"
-        values = {run: r["metrics"][key]["value"] for run, r in runs.items() if key in r["metrics"]}
-        sides = {side: [v for (s, _), v in values.items() if s == side] for side in ("parent", "change")}
-        if not all(sides.values()):
-            continue
-        par, chg = summary(sides["parent"]), summary(sides["change"])
-        paired = [seed for side, seed in values if side == "parent" and ("change", seed) in values]
-        won = sum((values["change", seed] > values["parent", seed]) if higher
-                  else (values["change", seed] < values["parent", seed]) for seed in paired)
-        beyond = (chg["median"] - par["median"]) * (1 if higher else -1) > par["q3"] - par["q1"]
-        claim = "holds" if paired and won >= 0.9 * len(paired) and beyond else "fails"
-        out.append(f"{key}: parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}] "
-                   f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}] "
-                   f"change/parent {chg['median'] / par['median']:.4f} "
-                   f"change better ({metric['better']}) in {won}/{len(paired)}, claim {claim}")
+        key = metric["name"]
+        values = correct_values(lines, lambda r: r["metrics"].get(key, {}).get("value"))
+        if stats := compare(*values, metric["better"]):
+            par, chg = stats["parent"], stats["change"]
+            out.append(f"{key}: parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}] "
+                       f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}] "
+                       f"change/parent {stats['change_over_parent']:.4f} "
+                       f"change better ({metric['better']}) in {stats['pairs_won']}/{stats['pairs']}, "
+                       f"claim {'holds' if stats['claim'] else 'fails'}")
     return out
 
 

@@ -14,8 +14,11 @@ root of the repository:
 - per workload, the seeds run on both sides (a run is paired with the
   other side's run of the same seed; unpaired seeds are listed), each
   side's count of correct runs and of failed cells, and per end-to-end
-  metric of BENCHMARK.json the median [Q1, Q3] of each side, the ratio of
-  the medians (change / parent) and the number of pairs the change won.
+  metric of BENCHMARK.json compare's result over the pairs of runs
+  correct on both sides (an incorrect run, and the other side's run of
+  its seed, enter no median and no pair): each side's median [Q1, Q3],
+  change/parent, the pairs the change won, the pair count and `claim`.
+  scripts/bench_pairs.py prints the same numbers.
 
 Records whose environments differ in anything but the source, the commit
 and the CPU a run pinned itself to are refused: such numbers do not
@@ -28,6 +31,7 @@ import json
 import statistics
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 USAGE = "usage: bench_record.py PR PARENT_RESULTS CHANGE_RESULTS"
@@ -49,6 +53,25 @@ def summary(values: list[float]) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(parent: dict, change: dict, better: str) -> Optional[dict]:
+    """One metric over the seeds in both `parent` and `change`, which map
+    the seed of each correct run that reports it to its value: each
+    side's summary, change/parent of the medians, the pairs the change won
+    in the `better` direction (a tie counts for neither), the pair count,
+    and the claim: at least 9 pairs in 10 won, and the medians apart by
+    more than the parent's Q3 - Q1.  None when no seed is in both."""
+    seeds = sorted(parent.keys() & change.keys())
+    if not seeds:
+        return None
+    sign = 1 if better == "higher" else -1
+    par = summary([parent[s] for s in seeds])
+    chg = summary([change[s] for s in seeds])
+    won = sum(sign * change[s] > sign * parent[s] for s in seeds)
+    beyond = sign * (chg["median"] - par["median"]) > par["q3"] - par["q1"]
+    return {"parent": par, "change": chg, "change_over_parent": chg["median"] / par["median"],
+            "pairs_won": won, "pairs": len(seeds), "claim": won >= 0.9 * len(seeds) and beyond}
 
 
 def one(records: list[dict], key: str, side: str):
@@ -86,18 +109,14 @@ def fold(pr: int, parent: list[dict], change: list[dict], end_to_end: list[dict]
             results = [runs[side][s]["result"] for s in seeds]
             wl[f"{side}_runs_correct"] = sum(r["correct"] for r in results)
             wl[f"{side}_failed_cells"] = sum(r["failed"] for r in results)
+        correct = [{s: r["result"] for s, r in runs[side].items() if r["result"]["correct"]}
+                   for side in sides]
         for metric in end_to_end:
             key = metric["name"]
-            vals = {side: [runs[side][s]["result"]["metrics"][key]["value"] for s in seeds] for side in sides}
-            higher = metric["better"] == "higher"
-            won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
-            par, chg = summary(vals["parent"]), summary(vals["change"])
-            wl["metrics"][key] = {
-                "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                "parent": par, "change": chg,
-                "change_over_parent": chg["median"] / par["median"],
-                "pairs_won": won, "pairs": len(seeds),
-            }
+            stats = compare(*({s: r["metrics"][key]["value"] for s, r in results.items()
+                               if key in r["metrics"]} for results in correct), metric["better"])
+            if stats is not None:
+                wl["metrics"][key] = {**{k: metric[k] for k in ("unit", "better", "bound")}, **stats}
         out["workloads"][name] = wl
     return out
 

@@ -15,47 +15,37 @@ prox_solver._STACK_FROM (those the line search evaluates as stacks of
 halvings) with the steps that run them, the stacks run and how many of
 them were cut at a support change (a stack ends before its first row
 whose support differs from its first row's, and the next one starts
-there), and a histogram of trials per executed step.  A stack's supports
-are found again from the state the step started from: the same
-gradient, step size and shrink of each of its halvings.
+there), and a histogram of trials per executed step.  A step's stacks
+are formed again by the solver's own prox_solver._halving_stack, from a
+copy of the state the step started from, its step size (adaptive_step
+on that state) and the gradient the step left in state.g_prev.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np  # noqa: E402
-
 from sparsetls import derive_stream, generate_instance, iteration_schedule, pg_init, pg_step  # noqa: E402
-from sparsetls.kernel import gradient, shrink  # noqa: E402
 from sparsetls.problems import SCENARIO_TAGS, scenario_config  # noqa: E402
-from sparsetls.prox_solver import _STACK_FROM, _STACK_ROWS, MAX_BACKTRACKS, adaptive_step  # noqa: E402
-
-# the fields of a state its next step reads to form its trials
-_BEFORE = ("x", "y", "f", "support", "xs", "dx", "g_prev", "mu", "dxdx")
+from sparsetls.prox_solver import _STACK_FROM, _halving_stack, adaptive_step  # noqa: E402
 
 
-def stacks_cut(state, before: dict, trials: int) -> list[bool]:
-    """For each stack of halvings a step of `trials` trials ran, whether
-    it was cut at a support change (ended before its first row whose
-    support differs from its first row's, where the next stack starts);
-    `before` holds the fields _BEFORE of the state the step started
-    from."""
-    g = gradient(state.ata_rows, state.atb, before["x"], before["y"], before["f"],
-                 before["support"], before["xs"])
-    mu = adaptive_step(before["dx"], g - before["g_prev"], before["mu"], before["dxdx"])
+def stacks_cut(before, after) -> list[bool]:
+    """For each stack of halvings the step from state `before` to state
+    `after` ran, whether it was cut at a support change; the step's
+    gradient is the one it left in after.g_prev."""
+    mu = adaptive_step(before.dx, after.g_prev - before.g_prev, before.mu, before.dxdx)
     cut, lo = [], _STACK_FROM
-    while lo < trials:
-        mus = mu * 0.5 ** np.arange(lo, min(lo + _STACK_ROWS, MAX_BACKTRACKS + 1))
-        nz = shrink(before["x"] - np.multiply.outer(mus, g), (mus * state.lam)[:, None]) != 0.0
-        rows = int((nz != nz[0]).any(axis=1).argmax())
-        cut.append(rows > 0)
-        lo += rows or mus.size
+    while lo <= after.backtracks_last:
+        xn, _, _, was_cut = _halving_stack(before.x, after.g_prev, before.lam, mu * 0.5**lo, lo)
+        cut.append(was_cut)
+        lo += len(xn)
     return cut
 
 
@@ -70,15 +60,14 @@ def trials_per_step(kind: str, grid: list[float], seed: int,
         for lam in grid:
             state = pg_init(inst.a, inst.b, lam)
             for _ in range(iteration_schedule(lam, kind) - 1):
-                replays = state.replay_madds
-                before = {name: getattr(state, name) for name in _BEFORE}
+                before = copy.copy(state)
                 pg_step(state)
-                if replays:
+                if before.replay_madds:
                     replayed += 1
                     continue
                 hist[1 + state.backtracks_last] += 1
                 if state.backtracks_last >= _STACK_FROM:
-                    cut = stacks_cut(state, before, 1 + state.backtracks_last)
+                    cut = stacks_cut(before, state)
                     stacks += len(cut)
                     cuts += sum(cut)
             solves += 1

@@ -15,7 +15,9 @@ no cell is solved twice:
   * sweep-xi + trace: trace's cells are the sweep's xi = 0.01 column.
     This pass keeps the ground truth, since trace reads sq_error.
 Each CSV has the bytes the matching `sparsetls` command writes alone
-(bench.csv but for its wall-clock columns).
+(bench.csv but for its wall-clock columns): the suite's lambda 0.02 and
+xi 0.01 are experiments.DEFAULT_LAMBDA and DEFAULT_XI, the commands'
+--lambda and --xi defaults.
 
 With --trials 2 --bench-trials 2 the whole suite took 17-20 s (35-41 s
 for the seven separate commands it replaces) on one CPU of a 2-vCPU
@@ -24,13 +26,14 @@ with the larger of --trials and --bench-trials, whose defaults are 100
 and 10.  Use --trials to scale down for a smoke run (results stay
 deterministic for any fixed trial count and seed).
 
-Every config is built before the first solve, so a bad --trials,
---bench-trials or --seed exits 2 at once.  A pass that fails is named on
-stderr and the others still run; the script then exits 1.  bench.csv is
-written only when both sweep-lambda + bench passes succeed.
+A bad --trials, --bench-trials or --seed exits 2 naming its flag, before
+any config is built.  A pass that fails is named on stderr and the
+others still run; the script then exits 1.  bench.csv is written only
+when both sweep-lambda + bench passes succeed.
 """
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -39,7 +42,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sparsetls import ExperimentConfig, default_lambda_grid, default_xi_grid, scenario_config  # noqa: E402
+from sparsetls.cli import _typed  # noqa: E402
 from sparsetls.experiments import (  # noqa: E402
+    DEFAULT_LAMBDA,
+    DEFAULT_XI,
     bench_sums,
     lambda_sweep_sums,
     run_pass,
@@ -47,9 +53,10 @@ from sparsetls.experiments import (  # noqa: E402
     write_rows,
     xi_sweep_sums,
 )
+from sparsetls.kernel import require_count  # noqa: E402
+from sparsetls.rng import require_u64  # noqa: E402
 
 SCENARIOS = ("s1", "s2")
-LAMBDA, XI = 0.02, 0.01  # trace's cell; sweep-xi's lambda and the other sweeps' xi
 
 
 def plan(args) -> list[tuple[str, list]]:
@@ -58,30 +65,27 @@ def plan(args) -> list[tuple[str, list]]:
     passes = []
     for kind in SCENARIOS:
         sweep = ExperimentConfig(
-            scenario=scenario_config(kind, xi=XI, seed=args.seed), kind=kind,
-            lambda_grid=default_lambda_grid(), xi_grid=[XI], trials=args.trials,
+            scenario=scenario_config(kind, xi=DEFAULT_XI, seed=args.seed), kind=kind,
+            lambda_grid=default_lambda_grid(), xi_grid=[DEFAULT_XI], trials=args.trials,
             master_seed=args.seed, out_dir=Path(args.out) / kind,
         )
         passes.append((f"{kind}: sweep-lambda + bench", [
             (lambda_sweep_sums, sweep), (bench_sums, replace(sweep, trials=args.bench_trials))]))
         passes.append((f"{kind}: sweep-xi + trace", [
-            (xi_sweep_sums, replace(sweep, lambda_grid=[LAMBDA], xi_grid=default_xi_grid())),
-            (trace_sums, replace(sweep, lambda_grid=[LAMBDA]))]))
+            (xi_sweep_sums, replace(sweep, lambda_grid=[DEFAULT_LAMBDA], xi_grid=default_xi_grid())),
+            (trace_sums, replace(sweep, lambda_grid=[DEFAULT_LAMBDA]))]))
     return passes
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default="results", help="output root directory")
-    ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--bench-trials", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
+    trials = functools.partial(require_count, name="trials")
+    ap.add_argument("--trials", type=_typed("--trials", trials, int), default=100)
+    ap.add_argument("--bench-trials", type=_typed("--bench-trials", trials, int), default=10)
+    ap.add_argument("--seed", type=_typed("--seed", functools.partial(require_u64, name="seed"), int), default=0)
     args = ap.parse_args()
-    try:
-        passes = plan(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    passes = plan(args)
 
     failed, bench = [], []
     for name, jobs in passes:

@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    DEFAULT_LAMBDA,
+    DEFAULT_XI,
     ExperimentConfig,
     default_lambda_grid,
     default_xi_grid,
@@ -31,7 +33,7 @@ from .experiments import (
     run_xi_sweep,
     solve_instance,
 )
-from .kernel import require_iterations, require_lambda
+from .kernel import require_count, require_lambda
 from .problems import (
     SCENARIO_TAGS,
     Ensemble,
@@ -107,11 +109,12 @@ _FLAGS = {
     "--m": dict(type=int, help="rows (custom scenario)"),
     "--k": dict(type=int, help="sparsity (custom scenario)"),
     "--ensemble": dict(choices=["gaussian", "rademacher"], help="matrix ensemble (custom scenario)"),
-    "--xi": dict(type=_typed("--xi", require_xi), default=0.01, help="perturbation-variance parameter"),
-    "--trials": dict(type=int, default=100),
+    "--xi": dict(type=_typed("--xi", require_xi), default=DEFAULT_XI, help="perturbation-variance parameter"),
+    "--trials": dict(type=_typed("--trials", functools.partial(require_count, name="trials"), int), default=100),
     "--seed": dict(type=_typed("--seed", require_u64, int), default=0, help="master seed"),
     "--trial": dict(type=_typed("--trial", require_u64, int), default=0, help="trial index of the instance"),
-    "--iters": dict(type=_typed("--iters", require_iterations, int), help="override the iteration schedule"),
+    "--iters": dict(type=_typed("--iters", functools.partial(require_count, name="iterations"), int),
+                    help="override the iteration schedule"),
     "--out": dict(default="results", help="output directory"),
     "--algo": dict(choices=["pg", "adcd", "both"], default="both"),
 }
@@ -154,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_subcommand(sub, "trace", "per-iteration error/cost averages -> trace.csv", cmd_trace,
                         custom, (*sweep, "--xi"))
-    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.02)
+    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=DEFAULT_LAMBDA)
 
     p = _add_subcommand(sub, "sweep-lambda", "converged error and support misses per lambda -> lambda_sweep.csv",
                         cmd_sweep_lambda, custom, (*sweep, "--xi"))
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     # instances are drawn at each xi of the grid, so there is no --xi
     p = _add_subcommand(sub, "sweep-xi", "converged error per perturbation level -> xi_sweep.csv",
                         cmd_sweep_xi, custom, sweep)
-    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.02)
+    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=DEFAULT_LAMBDA)
     p.add_argument("--grid", type=_grid(require_xi),
                    help="comma-separated xi values (default: 13 log-spaced on [1e-4, 1e-1])")
 

@@ -48,7 +48,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .adcd import adcd_solve
-from .kernel import Matrix, require_iterations, require_lambda
+from .kernel import Matrix, require_count, require_lambda
 from .metrics import squared_error, support_errors
 from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance, require_xi
 from .prox_solver import BacktrackingError, SolveResult, pg_solve
@@ -60,6 +60,9 @@ ALGORITHMS = ("pg", "adcd")
 _SCHEDULE_ENDPOINTS = {"s1": (2800, 40), "s2": (3500, 50)}
 LAMBDA_MIN = 5e-4
 LAMBDA_MAX = 1.0
+# the one-value lambda of trace and sweep-xi, and the one-value xi of the
+# other sweeps: the sparsetls defaults and scripts/run_all_experiments.py's
+DEFAULT_LAMBDA, DEFAULT_XI = 0.02, 0.01
 
 
 def default_lambda_grid() -> list[float]:
@@ -131,15 +134,13 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         if self.kind not in SCENARIO_TAGS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        require_count(self.trials, "trials")
         require_u64(self.master_seed, "master_seed")
         if self.iters is not None:
-            require_iterations(self.iters)
+            require_count(self.iters, "iterations")
         require_grid("lambda_grid", self.lambda_grid, require_lambda)
         require_grid("xi_grid", self.xi_grid, require_xi)
-        bad = set(self.algos) - set(ALGORITHMS)
-        if bad:
+        if bad := set(self.algos) - set(ALGORITHMS):
             raise ValueError(f"unknown algorithms {sorted(bad)}")
 
 

@@ -209,15 +209,16 @@ def require_system(a: np.ndarray, b: np.ndarray, lam: float) -> None:
 def require_budget(iterations: int, ground_truth: Optional[np.ndarray], n: int) -> None:
     """Raise ValueError unless iterations >= 1 and a ground truth, when
     given, has the iterate's length n (it would otherwise broadcast)."""
-    require_iterations(iterations)
+    require_count(iterations, "iterations")
     if ground_truth is not None and ground_truth.shape != (n,):
         raise ValueError(f"length mismatch: ({n},) vs {ground_truth.shape}")
 
 
-def require_iterations(iterations: int) -> None:
-    """Raise ValueError unless iterations >= 1."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+def require_count(value: int, name: str) -> None:
+    """Raise ValueError unless value >= 1; `name` (iterations, trials)
+    leads the message."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def require_lambda(lam: float) -> None:

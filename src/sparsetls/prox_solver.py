@@ -57,7 +57,9 @@ block, and np.vecdot for |x|^2, |a x - b|^2, |dx|^2 and dx . g of every
 row, in place of about 14 numpy calls per trial.  A stack ends before
 its first row whose support differs from its first row's, and the next
 stack starts at that row, so each stack has one support, and the held
-block is the last trial's, as the per-trial loop leaves it.  The rows
+block is the last trial's, as the per-trial loop leaves it.  One
+function, _halving_stack, forms each stack (its step sizes, rows, cut
+and support); scripts/line_search_profile.py calls it too.  The rows
 are walked in order with the per-trial decisions (accept, a zero step,
 the halving cap) and each trial up to the chosen one is charged, so the
 rows past it are work done and dropped.  The bits hold: a row's
@@ -415,17 +417,35 @@ def pg_step(state: PgState) -> PgState:
     return state
 
 
+def _halving_stack(x: np.ndarray, g: np.ndarray, lam: float, mu: float, backtracks: int) -> tuple:
+    """The stack of trials pg_step's line search evaluates from the one
+    after `backtracks` halvings, at step size mu: the step sizes mu / 2^j
+    of the next _STACK_ROWS halvings (fewer before the cap), halved one at
+    a time, and the rows shrink(x - mu_j g, mu_j lam), both cut before the
+    first row whose support differs from row 0's, where the next stack
+    starts.  Returns (rows, step sizes, row 0's support, whether the stack
+    was cut)."""
+    rows = min(_STACK_ROWS, MAX_BACKTRACKS + 1 - backtracks)
+    mus = np.full(rows, 0.5)
+    mus[0] = mu
+    np.multiply.accumulate(mus, out=mus)
+    xn = shrink(x - np.multiply.outer(mus, g), (mus * lam)[:, None])
+    nz = xn != 0.0
+    # argmax is 0 when no row's support differs from row 0's
+    cut = int((nz != nz[0]).any(axis=1).argmax())
+    return xn[:cut or rows], mus[:cut or rows], nz[0].nonzero()[0], cut > 0
+
+
 def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: int,
                     madds: int) -> tuple:
     """pg_step's line search from trial _STACK_FROM on, at step size mu:
-    the next _STACK_ROWS halvings (fewer before the cap) are evaluated as
-    one stack, whose rows are walked in order with the decisions of the
-    per-trial loop: the first row that passes the test, or returns x
-    (which sets the replay charge), is accepted; if none does by
-    MAX_BACKTRACKS halvings, x is kept as a fixed point to rounding or
-    BacktrackingError is raised.  A stack ends before its first row whose
-    support differs from row 0's, so its rows share one support, and each
-    row up to and including the chosen one is charged its trial cost.
+    each stack of halvings _halving_stack forms is evaluated at once, and
+    its rows are walked in order with the decisions of the per-trial
+    loop: the first row that passes the test, or returns x (which sets
+    the replay charge), is accepted; if none does by MAX_BACKTRACKS
+    halvings, x is kept as a fixed point to rounding or BacktrackingError
+    is raised.  A stack's rows share one support, and each row up to and
+    including the chosen one is charged its trial cost.
     Returns (x_next, support, xs, y_next, f_next, step, dxdx, mu,
     backtracks, madds) as the per-trial loop would have left them, with
     the same bits (see the module docstring)."""
@@ -433,17 +453,7 @@ def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: 
     m, n = b.shape[0], x.shape[0]
     backtracks = _STACK_FROM
     while True:
-        rows = min(_STACK_ROWS, MAX_BACKTRACKS + 1 - backtracks)
-        mus = np.full(rows, 0.5)
-        mus[0] = mu
-        np.multiply.accumulate(mus, out=mus)
-        xn = shrink(x - np.multiply.outer(mus, g), (mus * lam)[:, None])
-        nz = xn != 0.0
-        # the stack ends before the first row whose support differs from
-        # row 0's (argmax is 0 when none does); the next stack starts there
-        rows = int((nz != nz[0]).any(axis=1).argmax()) or rows
-        xn, mus = xn[:rows], mus[:rows]
-        support = nz[0].nonzero()[0]
+        xn, mus, support, _ = _halving_stack(x, g, lam, mu, backtracks)
         ax = np.vecmat(xn.take(support, axis=1), support_block(a_rows, support))
         resid = ax - b
         y = 1.0 / (np.vecdot(xn, xn) + 1.0)
@@ -457,7 +467,7 @@ def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: 
             if passed[j] or not np.count_nonzero(steps[j]):
                 chosen = j
                 break
-        last = rows - 1 if chosen is None else chosen
+        last = mus.size - 1 if chosen is None else chosen
         trial = 6 * n + m * support.size + 2 * m
         madds += (last + 1) * trial
         if chosen is not None:

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py with a stub runner in place of perfbench."""
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -145,10 +146,11 @@ def test_failed_command_exits_1_after_every_run(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "    error: cell solve --algo pg --scenario s2 --seed 7: line search failed" in out
     # the failed run and the one with no result line drop out of the
-    # medians and the pairs
+    # medians and the pairs, and so do the other side's runs of their
+    # seeds: only the pair of seed 0 is left
     assert out[-2:] == [
-        "scaled_s: parent 11 change 9.5 change/parent 0.8636 change lower in 1/1",
-        "maxrss_mb: parent 40.5 change 39 change/parent 0.9630 change lower in 1/1",
+        "scaled_s: parent 10 change 9 change/parent 0.9000 change lower in 1/1",
+        "maxrss_mb: parent 40 change 39 change/parent 0.9750 change lower in 1/1",
     ]
 
 
@@ -224,3 +226,62 @@ def test_incorrect_run_drops_out_of_the_workload_summary(capsys):
     # under 9 in 10
     assert "change better (higher) in 8/8, claim holds" in out
     assert "change better (lower) in 7/8, claim fails" in out
+
+
+def test_prints_the_numbers_bench_record_stores(capsys):
+    # the runs of test_incorrect_run_drops_out_of_the_workload_summary, as
+    # the records perfbench/run.py would leave (none for the run that
+    # printed no result line), folded into a BENCH_<pr>.json
+    bad = {("C", 210): json.dumps({"correct": False, "attempted": 3, "failed": 1, "metrics": {}}),
+           ("P", 209): None}
+    bench_pairs.main(TEN_PAIRS, runner=MetricStub(ten_pairs, bad=bad))
+    printed = capsys.readouterr().out.splitlines()[-2:]
+    sides = {"P": [], "C": []}
+    for side, seed in bench_pairs.plan(10, 201):
+        checkout = "P" if side == "parent" else "C"
+        if (checkout, seed) in bad:
+            if bad[checkout, seed] is None:
+                continue
+            result = json.loads(bad[checkout, seed])
+        else:
+            metrics = {k: {"value": v} for k, v in ten_pairs(checkout, seed).items()}
+            result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+        sides[checkout].append({"workload": "s2-lambda-sweep", "seed": seed, "trace": 0, "result": result,
+                                "environment": {"src_sha256": checkout, "git_commit": None}})
+    bench_record = importlib.import_module("bench_record")
+    end_to_end = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+    stored = bench_record.fold(7, sides["P"], sides["C"], end_to_end)["workloads"]["s2-lambda-sweep"]
+    assert list(stored["metrics"]) == ["pg_iter_per_s", "peak_rss_mb"]
+    expected = []
+    for key, m in stored["metrics"].items():
+        par, chg = m["parent"], m["change"]
+        expected.append(f"{key}: parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}] "
+                        f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}] "
+                        f"change/parent {m['change_over_parent']:.4f} "
+                        f"change better ({m['better']}) in {m['pairs_won']}/{m['pairs']}, "
+                        f"claim {'holds' if m['claim'] else 'fails'}")
+    assert printed == expected
+    assert [m["claim"] for m in stored["metrics"].values()] == [True, False]
+
+
+def test_incorrect_runs_and_their_pairs_enter_no_median(capsys):
+    # the change's run of seed 210 is incorrect and the parent's of 209
+    # gave no result line; their pairs drop out of both sides' medians
+    # and quartiles, not only out of the pair count
+    bad = json.dumps({"correct": False, "attempted": 3, "failed": 0, "metrics": {}})
+    bench_pairs.main(TEN_PAIRS, runner=MetricStub(ten_pairs, bad={("C", 210): bad, ("P", 209): None}))
+    out = capsys.readouterr().out.splitlines()
+    # k = 0..7 are left: the parent's pg_iter_per_s is 100..107 and the
+    # change's 110..117
+    assert out[-2].startswith("pg_iter_per_s: parent 103.5 [101.75, 105.25] change 113.5 [111.75, 115.25] ")
+
+
+def test_a_run_without_a_metric_leaves_only_that_pair_out(capsys):
+    def values(checkout, seed):
+        got = ten_pairs(checkout, seed)
+        if (checkout, seed) == ("C", 205):
+            del got["peak_rss_mb"]
+        return got
+    assert bench_pairs.main(TEN_PAIRS, runner=MetricStub(values)) == 0
+    out = capsys.readouterr().out
+    assert "change better (higher) in 10/10" in out and "change better (lower) in 8/9" in out

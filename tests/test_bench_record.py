@@ -45,6 +45,12 @@ def records(tmp_path):
     return parent, change
 
 
+def s1_trace(parent, change):
+    """The s1-trace workload of the record fold makes of the directories."""
+    return bench_record.fold(7, bench_record.load(parent), bench_record.load(change),
+                             END_TO_END)["workloads"]["s1-trace"]
+
+
 def test_medians_quartiles_and_pairs_won(tmp_path):
     parent, change = records(tmp_path)
     out = bench_record.fold(7, bench_record.load(parent), bench_record.load(change), END_TO_END)
@@ -60,8 +66,48 @@ def test_medians_quartiles_and_pairs_won(tmp_path):
     assert pg["change"]["median"] == 118.0
     assert pg["pairs_won"] == 3 and pg["pairs"] == 4
     assert pg["change_over_parent"] == pytest.approx(118.0 / 115.0)
+    assert pg["claim"] is False  # 3 pairs won in 4
     rss = wl["metrics"]["peak_rss_mb"]
     assert rss["better"] == "lower" and rss["pairs_won"] == 2  # seeds 2 and 4; seed 1 ties
+
+
+def test_an_incorrect_run_and_its_pair_enter_no_median_or_pair(tmp_path):
+    parent, change = records(tmp_path)
+    write(change, "s1-trace", 2, 1e9, 1.0, sha="c", correct=False, failed=1)
+    wl = s1_trace(parent, change)
+    assert wl["seeds"] == [1, 2, 3, 4]
+    assert (wl["change_runs_correct"], wl["change_failed_cells"]) == (3, 1)
+    pg = wl["metrics"]["pg_iter_per_s"]
+    # seeds 1, 3 and 4 alone: parent 100, 120, 130 and change 105, 125, 129
+    assert pg["parent"] == {"median": 120.0, "q1": 110.0, "q3": 125.0}
+    assert pg["change"] == {"median": 125.0, "q1": 115.0, "q3": 127.0}
+    assert (pg["pairs_won"], pg["pairs"], pg["claim"]) == (2, 3, False)
+
+
+def test_a_record_without_a_metric_leaves_only_that_pair_out(tmp_path):
+    parent, change = records(tmp_path)
+    path = change / "s1-trace-seed3-trace0.json"
+    record = json.loads(path.read_text())
+    del record["result"]["metrics"]["peak_rss_mb"]
+    path.write_text(json.dumps(record))
+    wl = s1_trace(parent, change)
+    assert wl["metrics"]["pg_iter_per_s"]["pairs"] == 4
+    assert wl["metrics"]["peak_rss_mb"]["pairs"] == 3
+    assert wl["metrics"]["peak_rss_mb"]["parent"]["median"] == 41.0  # seeds 1, 2 and 4
+
+
+def test_compare_claims_only_9_pairs_in_10_beyond_the_parents_spread():
+    parent = {s: 100.0 + s for s in range(10)}
+    # all ten won, medians 10 apart against the parent's Q3 - Q1 of 4.5
+    assert bench_record.compare(parent, {s: v + 10 for s, v in parent.items()}, "higher")["claim"]
+    # nine won and one tie: still a claim; a lower-is-better metric loses it
+    change = {s: v + (0 if s == 0 else 10) for s, v in parent.items()}
+    assert bench_record.compare(parent, change, "higher")["pairs_won"] == 9
+    assert bench_record.compare(parent, change, "higher")["claim"]
+    assert not bench_record.compare(parent, change, "lower")["claim"]
+    # ten won by less than the parent's spread
+    assert not bench_record.compare(parent, {s: v + 1 for s, v in parent.items()}, "higher")["claim"]
+    assert bench_record.compare(parent, {20: 1.0}, "higher") is None
 
 
 def test_main_writes_bench_json(tmp_path, monkeypatch):

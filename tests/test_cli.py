@@ -431,6 +431,31 @@ def test_largest_seed_and_trial_are_accepted(capsys):
     assert capsys.readouterr().out.startswith("pg sq_error=")
 
 
+@pytest.mark.parametrize("command", ["trace", "sweep-lambda", "sweep-xi", "bench"])
+def test_trials_below_one_is_usage_error_naming_the_flag(command, tmp_path, monkeypatch, capsys):
+    # rejected by the flag's type, before any config or instance is made
+    monkeypatch.setattr("sparsetls.cli.ExperimentConfig", None)
+    monkeypatch.setattr("sparsetls.experiments.generate_instance", None)
+    scenario = ["--scenario", "s1"] if command == "bench" else []
+    assert cli_main([command, *scenario, "--trials", "0", "--iters", "2", "--out", str(tmp_path)]) == 2
+    assert "bad --trials value: trials must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_lambda_and_xi_defaults_are_the_suites():
+    # scripts/run_all_experiments.py's CSVs have the bytes of the commands
+    # run alone only while its cell is the commands' defaults
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defaults = {(name, action.dest): action.default for name, parser in sub.choices.items()
+                for action in parser._actions if action.dest in ("lam", "xi")}
+    assert defaults == {
+        **{(name, "lam"): experiments.DEFAULT_LAMBDA for name in ("trace", "sweep-xi")},
+        ("solve", "lam"): None,
+        **{(name, "xi"): experiments.DEFAULT_XI
+           for name in ("generate", "solve", "trace", "sweep-lambda", "bench")},
+    }
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "--trials", "1", "--iters", "0"],
     ["solve", "--lambda", "0.02", "--iters", "0"],

@@ -3,7 +3,9 @@
 import importlib.util
 from pathlib import Path
 
-from sparsetls import iteration_schedule
+from sparsetls import (derive_stream, generate_instance, iteration_schedule, pg_solve, prox_solver,
+                       scenario_config)
+from sparsetls.problems import SCENARIO_TAGS
 from sparsetls.prox_solver import _STACK_FROM, _STACK_ROWS
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "line_search_profile.py"
@@ -40,3 +42,27 @@ def test_finds_stacks_cut_at_a_support_change():
     # support change; the benchmark's lambdas, 0.02 to 0.5, cut none
     _, _, _, stacks, cuts = line_search_profile.trials_per_step("s2", [5e-4], 9, 1)
     assert 0 < cuts < stacks
+
+
+def test_its_stacks_are_the_solvers(monkeypatch):
+    # each stack pg_solve forms, and each the profiler forms again, goes
+    # through prox_solver._halving_stack: (first trial, rows, cut) of
+    # every call, in order, is the same on both sides
+    stack = prox_solver._halving_stack
+
+    def recording(calls):
+        def halving_stack(x, g, lam, mu, backtracks):
+            xn, mus, support, cut = stack(x, g, lam, mu, backtracks)
+            calls.append((backtracks, len(xn), cut))
+            return xn, mus, support, cut
+        return halving_stack
+
+    solver, profiler = [], []
+    monkeypatch.setattr(prox_solver, "_halving_stack", recording(solver))
+    inst = generate_instance(scenario_config("s2", xi=0.01, seed=9), derive_stream(9, SCENARIO_TAGS["s2"], 0))
+    pg_solve(inst.a, inst.b, 5e-4, iteration_schedule(5e-4, "s2"))
+    monkeypatch.setattr(prox_solver, "_halving_stack", stack)
+    monkeypatch.setattr(line_search_profile, "_halving_stack", recording(profiler))
+    _, _, _, stacks, cuts = line_search_profile.trials_per_step("s2", [5e-4], 9, 1)
+    assert stacks == len(solver) > 0 and cuts == sum(cut for _, _, cut in solver) > 0
+    assert profiler == solver

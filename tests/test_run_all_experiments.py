@@ -35,7 +35,11 @@ def run(monkeypatch, argv, fail=()):
     monkeypatch.setattr(run_all, "run_pass", run_pass)
     monkeypatch.setattr(run_all, "write_rows", write_rows)
     monkeypatch.setattr("sys.argv", ["run_all_experiments.py", "--out", "res", *argv])
-    return run_all.main(), passes, writes
+    try:
+        rc = run_all.main()
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    return rc, passes, writes
 
 
 def test_every_job_runs_and_the_script_exits_0(monkeypatch, capsys):
@@ -96,7 +100,10 @@ def test_a_failed_lambda_pass_leaves_bench_unwritten(monkeypatch, capsys):
     (["--seed", str(2**64)], f"seed {2**64} is outside [0, 2**64)"),
 ])
 def test_a_bad_count_or_seed_exits_2_before_any_solve(monkeypatch, capsys, argv, message):
+    # argparse rejects the flag before any config is built
+    monkeypatch.setattr(run_all, "ExperimentConfig", None)
     rc, passes, writes = run(monkeypatch, argv)
     assert (rc, passes, writes) == (2, [], [])
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    flag = argv[0]
+    assert err[-1] == f"run_all_experiments.py: error: argument {flag}: bad {flag} value: {message}"
