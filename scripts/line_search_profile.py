@@ -19,12 +19,17 @@ there), and a histogram of trials per executed step.  A step's stacks
 are formed again by the solver's own prox_solver._halving_stack, from a
 copy of the state the step started from, its step size (adaptive_step
 on that state) and the gradient the step left in state.g_prev.
+
+A bad --seed (outside [0, 2**64)), --trials (below 1) or --grid (empty,
+not ascending, or a lambda that is not finite and positive) exits 2
+naming its flag, before any solve.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -32,8 +37,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sparsetls import derive_stream, generate_instance, iteration_schedule, pg_init, pg_step  # noqa: E402
+from sparsetls.cli import _grid, _typed  # noqa: E402
+from sparsetls.kernel import require_count, require_lambda  # noqa: E402
 from sparsetls.problems import SCENARIO_TAGS, scenario_config  # noqa: E402
 from sparsetls.prox_solver import _STACK_FROM, _halving_stack, adaptive_step  # noqa: E402
+from sparsetls.rng import require_u64  # noqa: E402
 
 
 def stacks_cut(before, after) -> list[bool]:
@@ -54,7 +62,7 @@ def trials_per_step(kind: str, grid: list[float], seed: int,
     """(histogram of trials per executed step, replayed steps, solves,
     stacks run, stacks cut at a support change)."""
     hist, replayed, solves, stacks, cuts = Counter(), 0, 0, 0, 0
-    scen = scenario_config(kind, xi=0.01, seed=seed)
+    scen = scenario_config(kind, xi=0.01)
     for trial in range(trials):
         inst = generate_instance(scen, derive_stream(seed, SCENARIO_TAGS[kind], trial))
         for lam in grid:
@@ -95,12 +103,15 @@ def report(hist: Counter, replayed: int, solves: int, stacks: int, cuts: int) ->
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario", choices=["s1", "s2"], default="s2")
-    ap.add_argument("--grid", default="0.02,0.1,0.5", help="comma-separated lambda values")
-    ap.add_argument("--seed", type=int, default=0, help="master seed")
-    ap.add_argument("--trials", type=int, default=12)
+    # a string default goes through type= as a given value does
+    ap.add_argument("--grid", type=_grid(require_lambda), default="0.02,0.1,0.5",
+                    help="comma-separated lambda values")
+    ap.add_argument("--seed", type=_typed("--seed", functools.partial(require_u64, name="seed"), int),
+                    default=0, help="master seed")
+    ap.add_argument("--trials", type=_typed("--trials", functools.partial(require_count, name="trials"), int),
+                    default=12)
     args = ap.parse_args(argv)
-    grid = [float(v) for v in args.grid.split(",")]
-    print("\n".join(report(*trials_per_step(args.scenario, grid, args.seed, args.trials))))
+    print("\n".join(report(*trials_per_step(args.scenario, args.grid, args.seed, args.trials))))
     return 0
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 of four reference outputs, to check byte identity.
+"""Print the sha256 of six reference outputs, to check byte identity.
 
 A change that claims to keep every output bit runs this on the parent
 commit and on the change, on the same host, and compares the lines:
@@ -11,6 +11,11 @@ commit and on the change, on the same host, and compares the lines:
                       columns scenario,lambda,algo,mean_iter_flops only
                       (the others are wall-clock timings), one LF-ended
                       line per row: the bytes of `cut -d, -f1,2,3,5`
+    instance_s2_seed5_trial2.txt
+                      from  generate --scenario s2 --seed 5 --trial 2
+    instance_custom_seed7_trial0.txt
+                      from  generate --scenario custom --n 30 --m 12 --k 3
+                      --ensemble rademacher --xi 0.05 --seed 7
 
 The commands run through the package's CLI, from the src/ directory next
 to this script, in a temporary directory, with the BLAS thread variables
@@ -76,11 +81,16 @@ def digests() -> dict[str, str]:
               "--out", str(out / "xi")])
         _run(["bench", "--scenario", "both", "--trials", "2", "--grid", "0.02,0.5",
               "--out", str(out / "bench")])
+        _run(["generate", "--scenario", "s2", "--seed", "5", "--trial", "2", "--out", str(out / "gen")])
+        _run(["generate", "--scenario", "custom", "--n", "30", "--m", "12", "--k", "3",
+              "--ensemble", "rademacher", "--xi", "0.05", "--seed", "7", "--out", str(out / "gen")])
         contents = {
             "lambda_sweep.csv": (out / "sweep" / "lambda_sweep.csv").read_bytes(),
             "trace.csv": (out / "trace" / "trace.csv").read_bytes(),
             "xi_sweep.csv": (out / "xi" / "xi_sweep.csv").read_bytes(),
             "bench.csv[" + ",".join(BENCH_COLUMNS) + "]": _bench_columns(out / "bench" / "bench.csv"),
+            **{name: (out / "gen" / name).read_bytes()
+               for name in ("instance_s2_seed5_trial2.txt", "instance_custom_seed7_trial0.txt")},
         }
     return {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()}
 

@@ -41,7 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sparsetls import ExperimentConfig, default_lambda_grid, default_xi_grid, scenario_config  # noqa: E402
+from sparsetls import ExperimentConfig, default_lambda_grid, default_xi_grid  # noqa: E402
 from sparsetls.cli import _typed  # noqa: E402
 from sparsetls.experiments import (  # noqa: E402
     DEFAULT_LAMBDA,
@@ -64,11 +64,8 @@ def plan(args) -> list[tuple[str, list]]:
     checks them."""
     passes = []
     for kind in SCENARIOS:
-        sweep = ExperimentConfig(
-            scenario=scenario_config(kind, xi=DEFAULT_XI, seed=args.seed), kind=kind,
-            lambda_grid=default_lambda_grid(), xi_grid=[DEFAULT_XI], trials=args.trials,
-            master_seed=args.seed, out_dir=Path(args.out) / kind,
-        )
+        sweep = ExperimentConfig(kind=kind, lambda_grid=default_lambda_grid(), xi_grid=[DEFAULT_XI],
+                                 trials=args.trials, master_seed=args.seed)
         passes.append((f"{kind}: sweep-lambda + bench", [
             (lambda_sweep_sums, sweep), (bench_sums, replace(sweep, trials=args.bench_trials))]))
         passes.append((f"{kind}: sweep-xi + trace", [
@@ -96,7 +93,7 @@ def main() -> int:
                 if reduction is bench_sums:
                     bench.append(rows)
                 else:
-                    print(write_rows(reduction, cfg.out_dir, rows), flush=True)
+                    print(write_rows(reduction, Path(args.out) / cfg.kind, rows), flush=True)
         except Exception as exc:
             print(f"failed: {name}: {exc}", file=sys.stderr)
             failed.append(name)

@@ -34,6 +34,7 @@ from .experiments import (
     solve_instance,
 )
 from .kernel import require_count, require_lambda
+from .metrics import squared_error
 from .problems import (
     SCENARIO_TAGS,
     Ensemble,
@@ -206,13 +207,10 @@ def _with_config(parser, argv: list[str]) -> list[str]:
 def _scenario(args, kind: str, xi: float) -> ScenarioConfig:
     try:
         if kind in ("s1", "s2"):
-            return scenario_config(kind, xi=xi, seed=args.seed)
+            return scenario_config(kind, xi=xi)
         if None in (args.n, args.m, args.k) or args.ensemble is None:
             raise UsageError("custom scenario requires --n, --m, --k and --ensemble")
-        return ScenarioConfig(
-            n=args.n, m=args.m, k=args.k,
-            ensemble=Ensemble(args.ensemble), xi=xi, seed=args.seed,
-        )
+        return ScenarioConfig(n=args.n, m=args.m, k=args.k, ensemble=Ensemble(args.ensemble), xi=xi)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -223,22 +221,22 @@ def _algos(args) -> tuple[str, ...]:
 
 def _experiment_config(args, lambda_grid=None, xi_grid=None, kind=None) -> ExperimentConfig:
     """The config of one sweep; a grid left at None takes its default, and
-    `kind` (default --scenario) names the scenario.  The config draws its
-    instances at each xi of xi_grid; the scenario's own xi is not read."""
+    `kind` (default --scenario) names the scenario.  Only a custom kind is
+    given a shape (--n, --m, --k, --ensemble); the config draws its
+    instances at each xi of xi_grid, so the shape's own xi is not read."""
     kind = kind or args.scenario
     lambda_grid = lambda_grid if lambda_grid is not None else default_lambda_grid()
     xi_grid = xi_grid if xi_grid is not None else default_xi_grid()
     try:
         return ExperimentConfig(
-            scenario=_scenario(args, kind, xi_grid[0]),
             kind=kind,
             lambda_grid=lambda_grid,
             xi_grid=xi_grid,
             trials=args.trials,
             master_seed=args.seed,
-            out_dir=Path(args.out),
             iters=args.iters,
             algos=_algos(args),
+            custom=_scenario(args, kind, xi_grid[0]) if kind == "custom" else None,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -256,7 +254,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"instance_{kind}_seed{args.seed}_trial{args.trial}.txt"
-    save_instance(inst, scen, path)
+    save_instance(inst, scen, args.seed, path)
     print(path)
     return 0
 
@@ -267,33 +265,34 @@ def cmd_solve(args) -> int:
     inst, scen, kind = _single_instance(args)
     iters = iteration_budget(kind, args.lam, args.iters)
     for algo in _algos(args):
-        res = solve_instance(algo, inst, args.lam, iters)
-        print(f"{algo} sq_error={res.sq_error[-1]:.17g} cost={res.cost[-1]:.17g} iterations={iters}")
+        res = solve_instance(algo, inst, args.lam, iters, with_truth=False)
+        err = squared_error(res.x, inst.x_true)
+        print(f"{algo} sq_error={err:.17g} cost={res.cost[-1]:.17g} iterations={iters}")
     return 0
 
 
 def cmd_trace(args) -> int:
     cfg = _experiment_config(args, lambda_grid=[args.lam], xi_grid=[args.xi])
-    print(run_trace(cfg))
+    print(run_trace(cfg, Path(args.out)))
     return 0
 
 
 def cmd_sweep_lambda(args) -> int:
     cfg = _experiment_config(args, lambda_grid=args.grid, xi_grid=[args.xi])
-    print(run_lambda_sweep(cfg))
+    print(run_lambda_sweep(cfg, Path(args.out)))
     return 0
 
 
 def cmd_sweep_xi(args) -> int:
     cfg = _experiment_config(args, lambda_grid=[args.lam], xi_grid=args.grid)
-    print(run_xi_sweep(cfg))
+    print(run_xi_sweep(cfg, Path(args.out)))
     return 0
 
 
 def cmd_bench(args) -> int:
     names = ["s1", "s2"] if args.scenario == "both" else [args.scenario]
     cfgs = [_experiment_config(args, lambda_grid=args.grid, xi_grid=[args.xi], kind=name) for name in names]
-    print(run_bench(*cfgs))
+    print(run_bench(cfgs, Path(args.out)))
     return 0
 
 

@@ -21,7 +21,8 @@ The four CSVs are reductions over the cells, each a mean over trials:
 A reduction consumes the cells of its config one at a time.  One driver,
 `run_pass`, feeds a single cells stream to several reductions, each
 given only the cells of its own config; each CLI command (run_trace and
-its siblings) is a pass with one reduction.
+its siblings, which write their CSV in the directory they are given) is
+a pass with one reduction.
 
 All CSV content except wall-clock columns is reproducible byte for byte
 from (config, master seed) on a given platform.
@@ -50,7 +51,8 @@ import numpy as np
 from .adcd import adcd_solve
 from .kernel import Matrix, require_count, require_lambda
 from .metrics import squared_error, support_errors
-from .problems import SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance, require_xi
+from .problems import (SCENARIO_TAGS, ProblemInstance, ScenarioConfig, generate_instance, require_xi,
+                       scenario_config)
 from .prox_solver import BacktrackingError, SolveResult, pg_solve
 from .rng import derive_stream, require_u64
 
@@ -114,34 +116,44 @@ def require_grid(name: str, grid: Sequence[float], check: Callable[[float], None
 
 @dataclass
 class ExperimentConfig:
-    """Everything a sweep needs: scenario, grids, trial count, seed, output.
+    """What a pass reads: scenario kind, grids, trial count, master seed,
+    iteration override, algorithms and, for the custom kind alone, its
+    shape.
 
-    Instances are drawn at each xi of xi_grid; the scenario's own xi is
-    not read.
+    The shape of s1 and s2 is scenario_config(kind), worked out when read
+    (`scenario`).  Instances are drawn at each xi of xi_grid; the custom
+    shape's own xi is not read.  The writers (run_trace and its siblings)
+    take the output directory.
     """
 
-    scenario: ScenarioConfig
     kind: str                       # "s1" | "s2" | "custom"
     lambda_grid: list[float]
     xi_grid: list[float]
     trials: int
     master_seed: int
-    out_dir: Path
     iters: Optional[int] = None     # overrides the schedule when set
     algos: tuple[str, ...] = ALGORITHMS
+    custom: Optional[ScenarioConfig] = None   # the shape of the custom kind
 
     def __post_init__(self) -> None:
-        self.out_dir = Path(self.out_dir)
         if self.kind not in SCENARIO_TAGS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if (self.kind == "custom") != (self.custom is not None):
+            raise ValueError("the custom kind needs a shape (custom), and s1 and s2 take none")
         require_count(self.trials, "trials")
         require_u64(self.master_seed, "master_seed")
         if self.iters is not None:
             require_count(self.iters, "iterations")
         require_grid("lambda_grid", self.lambda_grid, require_lambda)
         require_grid("xi_grid", self.xi_grid, require_xi)
-        if bad := set(self.algos) - set(ALGORITHMS):
-            raise ValueError(f"unknown algorithms {sorted(bad)}")
+        # one or more algorithms, each known and named once
+        if not 0 < len(self.algos) == len(set(self.algos) & set(ALGORITHMS)):
+            raise ValueError(f"algos must name distinct algorithms of {ALGORITHMS}, got {self.algos}")
+
+    @property
+    def scenario(self) -> ScenarioConfig:
+        """The shape the instances are drawn with, at each xi of xi_grid."""
+        return self.custom or scenario_config(self.kind)
 
 
 def solve_instance(
@@ -215,12 +227,13 @@ def run_pass(*jobs: tuple[Callable, ExperimentConfig]) -> list[list[list]]:
     A reduction (trace_sums, lambda_sweep_sums, xi_sweep_sums, bench_sums)
     takes its config and returns (add, rows): add takes one Cell, and
     rows() gives the CSV rows of the cells added.  The configs must agree
-    on kind, scenario (but for its xi, which is not read), master seed and
-    iters.  The stream covers the union of their grids and algorithms, up
-    to their largest trial count, and each reduction gets only the cells
-    of its own config, in the stream's order, so it adds its sums in the
-    order a pass of its own would.  The solves take the ground truth only
-    when trace_sums, the one reduction that reads sq_error, is a job.
+    on kind, custom shape (but for its xi, which is not read), master seed
+    and iters: every field a pass reads but the grids, trials and algos.
+    The stream covers the union of their grids and algorithms, up to their
+    largest trial count, and each reduction gets only the cells of its own
+    config, in the stream's order, so it adds its sums in the order a pass
+    of its own would.  The solves take the ground truth only when
+    trace_sums, the one reduction that reads sq_error, is a job.
     """
     consumers = [(reduction(c), c) for reduction, c in jobs]
     first = jobs[0][1]
@@ -361,20 +374,23 @@ def write_rows(reduction: Callable, out_dir: Path, rows: list[list]) -> Path:
     return _write_csv(Path(out_dir) / name, header, rows)
 
 
-def run_trace(cfg: ExperimentConfig) -> Path:
-    return write_rows(trace_sums, cfg.out_dir, run_pass((trace_sums, cfg))[0])
+def run_trace(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    """trace.csv in out_dir, from a pass of its own; returns the path."""
+    return write_rows(trace_sums, out_dir, run_pass((trace_sums, cfg))[0])
 
 
-def run_lambda_sweep(cfg: ExperimentConfig) -> Path:
-    return write_rows(lambda_sweep_sums, cfg.out_dir, run_pass((lambda_sweep_sums, cfg))[0])
+def run_lambda_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    """lambda_sweep.csv in out_dir, from a pass of its own; returns the path."""
+    return write_rows(lambda_sweep_sums, out_dir, run_pass((lambda_sweep_sums, cfg))[0])
 
 
-def run_xi_sweep(cfg: ExperimentConfig) -> Path:
-    return write_rows(xi_sweep_sums, cfg.out_dir, run_pass((xi_sweep_sums, cfg))[0])
+def run_xi_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    """xi_sweep.csv in out_dir, from a pass of its own; returns the path."""
+    return write_rows(xi_sweep_sums, out_dir, run_pass((xi_sweep_sums, cfg))[0])
 
 
-def run_bench(cfg: ExperimentConfig, *more: ExperimentConfig) -> Path:
-    """One bench.csv in cfg.out_dir, with the rows of cfg and then of each
-    further config (one per scenario), each from a pass of its own."""
-    rows = [row for c in (cfg, *more) for row in run_pass((bench_sums, c))[0]]
-    return write_rows(bench_sums, cfg.out_dir, rows)
+def run_bench(cfgs: Sequence[ExperimentConfig], out_dir: Path) -> Path:
+    """One bench.csv in out_dir, with the rows of each config in turn (one
+    per scenario), each from a pass of its own."""
+    rows = [row for c in cfgs for row in run_pass((bench_sums, c))[0]]
+    return write_rows(bench_sums, out_dir, rows)

@@ -32,8 +32,9 @@ class ScenarioConfig:
     """Dimensions and noise level of a synthetic scenario.
 
     n: signal length (columns), m: measurement count (rows), k: number of
-    nonzeros in the ground truth.  Requires k < m < n and a seed in
-    [0, 2**64).
+    nonzeros in the ground truth.  Requires k < m < n and a finite xi >= 0.
+    The seed is not part of the scenario: the stream an instance is drawn
+    from is passed to generate_instance, and its seed to save_instance.
     """
 
     n: int
@@ -41,12 +42,10 @@ class ScenarioConfig:
     k: int
     ensemble: Ensemble
     xi: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         require_dims(self.k, self.m, self.n)
         require_xi(self.xi)
-        require_u64(self.seed, "seed")
 
 
 def require_dims(k: int, m: int, n: int) -> None:
@@ -66,12 +65,12 @@ def require_xi(xi: float) -> None:
 SCENARIO_TAGS = {"s1": 1, "s2": 2, "custom": 0}
 
 
-def scenario_config(name: str, xi: float = 0.01, seed: int = 0) -> ScenarioConfig:
-    """The two named benchmark scenarios."""
+def scenario_config(name: str, xi: float = 0.01) -> ScenarioConfig:
+    """The two named benchmark scenarios, at perturbation level xi."""
     if name == "s1":
-        return ScenarioConfig(n=40, m=20, k=5, ensemble=Ensemble.GAUSSIAN, xi=xi, seed=seed)
+        return ScenarioConfig(n=40, m=20, k=5, ensemble=Ensemble.GAUSSIAN, xi=xi)
     if name == "s2":
-        return ScenarioConfig(n=200, m=80, k=20, ensemble=Ensemble.RADEMACHER, xi=xi, seed=seed)
+        return ScenarioConfig(n=200, m=80, k=20, ensemble=Ensemble.RADEMACHER, xi=xi)
     raise ValueError(f"unknown scenario {name!r} (expected 's1' or 's2')")
 
 
@@ -193,15 +192,19 @@ def _fmt_row(row: np.ndarray) -> str:
 _BLOCKS = (("A_o", "a_true"), ("x_o", "x_true"), ("E_o", "a_pert"), ("e_o", "b_pert"), ("b", "b"))
 
 
-def save_instance(inst: ProblemInstance, cfg: ScenarioConfig, path: str | Path) -> None:
+def save_instance(inst: ProblemInstance, cfg: ScenarioConfig, seed: int, path: str | Path) -> None:
     """Write the text dump: header line, then one labeled value block per
     entry of _BLOCKS, one text row per matrix row.
 
-    Values carry 17 significant digits, enough to round-trip float64
-    exactly.  Only the independent arrays are stored; the loader rebuilds
-    the observed matrix and the clean rhs from the defining identities.
+    The header holds cfg's m, n, k and xi and `seed`, the master seed of
+    the stream the instance was drawn from; ValueError unless seed is in
+    [0, 2**64).  Values carry 17 significant digits, enough to round-trip
+    float64 exactly.  Only the independent arrays are stored; the loader
+    rebuilds the observed matrix and the clean rhs from the defining
+    identities.
     """
-    lines = [f"PCS1 {cfg.m} {cfg.n} {cfg.k} {cfg.xi:.17g} {cfg.seed}"]
+    require_u64(seed, "seed")
+    lines = [f"PCS1 {cfg.m} {cfg.n} {cfg.k} {cfg.xi:.17g} {seed}"]
     for label, field in _BLOCKS:
         lines.append(label)
         lines.extend(_fmt_row(r) for r in np.atleast_2d(getattr(inst, field)))
@@ -239,13 +242,13 @@ def _read_block(
 def load_instance(path: str | Path) -> tuple[ProblemInstance, InstanceHeader]:
     """Read an instance file written by save_instance.
 
-    Strict: the header must give 0 < k < m < n, a finite xi >= 0 and a
-    seed in [0, 2**64), as a ScenarioConfig requires; the blocks must come
-    in the order of _BLOCKS, each with the shape the header gives (A_o and
-    E_o m x n, x_o n, e_o and b m); every value must be finite, x_o must
-    have exactly k nonzero entries, and nothing but blank lines may follow
-    the last block.  Any violation, including a truncated file, raises
-    ValueError.
+    Strict: the header must give 0 < k < m < n and a finite xi >= 0, as a
+    ScenarioConfig requires, and a seed in [0, 2**64), as save_instance
+    does; the blocks must come in the order of _BLOCKS, each with the
+    shape the header gives (A_o and E_o m x n, x_o n, e_o and b m); every
+    value must be finite, x_o must have exactly k nonzero entries, and
+    nothing but blank lines may follow the last block.  Any violation,
+    including a truncated file, raises ValueError.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("PCS1 "):

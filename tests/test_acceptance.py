@@ -228,13 +228,11 @@ def test_criterion_07_complexity_ordering():
     ratios = {}
     for kind, trials in (("s1", 5), ("s2", 3)):
         cfg = ExperimentConfig(
-            scenario=scenario_config(kind),
             kind=kind,
             lambda_grid=[lam],
             xi_grid=[0.01],
             trials=trials,
             master_seed=0,
-            out_dir="unused",
         )
         rows = run_pass((bench_sums, cfg))[0]
         by_algo = {r[2]: r for r in rows}

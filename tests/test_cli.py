@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sparsetls import (Ensemble, ExperimentConfig, ScenarioConfig, cli, cli_main, experiments,
-                       instance_digest, load_instance, scenario_config)
+                       instance_digest, load_instance)
 from sparsetls.prox_solver import BacktrackingError
 from sparsetls.cli import _CONFIG_KEYS, _read_config, build_parser
 
@@ -523,11 +523,12 @@ def test_run_all_experiments_script_runs_from_a_checkout(tmp_path):
     assert "usage" in proc.stdout
 
 
-# a sweep's scenario config, and the flags beyond --scenario that name it
-# (on the sweep's command line and after a failed cell's --iters)
+# a sweep's custom shape (none for a named scenario), and the flags beyond
+# --scenario that name it (on the sweep's command line and after a failed
+# cell's --iters)
 FAILED_CELL_SCENARIOS = {
-    "s1": (scenario_config("s1", seed=7), ""),
-    "custom": (ScenarioConfig(n=30, m=12, k=3, ensemble=Ensemble.RADEMACHER, xi=0.01, seed=7),
+    "s1": (None, ""),
+    "custom": (ScenarioConfig(n=30, m=12, k=3, ensemble=Ensemble.RADEMACHER, xi=0.01),
                " --n 30 --m 12 --k 3 --ensemble rademacher"),
 }
 
@@ -539,15 +540,15 @@ def test_failed_cell_names_the_solve_that_reproduces_it(error, kind, tmp_path, m
     # the sixth cell of the sweep (trial 1, lambda 0.1, adcd) fails; the
     # error keeps its type and leads with that cell's `solve` flags, which
     # for a custom scenario include its dimensions and ensemble
-    scenario, more = FAILED_CELL_SCENARIOS[kind]
+    custom, more = FAILED_CELL_SCENARIOS[kind]
     real, seen = experiments.solve_instance, []
 
     def recorded(calls, fail_at=None):
-        def solve_instance(algo, inst, lam, iterations, *args):
+        def solve_instance(algo, inst, lam, iterations, *args, **kwargs):
             calls.append((algo, instance_digest(inst), lam, iterations))
             if len(calls) == fail_at:
                 raise error("line search failed 61 halvings")
-            return real(algo, inst, lam, iterations, *args)
+            return real(algo, inst, lam, iterations, *args, **kwargs)
         return solve_instance
 
     monkeypatch.setattr(experiments, "solve_instance", recorded(seen, fail_at=6))
@@ -559,8 +560,8 @@ def test_failed_cell_names_the_solve_that_reproduces_it(error, kind, tmp_path, m
     assert not any(tmp_path.iterdir())
     monkeypatch.setattr(experiments, "solve_instance", recorded([], fail_at=6))
     cfg = ExperimentConfig(
-        scenario=scenario, kind=kind, lambda_grid=[0.1, 0.5],
-        xi_grid=[0.01], trials=2, master_seed=7, out_dir=tmp_path, iters=3)
+        kind=kind, lambda_grid=[0.1, 0.5],
+        xi_grid=[0.01], trials=2, master_seed=7, iters=3, custom=custom)
     with pytest.raises(error, match=f"^cell solve {flags}: line search failed") as raised:
         list(experiments.cells(cfg, with_truth=False))
     assert type(raised.value) is error and isinstance(raised.value.__cause__, error)

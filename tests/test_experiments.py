@@ -1,14 +1,15 @@
 import csv
 import math
 import time
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from sparsetls import (
+    Ensemble,
     ExperimentConfig,
+    ScenarioConfig,
     default_lambda_grid,
     default_xi_grid,
     derive_stream,
@@ -44,15 +45,13 @@ def alone(reduction, cfg):
     return run_pass((reduction, cfg))[0]
 
 
-def make_cfg(tmp_path, **kw):
+def make_cfg(**kw):
     base = dict(
-        scenario=scenario_config("s1"),
         kind="s1",
         lambda_grid=[0.02],
         xi_grid=[0.01],
         trials=2,
         master_seed=0,
-        out_dir=Path(tmp_path),
         iters=15,
     )
     base.update(kw)
@@ -90,28 +89,59 @@ class TestSchedule:
 
 
 class TestConfig:
-    def test_validates_grids(self, tmp_path):
+    def test_validates_grids(self):
         with pytest.raises(ValueError):
-            make_cfg(tmp_path, lambda_grid=[])
+            make_cfg(lambda_grid=[])
         with pytest.raises(ValueError):
-            make_cfg(tmp_path, lambda_grid=[0.2, 0.1])
+            make_cfg(lambda_grid=[0.2, 0.1])
         with pytest.raises(ValueError):
-            make_cfg(tmp_path, trials=0)
+            make_cfg(trials=0)
         with pytest.raises(ValueError):
-            make_cfg(tmp_path, kind="nope")
+            make_cfg(kind="nope")
         with pytest.raises(ValueError):
-            make_cfg(tmp_path, algos=("pg", "magic"))
+            make_cfg(algos=("pg", "magic"))
+        with pytest.raises(ValueError):
+            make_cfg(algos=())
+        with pytest.raises(ValueError):
+            make_cfg(algos=("pg", "pg"))
+
+    def test_holds_only_what_a_pass_reads(self):
+        # no output directory (the writers take it) and no seed in the
+        # shape (the stream is derived from master_seed)
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "kind", "lambda_grid", "xi_grid", "trials", "master_seed", "iters", "algos", "custom"]
+        assert [f.name for f in fields(ScenarioConfig)] == ["n", "m", "k", "ensemble", "xi"]
+
+    @pytest.mark.parametrize("kw", [
+        dict(custom=scenario_config("s2")),
+        dict(kind="s2", custom=scenario_config("s2")),
+        dict(kind="custom"),
+    ], ids=["s1-given-s2-shape", "s2-given-its-own-shape", "custom-given-none"])
+    def test_a_shape_is_given_for_the_custom_kind_alone(self, kw):
+        with pytest.raises(ValueError, match="^the custom kind needs a shape"):
+            make_cfg(**kw)
+
+    def test_replace_on_a_valid_config_works(self):
+        # the s1 and s2 shape is worked out when read, never stored, so
+        # replace (as run_pass and the suite script call it) gives a valid
+        # config again
+        custom = ScenarioConfig(n=30, m=12, k=3, ensemble=Ensemble.RADEMACHER, xi=0.05)
+        for cfg in (make_cfg(), make_cfg(kind="s2"), make_cfg(kind="custom", custom=custom)):
+            again = replace(cfg, trials=3, lambda_grid=[0.1, 0.5])
+            assert again.scenario == cfg.scenario and again.custom is cfg.custom
+        assert make_cfg(kind="s2").scenario == scenario_config("s2")
+        assert make_cfg(kind="custom", custom=custom).scenario is custom
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_rejects_master_seed_outside_64_bits(self, tmp_path, seed):
+    def test_rejects_master_seed_outside_64_bits(self, seed):
         with pytest.raises(ValueError, match=rf"^master_seed {seed} is outside \[0, 2\*\*64\)"):
-            make_cfg(tmp_path, master_seed=seed)
-        assert make_cfg(tmp_path, master_seed=2**64 - 1).master_seed == 2**64 - 1
+            make_cfg(master_seed=seed)
+        assert make_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     @pytest.mark.parametrize("iters", [0, -3])
-    def test_rejects_iters_below_one(self, tmp_path, iters):
+    def test_rejects_iters_below_one(self, iters):
         with pytest.raises(ValueError, match="^iterations must be >= 1"):
-            make_cfg(tmp_path, iters=iters)
+            make_cfg(iters=iters)
 
     @pytest.mark.parametrize("grids", [
         dict(lambda_grid=[0.02, math.nan]),
@@ -122,12 +152,12 @@ class TestConfig:
         dict(xi_grid=[-0.01, 0.01]),
         dict(xi_grid=[0.01, math.inf]),
     ])
-    def test_rejects_bad_grid_values(self, tmp_path, grids):
+    def test_rejects_bad_grid_values(self, grids):
         # a NaN passes the ascending check (b <= a is False for it), so
         # without the per-value check a sweep would solve every earlier
         # cell before failing
         with pytest.raises(ValueError, match="finite"):
-            make_cfg(tmp_path, **grids)
+            make_cfg(**grids)
 
     @pytest.mark.parametrize("reduction,grids", [
         (trace_sums, dict(lambda_grid=[0.02, 0.1])),
@@ -137,10 +167,10 @@ class TestConfig:
         (bench_sums, dict(xi_grid=[0.0, 0.01])),
     ])
     def test_reduction_needs_one_value_where_its_rows_have_no_column(
-            self, tmp_path, monkeypatch, reduction, grids):
+            self, monkeypatch, reduction, grids):
         monkeypatch.setattr(experiments, "solve_instance", None)  # nothing may be solved
         with pytest.raises(ValueError, match="one-value"):
-            alone(reduction, make_cfg(tmp_path, **grids))
+            alone(reduction, make_cfg(**grids))
 
     def test_default_grids(self):
         lg = default_lambda_grid()
@@ -154,7 +184,7 @@ class TestConfig:
 
 
 class TestPairedDesign:
-    def test_both_algorithms_consume_identical_instances(self, tmp_path, monkeypatch):
+    def test_both_algorithms_consume_identical_instances(self, monkeypatch):
         # cells() draws each (xi, trial) instance once, from the trial's
         # stream, and hands that one object to every lambda and algorithm
         drawn = []
@@ -165,7 +195,7 @@ class TestPairedDesign:
             return inst
 
         monkeypatch.setattr(experiments, "generate_instance", counting)
-        cfg = make_cfg(tmp_path, lambda_grid=[0.1, 0.5], xi_grid=[0.0, 0.01], trials=3,
+        cfg = make_cfg(lambda_grid=[0.1, 0.5], xi_grid=[0.0, 0.01], trials=3,
                        master_seed=42, iters=3)
         got = list(cells(cfg, with_truth=False))
         assert len(drawn) == cfg.trials * len(cfg.xi_grid)
@@ -188,7 +218,7 @@ class TestPairedDesign:
 
 
     @pytest.mark.parametrize("algos", [ALGORITHMS, ("pg",), ("adcd",)], ids=["both", "pg", "adcd"])
-    def test_one_matrix_per_instance(self, tmp_path, monkeypatch, algos):
+    def test_one_matrix_per_instance(self, monkeypatch, algos):
         # cells() makes one kernel.Matrix per (xi, trial), from that
         # instance's a, and passes it to every lambda and algorithm; what
         # only the other solver reads (PG a^T a, AD-CD the row norms) is
@@ -206,7 +236,7 @@ class TestPairedDesign:
 
         monkeypatch.setattr(experiments, "Matrix", Counting)
         monkeypatch.setattr(experiments, "solve_instance", recording)
-        cfg = make_cfg(tmp_path, lambda_grid=[0.02, 0.1, 0.5], xi_grid=[0.0, 0.01], trials=2,
+        cfg = make_cfg(lambda_grid=[0.02, 0.1, 0.5], xi_grid=[0.0, 0.01], trials=2,
                        iters=3, algos=algos)
         got = list(cells(cfg, with_truth=False))
         assert len(made) == cfg.trials * len(cfg.xi_grid) == 4
@@ -221,8 +251,8 @@ class TestPairedDesign:
 
 
 class TestTrace:
-    def test_row_count_and_layout(self, tmp_path):
-        cfg = make_cfg(tmp_path, trials=1, iters=2)
+    def test_row_count_and_layout(self):
+        cfg = make_cfg(trials=1, iters=2)
         rows = alone(trace_sums, cfg)
         assert len(rows) == 4  # 2 iterations x 2 algorithms
         pg = [r for r in rows if r[1] == "pg"]
@@ -230,39 +260,39 @@ class TestTrace:
         assert all(r[0] == "s1" for r in rows)
 
     def test_written_file_and_determinism(self, tmp_path):
-        cfg_a = make_cfg(tmp_path / "a", trials=2, iters=10)
-        cfg_b = make_cfg(tmp_path / "b", trials=2, iters=10)
-        pa = run_trace(cfg_a)
-        pb = run_trace(cfg_b)
+        cfg_a = make_cfg(trials=2, iters=10)
+        cfg_b = make_cfg(trials=2, iters=10)
+        pa = run_trace(cfg_a, tmp_path / "a")
+        pb = run_trace(cfg_b, tmp_path / "b")
         assert pa.name == "trace.csv"
         assert pa.read_bytes() == pb.read_bytes()
         header = pa.read_text().splitlines()[0]
         assert header == "scenario,algorithm,iteration,mean_sq_error,mean_cost"
 
-    def test_error_decreases_from_start(self, tmp_path):
-        cfg = make_cfg(tmp_path, trials=3, iters=120)
+    def test_error_decreases_from_start(self):
+        cfg = make_cfg(trials=3, iters=120)
         rows = alone(trace_sums, cfg)
         pg = [r for r in rows if r[1] == "pg"]
         assert pg[-1][3] < pg[0][3]
 
 
 class TestLambdaSweep:
-    def test_single_point_grid(self, tmp_path):
-        cfg = make_cfg(tmp_path, lambda_grid=[1.0], trials=1, iters=5)
+    def test_single_point_grid(self):
+        cfg = make_cfg(lambda_grid=[1.0], trials=1, iters=5)
         rows = alone(lambda_sweep_sums, cfg)
         assert len(rows) == 2
         scenario, algo, lam, iters, err, fn, fp, fnr, fpr = rows[0]
         assert (scenario, algo, lam, iters) == ("s1", "pg", 1.0, 5)
         assert fnr == fn / 5 and fpr == fp / 35
 
-    def test_schedule_applies_when_no_override(self, tmp_path):
-        cfg = make_cfg(tmp_path, lambda_grid=[1.0], trials=1, iters=None)
+    def test_schedule_applies_when_no_override(self):
+        cfg = make_cfg(lambda_grid=[1.0], trials=1, iters=None)
         rows = alone(lambda_sweep_sums, cfg)
         assert rows[0][3] == 40
 
-    def test_heavy_regularization_misses_more_support(self, tmp_path):
+    def test_heavy_regularization_misses_more_support(self):
         cfg = make_cfg(
-            tmp_path, lambda_grid=[5e-4, 1.0], trials=5, iters=800,
+            lambda_grid=[5e-4, 1.0], trials=5, iters=800,
         )
         rows = alone(lambda_sweep_sums, cfg)
         fn = {(r[1], r[2]): r[5] for r in rows}
@@ -270,8 +300,8 @@ class TestLambdaSweep:
         assert fn[("adcd", 1.0)] >= fn[("adcd", 5e-4)]
 
     def test_csv_output(self, tmp_path):
-        cfg = make_cfg(tmp_path, lambda_grid=[0.05], trials=1, iters=10)
-        path = run_lambda_sweep(cfg)
+        cfg = make_cfg(lambda_grid=[0.05], trials=1, iters=10)
+        path = run_lambda_sweep(cfg, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "scenario,algorithm,lambda,iterations,mean_sq_error,"
@@ -281,24 +311,24 @@ class TestLambdaSweep:
 
 
 class TestXiSweep:
-    def test_zero_perturbation_is_easiest(self, tmp_path):
-        cfg = make_cfg(tmp_path, xi_grid=[0.0, 0.01], trials=15, iters=150)
+    def test_zero_perturbation_is_easiest(self):
+        cfg = make_cfg(xi_grid=[0.0, 0.01], trials=15, iters=150)
         rows = alone(xi_sweep_sums, cfg)
         err = {(r[1], r[2]): r[3] for r in rows}
         assert err[("pg", 0.0)] <= err[("pg", 0.01)]
         assert err[("adcd", 0.0)] <= err[("adcd", 0.01)]
 
     def test_csv_output_deterministic(self, tmp_path):
-        ca = make_cfg(tmp_path / "a", xi_grid=[0.0, 0.01], trials=2, iters=10)
-        cb = make_cfg(tmp_path / "b", xi_grid=[0.0, 0.01], trials=2, iters=10)
-        pa, pb = run_xi_sweep(ca), run_xi_sweep(cb)
+        ca = make_cfg(xi_grid=[0.0, 0.01], trials=2, iters=10)
+        cb = make_cfg(xi_grid=[0.0, 0.01], trials=2, iters=10)
+        pa, pb = run_xi_sweep(ca, tmp_path / "a"), run_xi_sweep(cb, tmp_path / "b")
         assert pa.read_bytes() == pb.read_bytes()
         assert pa.read_text().splitlines()[0] == "scenario,algorithm,xi,mean_sq_error"
 
 
 class TestBench:
-    def test_row_layout_single_lambda(self, tmp_path):
-        cfg = make_cfg(tmp_path, trials=1, iters=25)
+    def test_row_layout_single_lambda(self):
+        cfg = make_cfg(trials=1, iters=25)
         rows = alone(bench_sums, cfg)
         assert len(rows) == 2
         pg_row = next(r for r in rows if r[2] == "pg")
@@ -306,19 +336,19 @@ class TestBench:
         assert pg_row[5] == 1.0
         assert ad_row[5] == pytest.approx(ad_row[3] / pg_row[3])
 
-    def test_flop_ratio_favors_prox_gradient(self, tmp_path):
-        cfg = make_cfg(tmp_path, trials=2, iters=None)
+    def test_flop_ratio_favors_prox_gradient(self):
+        cfg = make_cfg(trials=2, iters=None)
         rows = alone(bench_sums, cfg)
         fl = {r[2]: r[4] for r in rows}
         assert fl["adcd"] / fl["pg"] > 1.0
 
-    def test_flop_ratio_exceeds_one_across_grid_and_scenarios(self, tmp_path):
+    def test_flop_ratio_exceeds_one_across_grid_and_scenarios(self):
         # holds under the real schedules, which amortize the one-time
         # a^T a / a^T b precomputation; a short --iters override can tip
         # the high-lambda end the other way by design
         grid = [0.005, 0.1, 1.0]
         for kind in ("s1", "s2"):
-            cfg = make_cfg(tmp_path, scenario=scenario_config(kind), kind=kind,
+            cfg = make_cfg(kind=kind,
                            lambda_grid=grid, trials=1, iters=None)
             rows = alone(bench_sums, cfg)
             assert [r[1] for r in rows] == [lam for lam in grid for _ in ALGORITHMS]
@@ -327,15 +357,15 @@ class TestBench:
                 assert fl["adcd"] / fl["pg"] >= 1.0, (kind, lam)
 
     @pytest.mark.parametrize("algos", [("pg",), ("adcd",), ("adcd", "pg")])
-    def test_needs_both_algorithms_in_order(self, tmp_path, monkeypatch, algos):
+    def test_needs_both_algorithms_in_order(self, monkeypatch, algos):
         monkeypatch.setattr(experiments, "solve_instance", None)  # nothing may be solved
         with pytest.raises(ValueError, match="bench measures the algorithms"):
-            alone(bench_sums, make_cfg(tmp_path, algos=algos))
+            alone(bench_sums, make_cfg(algos=algos))
 
     def test_run_bench_writes_one_file_for_several_configs(self, tmp_path):
-        s1 = make_cfg(tmp_path, trials=1, iters=3)
-        s2 = make_cfg(tmp_path, scenario=scenario_config("s2"), kind="s2", trials=1, iters=3)
-        path = run_bench(s1, s2)
+        s1 = make_cfg(trials=1, iters=3)
+        s2 = make_cfg(kind="s2", trials=1, iters=3)
+        path = run_bench([s1, s2], tmp_path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert path == tmp_path / "bench.csv"
@@ -449,8 +479,8 @@ class TestParityWithPerDriverLoops:
         ("s1", None, [0.1, 0.5]),   # the schedule's budgets
         ("s2", 12, [0.02, 0.5]),
     ])
-    def test_every_non_timing_column_is_unchanged(self, tmp_path, kind, iters, lambdas):
-        base = make_cfg(tmp_path, scenario=scenario_config(kind), kind=kind, iters=iters,
+    def test_every_non_timing_column_is_unchanged(self, kind, iters, lambdas):
+        base = make_cfg(kind=kind, iters=iters,
                         lambda_grid=lambdas, master_seed=3)
         xis = [0.0, base.scenario.xi]
         assert alone(trace_sums, replace(base, lambda_grid=lambdas[:1])) == \
@@ -481,10 +511,10 @@ class TestOnePass:
     rows of a pass of its own, and every cell is solved once."""
 
     @pytest.mark.parametrize("bench_trials", [1, 3])
-    def test_lambda_sweep_with_bench(self, tmp_path, monkeypatch, bench_trials):
+    def test_lambda_sweep_with_bench(self, monkeypatch, bench_trials):
         solved = []
         monkeypatch.setattr(experiments, "solve_instance", recording(solved))
-        sweep = make_cfg(tmp_path, lambda_grid=[0.1, 0.5], iters=None, master_seed=3)
+        sweep = make_cfg(lambda_grid=[0.1, 0.5], iters=None, master_seed=3)
         bench = replace(sweep, trials=bench_trials)
         sweep_rows, bench_cells = run_pass((lambda_sweep_sums, sweep), (bench_sums, bench))
         assert len(solved) == max(sweep.trials, bench_trials) * 2 * len(ALGORITHMS)
@@ -494,10 +524,10 @@ class TestOnePass:
         assert untimed(bench_cells) == untimed(reference_bench_rows(bench))
 
     @pytest.mark.parametrize("sweep_algos,trace_algos", [(ALGORITHMS, ALGORITHMS), (("adcd",), ("pg",))])
-    def test_xi_sweep_with_trace(self, tmp_path, monkeypatch, sweep_algos, trace_algos):
+    def test_xi_sweep_with_trace(self, monkeypatch, sweep_algos, trace_algos):
         solved = []
         monkeypatch.setattr(experiments, "solve_instance", recording(solved))
-        sweep = make_cfg(tmp_path, scenario=scenario_config("s2"), kind="s2", xi_grid=[0.0, 0.01, 0.05],
+        sweep = make_cfg(kind="s2", xi_grid=[0.0, 0.01, 0.05],
                          iters=12, master_seed=3, algos=sweep_algos)
         trace = replace(sweep, xi_grid=[0.01], algos=trace_algos)
         xi_rows, trace_cells = run_pass((xi_sweep_sums, sweep), (trace_sums, trace))
@@ -511,28 +541,28 @@ class TestOnePass:
 
     def test_xi_sweep_keeps_its_bytes_with_the_truth_on(self, tmp_path):
         # a truth only adds the sq_error column and never touches x
-        sweep = make_cfg(tmp_path, xi_grid=[1e-4, 0.01, 0.1], trials=3, iters=None)
+        sweep = make_cfg(xi_grid=[1e-4, 0.01, 0.1], trials=3, iters=None)
         own = write_rows(xi_sweep_sums, tmp_path / "own", alone(xi_sweep_sums, sweep))
         rows = run_pass((xi_sweep_sums, sweep), (trace_sums, replace(sweep, xi_grid=[0.1])))[0]
         shared = write_rows(xi_sweep_sums, tmp_path / "shared", rows)
         assert shared.read_bytes() == own.read_bytes()
 
-    @pytest.mark.parametrize("other", [
-        dict(master_seed=1),
-        dict(kind="custom"),
-        dict(scenario=scenario_config("s2"), kind="s2"),
-        dict(scenario=replace(scenario_config("s1"), seed=4)),
-        dict(iters=16),
-    ], ids=["seed", "kind", "scenario", "scenario-seed", "iters"])
-    def test_configs_that_disagree_raise(self, tmp_path, monkeypatch, other):
+    # a custom kind given s1's shape differs from s1 in kind alone
+    @pytest.mark.parametrize("base,other", [
+        ({}, dict(master_seed=1)),
+        ({}, dict(kind="custom", custom=scenario_config("s1"))),
+        (dict(kind="custom", custom=scenario_config("s1")), dict(custom=scenario_config("s2"))),
+        ({}, dict(iters=16)),
+    ], ids=["seed", "kind", "scenario", "iters"])
+    def test_configs_that_disagree_raise(self, monkeypatch, base, other):
         monkeypatch.setattr(experiments, "solve_instance", None)  # nothing may be solved
-        cfg = make_cfg(tmp_path)
+        cfg = make_cfg(**base)
         with pytest.raises(ValueError, match="must agree on kind, scenario, seed and iters"):
             run_pass((lambda_sweep_sums, cfg), (bench_sums, replace(cfg, **other)))
 
-    def test_the_scenarios_xi_is_not_compared(self, tmp_path, monkeypatch):
+    def test_the_scenarios_xi_is_not_compared(self, monkeypatch):
         solved = []
         monkeypatch.setattr(experiments, "solve_instance", recording(solved))
-        cfg = make_cfg(tmp_path, iters=3)
-        run_pass((lambda_sweep_sums, cfg), (bench_sums, replace(cfg, scenario=scenario_config("s1", xi=0.5))))
+        cfg = make_cfg(kind="custom", custom=scenario_config("s1"), iters=3)
+        run_pass((lambda_sweep_sums, cfg), (bench_sums, replace(cfg, custom=scenario_config("s1", xi=0.5))))
         assert len(solved) == cfg.trials * len(ALGORITHMS)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from sparsetls import (derive_stream, generate_instance, iteration_schedule, pg_solve, prox_solver,
                        scenario_config)
 from sparsetls.problems import SCENARIO_TAGS
@@ -59,10 +61,27 @@ def test_its_stacks_are_the_solvers(monkeypatch):
 
     solver, profiler = [], []
     monkeypatch.setattr(prox_solver, "_halving_stack", recording(solver))
-    inst = generate_instance(scenario_config("s2", xi=0.01, seed=9), derive_stream(9, SCENARIO_TAGS["s2"], 0))
+    inst = generate_instance(scenario_config("s2", xi=0.01), derive_stream(9, SCENARIO_TAGS["s2"], 0))
     pg_solve(inst.a, inst.b, 5e-4, iteration_schedule(5e-4, "s2"))
     monkeypatch.setattr(prox_solver, "_halving_stack", stack)
     monkeypatch.setattr(line_search_profile, "_halving_stack", recording(profiler))
     _, _, _, stacks, cuts = line_search_profile.trials_per_step("s2", [5e-4], 9, 1)
     assert stacks == len(solver) > 0 and cuts == sum(cut for _, _, cut in solver) > 0
     assert profiler == solver
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-1"], "seed -1 is outside [0, 2**64)"),
+    (["--grid", "0"], "lam must be positive and finite, got 0.0"),
+    (["--grid", "abc"], "could not convert string to float: 'abc'"),
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--trials", "-3"], "trials must be >= 1"),
+])
+def test_a_bad_flag_exits_2_before_any_solve(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(line_search_profile, "trials_per_step", None)  # nothing may be solved
+    with pytest.raises(SystemExit) as exited:
+        line_search_profile.main(["--scenario", "s1", *argv])
+    assert exited.value.code == 2
+    flag = argv[0]
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: bad {flag} value: {message}")

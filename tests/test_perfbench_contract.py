@@ -2,10 +2,12 @@
 
 perfbench/ imports the package from the checkout's src/ and reads it by
 name: it installs timing shims at the (module, attribute) pairs of
-perfbench/tracing.py's TARGETS, re-solves cells through
-sparsetls.solve_instance, reads each result's trace, counts line-search
-trials from pg_step's state, draws instances through derive_stream, and
-reads the solve arguments (a, b, lam, iterations) positionally.  A change
+perfbench/tracing.py's TARGETS, in every module that binds them (so the
+CLI must call run_trace and run_lambda_sweep by those names), re-solves
+cells through sparsetls.solve_instance, reads each result's trace, counts
+line-search trials from pg_step's state, draws instances through
+derive_stream, and reads the solve arguments (a, b, lam, iterations)
+positionally.  A change
 to any of these would break the traced run without failing a test of the
 package, so this file pins them.  It only reads perfbench/.
 """
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import sparsetls
-from sparsetls import problems
+from sparsetls import cli, problems
 from sparsetls.prox_solver import pg_init, pg_step
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -78,3 +80,24 @@ def test_instance_drawing_names():
                                           sparsetls.derive_stream(3, tag, 0))
         for field in ("a", "b", "x_true", "a_true", "a_pert", "b_true", "b_pert"):
             assert isinstance(getattr(inst, field), np.ndarray), field
+
+
+def test_the_cli_calls_the_traced_writers_by_their_module_names(tmp_path, monkeypatch, capsys):
+    # the tracer patches experiments.run_trace and run_lambda_sweep in every
+    # module that binds them, so the CLI must look each up by its name in
+    # sparsetls.cli when a command runs, not through a table built before
+    calls = []
+
+    def recording(name, real):
+        def writer(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return writer
+
+    for name in ("run_trace", "run_lambda_sweep"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    tiny = ["--trials", "1", "--iters", "2", "--out", str(tmp_path)]
+    assert sparsetls.cli_main(["trace", *tiny]) == 0
+    assert sparsetls.cli_main(["sweep-lambda", "--grid", "0.1", *tiny]) == 0
+    assert calls == ["run_trace", "run_lambda_sweep"]
+    assert capsys.readouterr().out.split() == [str(tmp_path / "trace.csv"), str(tmp_path / "lambda_sweep.csv")]

@@ -170,10 +170,10 @@ def test_perturbation_variance_matches_xi_over_m():
 
 
 def test_save_load_round_trip(tmp_path, make_instance):
-    cfg = scenario_config("s1", xi=0.01, seed=4)
+    cfg = scenario_config("s1", xi=0.01)
     inst = generate_instance(cfg, derive_stream(4, 1, 2))
     path = tmp_path / "inst.txt"
-    save_instance(inst, cfg, path)
+    save_instance(inst, cfg, 4, path)
     loaded, header = load_instance(path)
     assert (header.m, header.n, header.k) == (20, 40, 5)
     assert header.xi == 0.01 and header.seed == 4
@@ -189,10 +189,10 @@ def test_save_load_round_trip(tmp_path, make_instance):
 def test_instance_file_layout(tmp_path):
     # the header, then the labeled blocks A_o, x_o, E_o, e_o, b in that
     # order, one text row per matrix row, each holding its field
-    cfg = scenario_config("s1", xi=0.01, seed=4)
+    cfg = scenario_config("s1", xi=0.01)
     inst = generate_instance(cfg, derive_stream(4, 1, 2))
     path = tmp_path / "inst.txt"
-    save_instance(inst, cfg, path)
+    save_instance(inst, cfg, 4, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "PCS1 20 40 5 0.01 4"
     blocks = [("A_o", 1, inst.a_true), ("x_o", 22, [inst.x_true]), ("E_o", 24, inst.a_pert),
@@ -204,10 +204,14 @@ def test_instance_file_layout(tmp_path):
     assert len(lines) == 49
 
 
-def test_scenario_seed_outside_64_bits_is_rejected():
-    with pytest.raises(ValueError, match=r"^seed -1 is outside \[0, 2\*\*64\)"):
-        scenario_config("s1", seed=-1)
-    assert scenario_config("s1", seed=2**64 - 1).seed == 2**64 - 1
+def test_instance_seed_outside_64_bits_is_rejected(tmp_path, s1_instance):
+    cfg, path = scenario_config("s1"), tmp_path / "inst.txt"
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^seed {seed} is outside \[0, 2\*\*64\)"):
+            save_instance(s1_instance, cfg, seed, path)
+        assert not path.exists()
+    save_instance(s1_instance, cfg, 2**64 - 1, path)
+    assert load_instance(path)[1].seed == 2**64 - 1
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -218,10 +222,10 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def _saved_lines(tmp_path):
-    cfg = scenario_config("s1", xi=0.01, seed=4)
+    cfg = scenario_config("s1", xi=0.01)
     inst = generate_instance(cfg, derive_stream(4, 1, 2))
     path = tmp_path / "inst.txt"
-    save_instance(inst, cfg, path)
+    save_instance(inst, cfg, 4, path)
     return path, path.read_text().splitlines()
 
 
