@@ -51,7 +51,7 @@ def stacks_cut(before, after) -> list[bool]:
     mu = adaptive_step(before.dx, after.g_prev - before.g_prev, before.mu, before.dxdx)
     cut, lo = [], _STACK_FROM
     while lo <= after.backtracks_last:
-        xn, _, _, was_cut = _halving_stack(before.x, after.g_prev, before.lam, mu * 0.5**lo, lo)
+        xn, _, was_cut = _halving_stack(before.x, after.g_prev, before.lam, mu * 0.5**lo, lo)
         cut.append(was_cut)
         lo += len(xn)
     return cut

@@ -16,6 +16,9 @@ commit and on the change, on the same host, and compares the lines:
     instance_custom_seed7_trial0.txt
                       from  generate --scenario custom --n 30 --m 12 --k 3
                       --ensemble rademacher --xi 0.05 --seed 7
+                      (each read from the path generate prints, and
+                      labelled by the file's name before generate named
+                      its files by xi and shape too)
 
 The commands run through the package's CLI, from the src/ directory next
 to this script, in a temporary directory, with the BLAS thread variables
@@ -55,11 +58,13 @@ from sparsetls import cli_main  # noqa: E402
 BENCH_COLUMNS = ("scenario", "lambda", "algo", "mean_iter_flops")
 
 
-def _run(argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(argv: list[str]) -> str:
+    """What the command prints, once it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
         code = cli_main(argv)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited with {code}")
+    return printed.getvalue()
 
 
 def _bench_columns(path: Path) -> bytes:
@@ -81,16 +86,23 @@ def digests() -> dict[str, str]:
               "--out", str(out / "xi")])
         _run(["bench", "--scenario", "both", "--trials", "2", "--grid", "0.02,0.5",
               "--out", str(out / "bench")])
-        _run(["generate", "--scenario", "s2", "--seed", "5", "--trial", "2", "--out", str(out / "gen")])
-        _run(["generate", "--scenario", "custom", "--n", "30", "--m", "12", "--k", "3",
-              "--ensemble", "rademacher", "--xi", "0.05", "--seed", "7", "--out", str(out / "gen")])
+        # labelled by the names generate gave these files before it named
+        # them by xi and shape too, so older checkouts' digests line up;
+        # the bytes are read from the path generate prints
+        generate = {
+            "instance_s2_seed5_trial2.txt": ["--scenario", "s2", "--seed", "5", "--trial", "2"],
+            "instance_custom_seed7_trial0.txt": [
+                "--scenario", "custom", "--n", "30", "--m", "12", "--k", "3",
+                "--ensemble", "rademacher", "--xi", "0.05", "--seed", "7"],
+        }
+        instances = {name: Path(_run(["generate", *argv, "--out", str(out / "gen")]).strip())
+                     for name, argv in generate.items()}
         contents = {
             "lambda_sweep.csv": (out / "sweep" / "lambda_sweep.csv").read_bytes(),
             "trace.csv": (out / "trace" / "trace.csv").read_bytes(),
             "xi_sweep.csv": (out / "xi" / "xi_sweep.csv").read_bytes(),
             "bench.csv[" + ",".join(BENCH_COLUMNS) + "]": _bench_columns(out / "bench" / "bench.csv"),
-            **{name: (out / "gen" / name).read_bytes()
-               for name in ("instance_s2_seed5_trial2.txt", "instance_custom_seed7_trial0.txt")},
+            **{name: path.read_bytes() for name, path in instances.items()},
         }
     return {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()}
 

@@ -205,8 +205,14 @@ def _with_config(parser, argv: list[str]) -> list[str]:
 
 
 def _scenario(args, kind: str, xi: float) -> ScenarioConfig:
+    """The scenario drawn at xi; --n, --m, --k and --ensemble (from the
+    command line or the config) are the custom kind's shape, and giving
+    any of them with s1 or s2 is a usage error."""
     try:
         if kind in ("s1", "s2"):
+            given = [flag for flag in _CUSTOM if getattr(args, flag[2:], None) is not None]
+            if given:
+                raise UsageError(f"{', '.join(given)}: shape flags are for --scenario custom, not {kind}")
             return scenario_config(kind, xi=xi)
         if None in (args.n, args.m, args.k) or args.ensemble is None:
             raise UsageError("custom scenario requires --n, --m, --k and --ensemble")
@@ -227,6 +233,7 @@ def _experiment_config(args, lambda_grid=None, xi_grid=None, kind=None) -> Exper
     kind = kind or args.scenario
     lambda_grid = lambda_grid if lambda_grid is not None else default_lambda_grid()
     xi_grid = xi_grid if xi_grid is not None else default_xi_grid()
+    scen = _scenario(args, kind, xi_grid[0])
     try:
         return ExperimentConfig(
             kind=kind,
@@ -236,7 +243,7 @@ def _experiment_config(args, lambda_grid=None, xi_grid=None, kind=None) -> Exper
             master_seed=args.seed,
             iters=args.iters,
             algos=_algos(args),
-            custom=_scenario(args, kind, xi_grid[0]) if kind == "custom" else None,
+            custom=scen if kind == "custom" else None,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -253,7 +260,10 @@ def cmd_generate(args) -> int:
     inst, scen, kind = _single_instance(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"instance_{kind}_seed{args.seed}_trial{args.trial}.txt"
+    # named by everything that draws it: the shape (custom only), seed,
+    # trial and xi
+    shape = f"_n{args.n}_m{args.m}_k{args.k}_{args.ensemble}" if kind == "custom" else ""
+    path = out / f"instance_{kind}{shape}_seed{args.seed}_trial{args.trial}_xi{args.xi!r}.txt"
     save_instance(inst, scen, args.seed, path)
     print(path)
     return 0

@@ -50,25 +50,27 @@ a few long searches (the descent of about 30 halvings into a fixed point,
 below, and searches where rounding decides the test), and they are 16.5%
 of all trials on the benchmark's s2 sweep (seed 77;
 scripts/line_search_profile.py counts them).  So from trial _STACK_FROM
-on, _stacked_trials evaluates the next _STACK_ROWS (32) halvings
-mu / 2^j as one stack of rows: one shrink with a column of thresholds,
-one support check, one gather and one np.vecmat against the kept a^T[s]
-block, and np.vecdot for |x|^2, |a x - b|^2, |dx|^2 and dx . g of every
-row, in place of about 14 numpy calls per trial.  A stack ends before
-its first row whose support differs from its first row's, and the next
-stack starts at that row, so each stack has one support, and the held
-block is the last trial's, as the per-trial loop leaves it.  One
-function, _halving_stack, forms each stack (its step sizes, rows, cut
-and support); scripts/line_search_profile.py calls it too.  The rows
-are walked in order with the per-trial decisions (accept, a zero step,
-the halving cap) and each trial up to the chosen one is charged, so the
-rows past it are work done and dropped.  The bits hold: a row's
-elementwise operations are its trial's, the step sizes are halved one at
-a time (np.multiply.accumulate), and a row of np.vecmat (numpy 2.2 or
-later, the package's floor) has the bytes of the trial's own gemv and a
-row of np.vecdot those of its own dot; the single gemm rounds apart in
-most rows, so it is not used.  That parity was measured on numpy 2.4
-with OpenBLAS; on any other numpy or BLAS, tests/test_kernel.py::
+on, _stack evaluates the next _STACK_ROWS (32) halvings mu / 2^j as one
+stack of rows: one shrink with a column of thresholds, one support
+check, one gather and one np.vecmat against the kept a^T[s] block, and
+np.vecdot for |x|^2, |a x - b|^2, |dx|^2 and dx . g of every row, in
+place of about 14 numpy calls per trial.  A stack ends before its first
+row whose support differs from its first row's, and the next stack
+starts at that row, so each stack has one support, and the held block
+is the last trial's, as the per-trial loop leaves it.  _halving_stack
+forms each stack's rows, cut and support; scripts/line_search_profile.py
+calls it too.  The two evaluators feed one decision loop: each trial,
+alone or a stack's row, gives its x_next, step, y, f, |dx|^2 and dx . g,
+and the loop applies line_search_ok, the zero-step rule, the trial's
+charge, the halving cap and the state write to it in the same way, so
+the rows past the accepted one are work done and dropped.  The bits
+hold: a row's elementwise operations are its trial's, the loop halves
+the step size once per trial, as np.multiply.accumulate does in
+_halving_stack, and a row of np.vecmat (numpy 2.2 or later, the
+package's floor) has the bytes of the trial's own gemv and a row of
+np.vecdot those of its own dot; the single gemm rounds apart in most
+rows, so it is not used.  That parity was measured on numpy 2.4 with
+OpenBLAS; on any other numpy or BLAS, tests/test_kernel.py::
 TestStackedTrials is what guards it.
 
 Once a step returns x itself, the rest of the schedule is bookkeeping.
@@ -337,15 +339,12 @@ def adaptive_step(
     return mu
 
 
-def line_search_ok(
-    f_next: float, f_cur: float, dx: np.ndarray, g: np.ndarray, mu: float,
-    dxdx: Optional[float] = None,
-) -> bool:
-    """Sufficient-decrease test; the inequality is deliberately strict.
-    dxdx, when given, must be float(dx.dot(dx))."""
-    if dxdx is None:
-        dxdx = float(dx.dot(dx))
-    return f_next < f_cur + float(dx.dot(g)) + dxdx / (2.0 * mu)
+def line_search_ok(f_next: float, f_cur: float, dxg: float, dxdx: float, mu: float) -> bool:
+    """Sufficient-decrease test for a trial at step size mu whose
+    displacement dx from the current iterate has dxg = dx . g (g the
+    gradient there) and dxdx = |dx|^2; the inequality is deliberately
+    strict."""
+    return f_next < f_cur + dxg + dxdx / (2.0 * mu)
 
 
 def pg_step(state: PgState) -> PgState:
@@ -358,8 +357,9 @@ def pg_step(state: PgState) -> PgState:
     is replayed from state.replay_madds without executing it (see the
     module docstring); x and the state's other fields are not written.
     So is a step that runs out of halvings at a fixed point to rounding.
-    The trials past the first _STACK_FROM are evaluated in stacks, by
-    _stacked_trials, with the same decisions and bits.
+    Trials before the _STACK_FROM-th halving are evaluated one at a time
+    and the later ones as rows of stacks (_stack); every trial, either
+    way, goes through the same decisions below.
     """
     if state.replay_madds:
         state.flops += state.replay_madds
@@ -376,16 +376,24 @@ def pg_step(state: PgState) -> PgState:
     madds = head = n * int(state.support.size) + 8 * n
 
     a_rows = state.a_rows
-    backtracks = 0
+    backtracks = j = 0
+    ys = ()
     while True:
-        x_next = shrink(x - mu * g, mu * lam)
-        support = x_next.nonzero()[0]
-        _, y_next, f_next, xs = support_quotient(a_rows, b, x_next, support)
-        step = x_next - x
-        dxdx = float(step.dot(step))
+        if backtracks < _STACK_FROM:
+            x_next = shrink(x - mu * g, mu * lam)
+            support = x_next.nonzero()[0]
+            _, y_next, f_next, xs = support_quotient(a_rows, b, x_next, support)
+            step = x_next - x
+            dxdx, dxg = float(step.dot(step)), float(step.dot(g))
+        else:
+            if j == len(ys):
+                rows, support, steps, ys, fs, dxdxs, dxgs = _stack(state, g, mu, backtracks)
+                j = 0
+            x_next, step, y_next, f_next, dxdx, dxg = rows[j], steps[j], ys[j], fs[j], dxdxs[j], dxgs[j]
+            j += 1
         trial = 6 * n + m * support.size + 2 * m
         madds += trial
-        if line_search_ok(f_next, state.f, step, g, mu, dxdx):
+        if line_search_ok(f_next, state.f, dxg, dxdx, mu):
             break
         # a nonzero dxdx proves step has a nonzero entry, and a NaN fails
         # dxdx == 0.0 as count_nonzero counts it: the same decision, with
@@ -395,12 +403,28 @@ def pg_step(state: PgState) -> PgState:
             # halving, at this charge (see the module docstring)
             state.replay_madds = head + trial
             break
+        if backtracks == MAX_BACKTRACKS:
+            # out of halvings: unless the last trial's change in f and its
+            # predicted change are both within the quotient's rounding, the
+            # gradient and f disagree; if they are, x is a fixed point to
+            # rounding, kept and replayed (see the module docstring)
+            tol = (m + n + 4) * 2.0**-52 * state.f
+            if abs(f_next - state.f) > tol or abs(dxg + dxdx / (2.0 * mu)) > tol:
+                raise BacktrackingError(
+                    f"line search failed {backtracks + 1} halvings at iteration {state.n} "
+                    f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_next:.6e}); "
+                    "gradient and cost are inconsistent"
+                )
+            state.replay_madds, state.replay_backtracks = madds, backtracks
+            x_next, support, xs, y_next, f_next = x, state.support, state.xs, state.y, state.f
+            step, dxdx, mu = np.zeros(n), 0.0, mu0
+            break
         mu *= 0.5
         backtracks += 1
-        if backtracks == _STACK_FROM:
-            x_next, support, xs, y_next, f_next, step, dxdx, mu, backtracks, madds = (
-                _stacked_trials(state, g, mu, mu0, head, madds))
-            break
+    if backtracks >= _STACK_FROM and x_next is not x:
+        # the accepted row, out of its stack
+        x_next, step = x_next.copy(), step.copy()
+        xs = x_next[support]
 
     state.flops += madds
     state.dx = step
@@ -419,12 +443,12 @@ def pg_step(state: PgState) -> PgState:
 
 def _halving_stack(x: np.ndarray, g: np.ndarray, lam: float, mu: float, backtracks: int) -> tuple:
     """The stack of trials pg_step's line search evaluates from the one
-    after `backtracks` halvings, at step size mu: the step sizes mu / 2^j
-    of the next _STACK_ROWS halvings (fewer before the cap), halved one at
-    a time, and the rows shrink(x - mu_j g, mu_j lam), both cut before the
-    first row whose support differs from row 0's, where the next stack
-    starts.  Returns (rows, step sizes, row 0's support, whether the stack
-    was cut)."""
+    after `backtracks` halvings, at step size mu: the rows
+    shrink(x - mu_j g, mu_j lam) at the step sizes mu / 2^j of the next
+    _STACK_ROWS halvings (fewer before the cap), halved one at a time,
+    cut before the first row whose support differs from row 0's, where
+    the next stack starts.  Returns (rows, row 0's support, whether the
+    stack was cut)."""
     rows = min(_STACK_ROWS, MAX_BACKTRACKS + 1 - backtracks)
     mus = np.full(rows, 0.5)
     mus[0] = mu
@@ -433,72 +457,23 @@ def _halving_stack(x: np.ndarray, g: np.ndarray, lam: float, mu: float, backtrac
     nz = xn != 0.0
     # argmax is 0 when no row's support differs from row 0's
     cut = int((nz != nz[0]).any(axis=1).argmax())
-    return xn[:cut or rows], mus[:cut or rows], nz[0].nonzero()[0], cut > 0
+    return xn[:cut or rows], nz[0].nonzero()[0], cut > 0
 
 
-def _stacked_trials(state: PgState, g: np.ndarray, mu: float, mu0: float, head: int,
-                    madds: int) -> tuple:
-    """pg_step's line search from trial _STACK_FROM on, at step size mu:
-    each stack of halvings _halving_stack forms is evaluated at once, and
-    its rows are walked in order with the decisions of the per-trial
-    loop: the first row that passes the test, or returns x (which sets
-    the replay charge), is accepted; if none does by MAX_BACKTRACKS
-    halvings, x is kept as a fixed point to rounding or BacktrackingError
-    is raised.  A stack's rows share one support, and each row up to and
-    including the chosen one is charged its trial cost.
-    Returns (x_next, support, xs, y_next, f_next, step, dxdx, mu,
-    backtracks, madds) as the per-trial loop would have left them, with
-    the same bits (see the module docstring)."""
-    x, b, lam, a_rows = state.x, state.b, state.lam, state.a_rows
-    m, n = b.shape[0], x.shape[0]
-    backtracks = _STACK_FROM
-    while True:
-        xn, mus, support, _ = _halving_stack(x, g, lam, mu, backtracks)
-        ax = np.vecmat(xn.take(support, axis=1), support_block(a_rows, support))
-        resid = ax - b
-        y = 1.0 / (np.vecdot(xn, xn) + 1.0)
-        f = y * np.vecdot(resid, resid)
-        steps = xn - x
-        dxdx = np.vecdot(steps, steps)
-        dxg = np.vecdot(steps, g)
-        passed = f < state.f + dxg + dxdx / (2.0 * mus)
-        chosen = None
-        for j in (passed | (dxdx == 0.0)).nonzero()[0].tolist():
-            if passed[j] or not np.count_nonzero(steps[j]):
-                chosen = j
-                break
-        last = mus.size - 1 if chosen is None else chosen
-        trial = 6 * n + m * support.size + 2 * m
-        madds += (last + 1) * trial
-        if chosen is not None:
-            if not passed[chosen]:
-                # x came back: replayed from here on, as in pg_step
-                state.replay_madds = head + trial
-            x_next = xn[chosen].copy()
-            return (x_next, support, x_next[support], float(y[chosen]), float(f[chosen]),
-                    steps[chosen].copy(), float(dxdx[chosen]), float(mus[chosen]),
-                    backtracks + chosen, madds)
-        backtracks += last
-        mu = float(mus[last])
-        if backtracks == MAX_BACKTRACKS:
-            # out of halvings: unless the last trial's change in f and its
-            # predicted change are both within the quotient's rounding, the
-            # gradient and f disagree; if they are, x is a fixed point to
-            # rounding, kept and replayed (see the module docstring)
-            tol = (m + n + 4) * 2.0**-52 * state.f
-            predicted = float(dxg[last]) + float(dxdx[last]) / (2.0 * mu)
-            f_last = float(f[last])
-            if abs(f_last - state.f) > tol or abs(predicted) > tol:
-                raise BacktrackingError(
-                    f"line search failed {backtracks + 1} halvings at iteration {state.n} "
-                    f"(mu={mu / 2:.3e}, f={state.f:.6e}, f_next={f_last:.6e}); "
-                    "gradient and cost are inconsistent"
-                )
-            state.replay_madds, state.replay_backtracks = madds, backtracks
-            return (x, state.support, state.xs, state.y, state.f, np.zeros(n), 0.0, mu0,
-                    backtracks, madds)
-        mu *= 0.5
-        backtracks += 1
+def _stack(state: PgState, g: np.ndarray, mu: float, backtracks: int) -> tuple:
+    """The stack _halving_stack forms from the trial after `backtracks`
+    halvings at step size mu, evaluated at once: one gather and one
+    np.vecmat against the held a^T[s] block for its rows' shared support
+    s, and np.vecdot per row.  Returns (rows, support, steps, y, f,
+    |dx|^2, dx . g), the last four as lists of floats, each row's with
+    the bits of evaluating its trial alone (see the module docstring)."""
+    x = state.x
+    xn, support, _ = _halving_stack(x, g, state.lam, mu, backtracks)
+    resid = np.vecmat(xn.take(support, axis=1), support_block(state.a_rows, support)) - state.b
+    y = 1.0 / (np.vecdot(xn, xn) + 1.0)
+    steps = xn - x
+    return (xn, support, steps, y.tolist(), (y * np.vecdot(resid, resid)).tolist(),
+            np.vecdot(steps, steps).tolist(), np.vecdot(steps, g).tolist())
 
 
 def pg_solve(

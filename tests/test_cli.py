@@ -94,6 +94,67 @@ def test_generate_writes_loadable_instance(tmp_path, capsys):
     assert inst.a.shape == (20, 40)
 
 
+CUSTOM_SHAPE = ["--scenario", "custom", "--n", "30", "--m", "12", "--k", "3", "--ensemble", "gaussian"]
+
+
+@pytest.mark.parametrize("first,second", [
+    # the same instance but for xi, named and custom
+    (["--scenario", "s2", "--seed", "5", "--trial", "2"],
+     ["--scenario", "s2", "--seed", "5", "--trial", "2", "--xi", "0.05"]),
+    # the same seed, trial and xi but for the custom shape
+    (CUSTOM_SHAPE, [*CUSTOM_SHAPE[:-1], "rademacher"]),
+    (CUSTOM_SHAPE, [*CUSTOM_SHAPE[:3], "31", *CUSTOM_SHAPE[4:]]),
+])
+def test_generate_names_each_drawn_instance_apart(first, second, tmp_path, capsys):
+    assert cli_main(["generate", *first, "--out", str(tmp_path)]) == 0
+    assert cli_main(["generate", *second, "--out", str(tmp_path)]) == 0
+    paths = capsys.readouterr().out.split()
+    assert len(set(paths)) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in paths)
+    digests = {instance_digest(load_instance(p)[0]) for p in paths}
+    assert len(digests) == 2
+
+
+def test_generate_file_names(tmp_path, capsys):
+    assert cli_main(["generate", *CUSTOM_SHAPE, "--xi", "0.05", "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+    assert cli_main(["generate", "--trial", "3", "--out", str(tmp_path)]) == 0
+    assert [Path(p).name for p in capsys.readouterr().out.split()] == [
+        "instance_custom_n30_m12_k3_gaussian_seed7_trial0_xi0.05.txt",
+        "instance_s1_seed0_trial3_xi0.01.txt"]
+
+
+@pytest.mark.parametrize("command,kind,argv,named", [
+    ("generate", "s1", ["--n", "30"], "--n"),
+    ("solve", "s1", ["--lambda", "0.5", "--n", "30", "--m", "5", "--k", "99", "--ensemble", "gaussian"],
+     "--n, --m, --k, --ensemble"),
+    ("trace", "s2", ["--n", "30"], "--n"),
+    ("sweep-lambda", "s1", ["--grid", "0.5", "--ensemble", "gaussian"], "--ensemble"),
+    ("sweep-xi", "s2", ["--grid", "0.01", "--k", "3", "--m", "12"], "--m, --k"),
+])
+def test_shape_flags_with_a_named_scenario_are_usage_errors(command, kind, argv, named, tmp_path,
+                                                            capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli, "generate_instance", no_draw)
+    monkeypatch.setattr(experiments, "generate_instance", no_draw)
+    assert cli_main([command, "--scenario", kind, *argv, *small(command, tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {named}: shape flags are for --scenario custom, not {kind}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_shape_config_entry_with_a_named_scenario_is_usage_error(tmp_path, capsys):
+    # a config entry counts as given, as the flag does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 30\n")
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "--n: shape flags are for --scenario custom, not s1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_command(tmp_path, capsys):
     rc = cli_main(["trace", "--trials", "1", "--iters", "2", "--out", str(tmp_path)])
     assert rc == 0
@@ -355,7 +416,7 @@ def test_config_may_set_a_key_the_command_never_reads(tmp_path, capsys):
     # bench takes no --algo, generate no --lambda and solve no --grid
     ("algo = foo\n", ["bench", "--scenario", "s1", "--trials", "1", "--grid", "0.5", "--iters", "3"],
      "bench.csv"),
-    ("lambda = nan\n", ["generate"], "instance_s1_seed0_trial0.txt"),
+    ("lambda = nan\n", ["generate"], "instance_s1_seed0_trial0_xi0.01.txt"),
     ("grid = junk\n", ["solve", "--lambda", "0.1", "--iters", "2"], None),
 ])
 def test_config_key_for_a_flag_the_command_lacks_is_ignored(config, argv, made, tmp_path, capsys):

@@ -387,9 +387,9 @@ class TestRunProduct:
 
 class TestStackedTrials:
     """PG's line search evaluates its trials past the first
-    prox_solver._STACK_FROM as one stack (prox_solver._stacked_trials),
-    and its bit parity with evaluating them one at a time rests on this:
-    on this numpy and BLAS, each row of np.vecmat(X.take(s, axis=1),
+    prox_solver._STACK_FROM as stacks (prox_solver._stack), and its bit
+    parity with evaluating them one at a time rests on this: on this
+    numpy and BLAS, each row of np.vecmat(X.take(s, axis=1),
     rows[s]) has the bytes of the trial's own X[k][s].dot(rows[s]) (an
     empty support gives +0.0 zeros, as the trial's np.zeros), and each
     row of np.vecdot(S, g), np.vecdot(S, S) and np.vecdot(X, X) for rows

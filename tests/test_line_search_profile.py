@@ -54,9 +54,9 @@ def test_its_stacks_are_the_solvers(monkeypatch):
 
     def recording(calls):
         def halving_stack(x, g, lam, mu, backtracks):
-            xn, mus, support, cut = stack(x, g, lam, mu, backtracks)
+            xn, support, cut = stack(x, g, lam, mu, backtracks)
             calls.append((backtracks, len(xn), cut))
-            return xn, mus, support, cut
+            return xn, support, cut
         return halving_stack
 
     solver, profiler = [], []

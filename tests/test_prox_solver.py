@@ -15,6 +15,7 @@ from sparsetls import (
     pg_init,
     pg_solve,
     pg_step,
+    prox_solver,
     solve_instance,
     squared_error,
 )
@@ -261,19 +262,38 @@ class TestAdaptiveStep:
 
 class TestLineSearch:
     def test_zero_step_requires_strict_decrease(self):
-        dx = np.zeros(2)
-        g = np.array([1.0, 1.0])
-        assert not line_search_ok(1.0, 1.0, dx, g, mu=0.1)
-        assert line_search_ok(0.999, 1.0, dx, g, mu=0.1)
+        assert not line_search_ok(1.0, 1.0, dxg=0.0, dxdx=0.0, mu=0.1)
+        assert line_search_ok(0.999, 1.0, dxg=0.0, dxdx=0.0, mu=0.1)
 
     def test_accepting_case(self):
-        # rhs = 1 - 0.1 + 0.05 = 0.95 > 0.5
-        ok = line_search_ok(0.5, 1.0, np.array([0.1, 0.0]), np.array([-1.0, 0.0]), mu=0.1)
-        assert ok
+        # dx = [0.1, 0], g = [-1, 0]: rhs = 1 - 0.1 + 0.05 = 0.95 > 0.5
+        assert line_search_ok(0.5, 1.0, dxg=-0.1, dxdx=0.01, mu=0.1)
 
     def test_rejecting_case(self):
-        ok = line_search_ok(1.2, 1.0, np.array([0.1, 0.0]), np.array([-1.0, 0.0]), mu=0.1)
-        assert not ok
+        assert not line_search_ok(1.2, 1.0, dxg=-0.1, dxdx=0.01, mu=0.1)
+
+    def test_every_trial_is_tested_once(self, make_instance, monkeypatch):
+        # a whole s2 solve at 5e-4, whose long searches run through stacks
+        # of halvings: each trial of an executed step, alone or a stack's
+        # row, goes through line_search_ok once
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return line_search_ok(*args)
+
+        monkeypatch.setattr(prox_solver, "line_search_ok", counted)
+        inst = make_instance("s2", seed=9, trial=0)
+        state = pg_init(inst.a, inst.b, 5e-4)
+        trials = stacked = 0
+        for _ in range(iteration_schedule(5e-4, "s2") - 1):
+            executed = not state.replay_madds
+            pg_step(state)
+            if executed:
+                trials += 1 + state.backtracks_last
+                stacked += state.backtracks_last >= _STACK_FROM
+        assert stacked > 0, "no step reached a stack, so the count shows nothing"
+        assert len(calls) == trials
 
 
 def straight_line_two_by_two(a, b, lam):
