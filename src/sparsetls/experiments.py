@@ -1,13 +1,11 @@
 """Experiment suite: paired solver runs aggregated into CSV artifacts.
 
-One cell runner, `cells`, does every solve.  It loops over xi in the
-config's xi_grid, then trial in ascending order, then lambda in its
-lambda_grid, then algorithm.  Each (xi, trial) instance is drawn once,
-from the trial's derive_stream, and shared by every lambda and algorithm
-(the paired design), and so is the kernel.Matrix of its a, which makes
-what the solvers read of a alone once per instance.  Each solve yields
-one Cell: trial, lambda, xi, algorithm, iteration budget, instance,
-SolveResult and wall ns.
+One cell runner, `cells`, does every solve.  Each (xi, trial) instance
+is drawn once, from the trial's derive_stream, and shared by every lambda
+and algorithm (the paired design), and so is the kernel.Matrix of its a,
+which makes what the solvers read of a alone once per instance.  Each
+solve yields one Cell: trial, lambda, xi, algorithm, iteration budget,
+instance, SolveResult and wall ns.
 
 The four CSVs are reductions over the cells, each a mean over trials:
 
@@ -18,11 +16,17 @@ The four CSVs are reductions over the cells, each a mean over trials:
     bench_sums         one xi; wall ns and final multiply-adds, both per
                        iteration, always for both algorithms
 
-A reduction consumes the cells of its config one at a time.  One driver,
-`run_pass`, feeds a single cells stream to several reductions, each
-given only the cells of its own config; each CLI command (run_trace and
-its siblings, which write their CSV in the directory they are given) is
-a pass with one reduction.
+A reduction consumes the cells of its config one at a time and sums them
+under a key, (lambda, algo), (xi, algo) or algo, one cell per trial.  So
+its rows depend only on the order of the trials under each key, never on
+how the keys interleave.  That is the one order `cells` promises: under
+each (xi, lambda, algorithm) the trials ascend.  In which order the keys
+come is its own choice, free to follow how the solves are grouped.
+
+One driver, `run_pass`, feeds a single cells stream to several
+reductions, each given only the cells of its own config; each CLI command
+(run_trace and its siblings, which write their CSV in the directory they
+are given) is a pass with one reduction.
 
 All CSV content except wall-clock columns is reproducible byte for byte
 from (config, master seed) on a given platform.
@@ -82,8 +86,9 @@ def iteration_schedule(lam: float, scenario: str) -> int:
 
     Endpoints are (5e-4 -> 2800, 1 -> 40) for scenario s1 and
     (5e-4 -> 3500, 1 -> 50) for s2; out-of-range values clamp to the
-    nearest endpoint.
+    nearest endpoint.  lam must be positive and finite (require_lambda).
     """
+    require_lambda(lam)
     if scenario not in _SCHEDULE_ENDPOINTS:
         raise ValueError(f"unknown scenario {scenario!r} (expected 's1' or 's2')")
     at_min, at_max = _SCHEDULE_ENDPOINTS[scenario]
@@ -188,36 +193,48 @@ class Cell(NamedTuple):
 
 
 def cells(cfg: ExperimentConfig, with_truth: bool) -> Iterator[Cell]:
-    """Every solve of the config, xi outermost, then trial, lambda and
-    algorithm; the wall time covers the solve alone.
+    """Every solve of the config: each (xi, trial) instance is drawn once
+    and solved by every algorithm in turn through _solve_group, which times
+    each solve and names a failed one's `sparsetls solve` flags.  The order
+    of the cells is this function's own; what it promises is that under
+    one (xi, lambda, algorithm) the trials ascend."""
+    tag = SCENARIO_TAGS[cfg.kind]
+    for xi in cfg.xi_grid:
+        scen = replace(cfg.scenario, xi=xi)
+        for trial in range(cfg.trials):
+            inst = generate_instance(scen, derive_stream(cfg.master_seed, tag, trial))
+            block = [(trial, inst, Matrix(inst.a))]
+            for algo in cfg.algos:
+                yield from _solve_group(cfg, scen, algo, block, with_truth)
+
+
+def _solve_group(cfg: ExperimentConfig, scen: ScenarioConfig, algo: str,
+                 block: list[tuple[int, ProblemInstance, Matrix]], with_truth: bool) -> Iterator[Cell]:
+    """The cells of one algorithm on a block of (trial, instance, Matrix)
+    drawn at scen.xi, each yielded as its solve finishes: lambdas
+    descending and, within one lambda, the trials ascending.  The wall
+    time covers the solve alone.
 
     A BacktrackingError or ValueError of a solve is raised again as the
     same type, its message led by `cell solve FLAGS:`, the flags with
     which `sparsetls solve` derives the cell's stream, instance and
     iteration budget again (a custom scenario's --n, --m, --k and
     --ensemble among them)."""
-    tag = SCENARIO_TAGS[cfg.kind]
-    for xi in cfg.xi_grid:
-        scen = replace(cfg.scenario, xi=xi)
-        for trial in range(cfg.trials):
-            inst = generate_instance(scen, derive_stream(cfg.master_seed, tag, trial))
-            mat = Matrix(inst.a)
-            for lam in cfg.lambda_grid:
-                iters = iteration_budget(cfg.kind, lam, cfg.iters)
-                for algo in cfg.algos:
-                    t0 = time.perf_counter_ns()
-                    try:
-                        res = solve_instance(algo, inst, lam, iters, with_truth, mat)
-                    except (BacktrackingError, ValueError) as exc:
-                        more = "" if cfg.iters is None else f" --iters {cfg.iters}"
-                        if cfg.kind == "custom":
-                            more += f" --n {scen.n} --m {scen.m} --k {scen.k} --ensemble {scen.ensemble.value}"
-                        raise type(exc)(
-                            f"cell solve --algo {algo} --scenario {cfg.kind} --seed {cfg.master_seed} "
-                            f"--trial {trial} --lambda {lam} --xi {xi}{more}: {exc}"
-                        ) from exc
-                    wall_ns = time.perf_counter_ns() - t0
-                    yield Cell(trial, lam, xi, algo, iters, inst, res, wall_ns)
+    for lam in reversed(cfg.lambda_grid):
+        iters = iteration_budget(cfg.kind, lam, cfg.iters)
+        for trial, inst, mat in block:
+            t0 = time.perf_counter_ns()
+            try:
+                res = solve_instance(algo, inst, lam, iters, with_truth, mat)
+            except (BacktrackingError, ValueError) as exc:
+                more = "" if cfg.iters is None else f" --iters {cfg.iters}"
+                if cfg.kind == "custom":
+                    more += f" --n {scen.n} --m {scen.m} --k {scen.k} --ensemble {scen.ensemble.value}"
+                raise type(exc)(
+                    f"cell solve --algo {algo} --scenario {cfg.kind} --seed {cfg.master_seed} "
+                    f"--trial {trial} --lambda {lam} --xi {scen.xi}{more}: {exc}"
+                ) from exc
+            yield Cell(trial, lam, scen.xi, algo, iters, inst, res, time.perf_counter_ns() - t0)
 
 
 def run_pass(*jobs: tuple[Callable, ExperimentConfig]) -> list[list[list]]:
@@ -231,9 +248,10 @@ def run_pass(*jobs: tuple[Callable, ExperimentConfig]) -> list[list[list]]:
     and iters: every field a pass reads but the grids, trials and algos.
     The stream covers the union of their grids and algorithms, up to their
     largest trial count, and each reduction gets only the cells of its own
-    config, in the stream's order, so it adds its sums in the order a pass
-    of its own would.  The solves take the ground truth only when
-    trace_sums, the one reduction that reads sq_error, is a job.
+    config.  Under each of its keys those come with the trials ascending,
+    as in a pass of its own, so it adds each sum in that pass's order and
+    its rows have that pass's bytes.  The solves take the ground truth
+    only when trace_sums, the one reduction that reads sq_error, is a job.
     """
     consumers = [(reduction(c), c) for reduction, c in jobs]
     first = jobs[0][1]

@@ -93,8 +93,8 @@ class ProblemInstance:
 
 def gaussian_matrix(m: int, n: int, variance: float, rng: RngStream) -> np.ndarray:
     """m x n matrix of i.i.d. zero-mean Gaussians with the given variance."""
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
+    if not (math.isfinite(variance) and variance >= 0):
+        raise ValueError(f"variance must be non-negative and finite, got {variance!r}")
     scale = math.sqrt(variance)
     return scale * rng.normal_block(m * n).reshape(m, n)
 

@@ -598,7 +598,7 @@ FAILED_CELL_SCENARIOS = {
     pytest.param(error, kind, id=error.__name__ + ("" if kind == "s1" else f"-{kind}"))
     for kind in FAILED_CELL_SCENARIOS for error in (BacktrackingError, ValueError)])
 def test_failed_cell_names_the_solve_that_reproduces_it(error, kind, tmp_path, monkeypatch, capsys):
-    # the sixth cell of the sweep (trial 1, lambda 0.1, adcd) fails; the
+    # the eighth cell of the sweep (trial 1, adcd, lambda 0.1) fails; the
     # error keeps its type and leads with that cell's `solve` flags, which
     # for a custom scenario include its dimensions and ensemble
     custom, more = FAILED_CELL_SCENARIOS[kind]
@@ -612,14 +612,14 @@ def test_failed_cell_names_the_solve_that_reproduces_it(error, kind, tmp_path, m
             return real(algo, inst, lam, iterations, *args, **kwargs)
         return solve_instance
 
-    monkeypatch.setattr(experiments, "solve_instance", recorded(seen, fail_at=6))
+    monkeypatch.setattr(experiments, "solve_instance", recorded(seen, fail_at=8))
     argv = ["sweep-lambda", "--scenario", kind, *more.split(), "--seed", "7", "--trials", "2",
             "--grid", "0.1,0.5", "--iters", "3", "--out", str(tmp_path)]
     assert cli_main(argv) == 1
     flags = f"--algo adcd --scenario {kind} --seed 7 --trial 1 --lambda 0.1 --xi 0.01 --iters 3{more}"
     assert capsys.readouterr().err == f"error: cell solve {flags}: line search failed 61 halvings\n"
     assert not any(tmp_path.iterdir())
-    monkeypatch.setattr(experiments, "solve_instance", recorded([], fail_at=6))
+    monkeypatch.setattr(experiments, "solve_instance", recorded([], fail_at=8))
     cfg = ExperimentConfig(
         kind=kind, lambda_grid=[0.1, 0.5],
         xi_grid=[0.01], trials=2, master_seed=7, iters=3, custom=custom)
@@ -632,4 +632,4 @@ def test_failed_cell_names_the_solve_that_reproduces_it(error, kind, tmp_path, m
     solved = []
     monkeypatch.setattr(cli, "solve_instance", recorded(solved))
     assert cli_main(["solve", *flags.split()]) == 0
-    assert solved == [seen[5]]
+    assert solved == [seen[7]]

@@ -87,6 +87,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             iteration_schedule(0.1, "s9")
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_lambda_not_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="^lam must be positive and finite"):
+            iteration_schedule(lam, "s1")
+
 
 class TestConfig:
     def test_validates_grids(self):
@@ -202,7 +207,7 @@ class TestPairedDesign:
         assert [(c.xi, c.trial, c.lam, c.algo) for c in got] == [
             (xi, trial, lam, algo)
             for xi in cfg.xi_grid for trial in range(cfg.trials)
-            for lam in cfg.lambda_grid for algo in ALGORITHMS
+            for algo in ALGORITHMS for lam in reversed(cfg.lambda_grid)
         ]
         by_key = {}
         for c in got:
@@ -248,6 +253,38 @@ class TestPairedDesign:
         filled = {"pg": "ata", "adcd": "sq_norms"}
         assert all({name for name in filled.values() if name in vars(mat)}
                    == {filled[algo] for algo in algos} for mat in made)
+
+
+class TestKeyOrder:
+    def test_rows_depend_only_on_each_keys_trial_order(self):
+        # every reduction sums one cell per trial under a key, so any two
+        # interleavings of the keys that keep each key's trials ascending
+        # give the same rows
+        cfg = make_cfg(lambda_grid=[0.1, 0.5], xi_grid=[0.0, 0.01], trials=3, iters=4)
+        recorded = list(cells(cfg, with_truth=True))
+        orders = [sorted(recorded, key=lambda c: (c.xi, c.lam, c.algo, c.trial)),
+                  sorted(recorded, key=lambda c: (c.trial, -c.lam, c.algo[::-1], -c.xi))]
+        keys = [[(c.xi, c.lam, c.algo, c.trial) for c in order] for order in orders]
+        assert keys[0] != keys[1]
+        for key in keys:
+            trials = {}
+            for xi, lam, algo, trial in key:
+                trials.setdefault((xi, lam, algo), []).append(trial)
+            assert all(t == [0, 1, 2] for t in trials.values())
+        for reduction, own in [
+            (trace_sums, replace(cfg, lambda_grid=[0.1], xi_grid=[0.01])),
+            (lambda_sweep_sums, replace(cfg, xi_grid=[0.0])),
+            (xi_sweep_sums, replace(cfg, lambda_grid=[0.5])),
+            (bench_sums, replace(cfg, xi_grid=[0.01])),
+        ]:
+            rows = []
+            for order in orders:
+                add, got = reduction(own)
+                for c in order:
+                    if c.lam in own.lambda_grid and c.xi in own.xi_grid:
+                        add(c)
+                rows.append(got())
+            assert rows[0] == rows[1]
 
 
 class TestTrace:

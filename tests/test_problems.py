@@ -55,6 +55,14 @@ def test_gaussian_matrix_zero_variance_is_zero():
     assert not gaussian_matrix(4, 6, 0.0, RngStream(1)).any()
 
 
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -1.0])
+def test_gaussian_matrix_rejects_a_variance_not_finite_and_non_negative(variance):
+    rng = RngStream(1)
+    with pytest.raises(ValueError, match="^variance must be non-negative and finite"):
+        gaussian_matrix(2, 2, variance, rng)
+    assert rng.next_u64() == RngStream(1).next_u64()  # nothing was drawn
+
+
 def test_gaussian_matrix_empirical_variance():
     draws = [gaussian_matrix(20, 40, 1.0 / 20, RngStream(s)) for s in range(100)]
     v = np.var(np.concatenate([d.ravel() for d in draws]))
