@@ -234,7 +234,11 @@ def _sweep(state: AdcdState, carry: tuple) -> None:
       block of their rows, a_t[i:hi].dot(r).  The first rho outside
       +-lam / 2 ends the run: that coordinate leaves zero (and writes its
       own entry of x), r changes, and the rest of the run is recomputed
-      from the new r.
+      from the new r.  The product is read as Python floats, one tolist(),
+      and scanned with rho > half or rho < -half, the decision of
+      np.abs(rho) > half (a NaN fails both): a checked run is most often 1
+      to 3 rows long, where abs, compare and nonzero on the array would
+      cost more numpy calls than the scan costs comparisons.
 
     The charges are _update_madds over the nnz other nonzero entries (a
     zero coordinate's) and over nnz - 1 (a nonzero coordinate of P's);
@@ -351,15 +355,15 @@ def _sweep(state: AdcdState, carry: tuple) -> None:
                     nnz += 1 if new else -1
                     zero_madds, in_madds = _update_madds(m, nnz), _update_madds(m, nnz - 1)
         while i < hi and not rho0_max[s] + norm_hi * screen < half:
-            rhos = a_t[i:hi].dot(r)
-            leave = (np.abs(rhos) > half).nonzero()[0]
-            if not leave.size:
+            for j, rho in enumerate(a_t[i:hi].dot(r).tolist(), i):
+                if rho > half or rho < -half:
+                    break
+            else:
                 break
-            j = i + int(leave[0])
             madds += (j + 1 - i) * zero_madds
             col = a_t[j]
             norm2 = float(sq_norms[j])
-            new = _threshold(float(rhos[j - i]), half, norm2)
+            new = _threshold(rho, half, norm2)
             if new != 0.0:
                 x[j] = new
                 r -= new * col

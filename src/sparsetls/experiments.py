@@ -252,7 +252,10 @@ def run_pass(*jobs: tuple[Callable, ExperimentConfig]) -> list[list[list]]:
     as in a pass of its own, so it adds each sum in that pass's order and
     its rows have that pass's bytes.  The solves take the ground truth
     only when trace_sums, the one reduction that reads sq_error, is a job.
+    A pass with no job raises ValueError.
     """
+    if not jobs:
+        raise ValueError("a pass needs at least one (reduction, config) job")
     consumers = [(reduction(c), c) for reduction, c in jobs]
     first = jobs[0][1]
     if any((c.kind, replace(c.scenario, xi=first.scenario.xi), c.master_seed, c.iters)

@@ -100,10 +100,11 @@ def gaussian_matrix(m: int, n: int, variance: float, rng: RngStream) -> np.ndarr
 
 
 def rademacher_matrix(m: int, n: int, rng: RngStream) -> np.ndarray:
-    """m x n matrix with entries exactly +-1/sqrt(m), fair sign per entry."""
+    """m x n matrix with entries exactly +-1/sqrt(m), fair sign per entry:
+    each entry takes the sign of its drawn word's top bit, read as the
+    sign of the word viewed as an int64."""
     w = rng.u64_block(m * n)
-    mag = 1.0 / math.sqrt(m)
-    return np.where((w >> np.uint64(63)) == 0, mag, -mag).reshape(m, n)
+    return np.copysign(1.0 / math.sqrt(m), w.view(np.int64)).reshape(m, n)
 
 
 def sparse_signal(n: int, k: int, rng: RngStream) -> np.ndarray:

@@ -232,7 +232,8 @@ class SolveResult:
         stack; then the block is dropped.  A state whose x is the previous
         state's array (pg_step keeps x once it replays, and then for every
         later step, so these states are a suffix) repeats the last
-        computed cost and sq_error entries."""
+        computed cost and sq_error entries.  An empty stream raises
+        ValueError: a record holds at least one iteration."""
         f, mu, backtracks, flops, rows, l1 = [], [], [], [], [], []
         sq_error = None if ground_truth is None else []
         x = None
@@ -246,6 +247,8 @@ class SolveResult:
             mu.append(state.mu)
             backtracks.append(state.backtracks_last)
             flops.append(state.flops)
+        if x is None:
+            raise ValueError("no state to record: a solve runs at least one iteration")
         if rows:
             _reduce(rows, ground_truth, l1, sq_error)
         lam, replayed = state.lam, len(f) - len(l1)

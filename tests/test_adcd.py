@@ -599,6 +599,16 @@ def tolerance_lockstep(fast, ref, a, b, lam, steps):
         assert fast.f == pytest.approx(ref.f, rel=1e-12, abs=0.0)
 
 
+# lam / 2 a few ulps either side of a zero coordinate's |rho|, for the
+# system as drawn (ids "-2" to "2") and with its right-hand side negated,
+# which negates each rho: between them the two signs put the boundary on
+# both branches of the exact check, rho > lam / 2 and rho < -lam / 2
+THRESHOLD_CASES = pytest.mark.parametrize("ulps, sign", [
+    *(pytest.param(ulps, 1, id=str(ulps)) for ulps in (-2, -1, 0, 1, 2)),
+    *(pytest.param(ulps, -1, id=f"{ulps}-negated") for ulps in (-2, -1, 0, 1, 2)),
+])
+
+
 class TestBitParityWithDenseSweep:
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     @pytest.mark.parametrize("lam", [5e-4, 0.02, 0.1, 0.5, 1.0])
@@ -618,18 +628,19 @@ class TestBitParityWithDenseSweep:
         fast, ref = state_pair(inst.a, inst.b, lam, *zero_point(*inst.a.shape))
         bit_lockstep(fast, ref, inst.a, inst.b, lam, iteration_schedule(lam, scenario))
 
-    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
-    def test_zero_coordinate_at_the_threshold(self, s1_instance, ulps):
+    @THRESHOLD_CASES
+    def test_zero_coordinate_at_the_threshold(self, s1_instance, ulps, sign):
         # x_0 = v_0 = 0 opens the first run, so c_0 = a_0 and its rho is the
         # first row of the run's product from r0; lam / 2 is placed a few
         # ulps either side of |rho|, where the screen's margin must leave
-        # the decision to the exact check
-        a, b = s1_instance.a.copy(), s1_instance.b
+        # the decision to the exact check.  Negating b, x's entries, u and v
+        # keeps every column and negates r and each rho exactly
+        a, b = s1_instance.a.copy(), sign * s1_instance.b
         a[:, 0] *= 3.0  # the largest rho of its run, so the run's screen reads it
         m, n = a.shape
         x, u, v = zero_point(m, n)
-        x[[20, 31]] = (0.3, -0.2)
-        v[[20, 31]] = (0.25, -0.4)
+        x[[20, 31]] = (0.3 * sign, -0.2 * sign)
+        v[[20, 31]] = (0.25 * sign, -0.4 * sign)
         u[:] = 0.05 * b
         c_rows = np.ascontiguousarray((a + np.outer(u, v)).T)
         r0 = b - support_matvec(c_rows, x, np.array([20, 31]))
@@ -642,10 +653,11 @@ class TestBitParityWithDenseSweep:
         fast, ref = state_pair(a, b, 2.0 * float(half), x, u, v)
         bit_lockstep(fast, ref, a, b, 2.0 * float(half), 1)
         assert (fast.x[0] != 0.0) == (ulps < 0)
+        assert fast.x[0] * float(c_rows[0] @ r0) >= 0.0  # the side of rho's sign
         bit_lockstep(fast, ref, a, b, 2.0 * float(half), 4)
 
-    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
-    def test_zero_coordinate_at_the_threshold_after_drift(self, ulps):
+    @THRESHOLD_CASES
+    def test_zero_coordinate_at_the_threshold_after_drift(self, ulps, sign):
         # c_3 = c_0 and x_0 = old is thresholded to zero, so in exact
         # arithmetic c_3 . r = rho0_3 + ||c_3|| drift = rho_0: the drift bound
         # is tight and only its rounding margin keeps the screen safe.  b's
@@ -677,10 +689,14 @@ class TestBitParityWithDenseSweep:
         half = rho
         for _ in range(abs(ulps)):
             half = np.nextafter(half, np.inf if ulps > 0 else 0.0)
+        # negating b and x_0 (e = 0) negates r and each rho exactly
+        b = sign * b
+        x[0] = sign * old
         fast, ref = state_pair(a, b, 2.0 * float(half), x, *zero_point(m, n)[1:])
         bit_lockstep(fast, ref, a, b, 2.0 * float(half), 1)
         assert fast.x[0] == 0.0
         assert (fast.x[3] != 0.0) == (ulps < 0)
+        assert fast.x[3] * sign >= 0.0  # rho_3 has the sign of c_0 . r, so of sign
         bit_lockstep(fast, ref, a, b, 2.0 * float(half), 4)
 
     def test_late_leaver_after_large_drift(self, s1_instance):

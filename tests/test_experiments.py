@@ -597,6 +597,10 @@ class TestOnePass:
         with pytest.raises(ValueError, match="must agree on kind, scenario, seed and iters"):
             run_pass((lambda_sweep_sums, cfg), (bench_sums, replace(cfg, **other)))
 
+    def test_a_pass_with_no_job_raises(self):
+        with pytest.raises(ValueError, match="at least one"):
+            run_pass()
+
     def test_the_scenarios_xi_is_not_compared(self, monkeypatch):
         solved = []
         monkeypatch.setattr(experiments, "solve_instance", recording(solved))

@@ -86,6 +86,18 @@ def test_rademacher_entries_and_column_norms_exact():
     assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (20, 40), (80, 200), (12, 30)])
+@pytest.mark.parametrize("seed", [0, 7, 11, 2**63 + 5])
+def test_rademacher_signs_have_the_bytes_of_the_top_bit_test(m, n, seed):
+    # the sign of each word viewed as an int64 is its top bit, so the
+    # copysign form gives the bytes of testing that bit directly
+    w = RngStream(seed).u64_block(m * n)
+    mag = 1.0 / math.sqrt(m)
+    want = np.where((w >> np.uint64(63)) == 0, mag, -mag).reshape(m, n)
+    got = rademacher_matrix(m, n, RngStream(seed))
+    assert got.shape == (m, n) and got.tobytes() == want.tobytes()
+
+
 def test_rademacher_mean_near_zero():
     mat = rademacher_matrix(80, 200, RngStream(11))
     assert abs(mat.mean()) < 0.01

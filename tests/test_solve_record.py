@@ -164,6 +164,11 @@ class TestBlocks:
         assert len(res.cost) == 1 and res.x is states[0].x
         both_ways(states, truth)
 
+    @pytest.mark.parametrize("truth", [None, np.ones(7)], ids=["no truth", "truth"])
+    def test_empty_stream_raises(self, truth):
+        with pytest.raises(ValueError, match="no state to record"):
+            SolveResult.from_states(iter(()), truth)
+
     def test_memory_is_bounded_by_the_block(self):
         # 5000 distinct iterates of 200: one stack of them is 8 MB, and the
         # earlier from_states held three arrays of that size (about 24 MB);
